@@ -24,18 +24,20 @@ import numpy as np
 
 from .errors import ConfigError, TooShort
 from .geometry import EPS_DEPTH, homogeneous_apply
-from .nn import Linear, SequenceTrunk
+from .nn import SEQUENCE_KINDS, Linear, SequenceTrunk
 from .pipeline import (
     FuturePixelPredictor,
     ModelConfig,
     TrajectoryModel,
     VisionPipeline,
     ablation_config,
+    as_batch,
+    batch_shape,
+    hidden_sensor,
 )
 from .simulator import DT, Scene
-from .tensor import Tensor, col_scale, mean_rows, reshape
+from .tensor import col_scale, mean_rows, reshape
 
-SEQUENCE_KINDS = ("transformer", "rnn", "gru", "lstm")
 LEARNED_FAMILIES = ("direct", "two_stage", "plus_vpd")
 ABLATION_NAMES = ("no_denoiser", "no_estimator", "no_projection", "no_predictor")
 REFERENCE_METHODS = ("const_velocity", "smoother")
@@ -59,13 +61,13 @@ class DirectBaseline(TrajectoryModel):
         self.obs_head = Linear(cfg.width, 2, rng)
         self.future_head = Linear(cfg.width, 2 * cfg.t_pred, rng)
 
-    def forward(self, scene: Scene):
-        hidden = scene.out_of_sight()
-        size = scene.image_size
-        feats = self.trunk(Tensor(hidden.sensor))
+    def forward(self, scenes: Scene | list[Scene]):
+        scenes = as_batch(scenes)
+        t_obs, _, size = batch_shape(scenes)
+        feats = self.trunk(hidden_sensor(scenes), t_obs)
         visual = col_scale(self.obs_head(feats), size)
-        future = col_scale(reshape(self.future_head(mean_rows(feats)), self.cfg.t_pred, 2), size)
-        return visual, future
+        future_rows = reshape(self.future_head(mean_rows(feats, t_obs)), len(scenes) * self.cfg.t_pred, 2)
+        return visual, col_scale(future_rows, size)
 
 
 class TwoStageBaseline(TrajectoryModel):
@@ -82,11 +84,11 @@ class TwoStageBaseline(TrajectoryModel):
         self.obs_head = Linear(cfg.width, 2, rng)
         self.predictor = FuturePixelPredictor(cfg, rng, kind)
 
-    def forward(self, scene: Scene):
-        hidden = scene.out_of_sight()
-        size = scene.image_size
-        visual = col_scale(self.obs_head(self.trunk(Tensor(hidden.sensor))), size)
-        return visual, self.predictor(visual, size)
+    def forward(self, scenes: Scene | list[Scene]):
+        scenes = as_batch(scenes)
+        t_obs, _, size = batch_shape(scenes)
+        visual = col_scale(self.obs_head(self.trunk(hidden_sensor(scenes), t_obs)), size)
+        return visual, self.predictor(visual, size, t_obs)
 
 
 def make_model(name: str, cfg: ModelConfig, rng: np.random.Generator) -> TrajectoryModel:

@@ -14,15 +14,14 @@ from .tensor import (
     Tensor,
     add,
     attention_block,
-    concat_cols,
-    concat_rows,
+    interleave_rows,
     layer_norm,
     matmul,
     mul,
     relu,
     sigmoid,
     slice_cols,
-    slice_rows,
+    strided_rows,
     tanh,
 )
 
@@ -52,10 +51,6 @@ class Module:
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, int]) -> np.ndarray:
@@ -97,24 +92,15 @@ class MultiHeadSelfAttention(Module):
         if dim % heads != 0:
             raise ShapeMismatch(f"width {dim} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        if self.heads == 1:
-            mixed = attention_block(q, k, v)
-        else:
-            parts = []
-            for h in range(self.heads):
-                lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-                parts.append(
-                    attention_block(slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi))
-                )
-            mixed = concat_cols(parts)
+    def __call__(self, x: Tensor, steps: int | None = None) -> Tensor:
+        """x is a row-stacked batch of sequences of `steps` rows each (one
+        sequence of all rows by default); attention stays within each."""
+        mixed = attention_block(self.wq(x), self.wk(x), self.wv(x), heads=self.heads, segment=steps)
         return self.wo(mixed)
 
 
@@ -128,8 +114,8 @@ class TransformerBlock(Module):
         self.ff_in = Linear(dim, ff_mult * dim, rng)
         self.ff_out = Linear(ff_mult * dim, dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = add(x, self.attn(self.norm_attn(x)))
+    def __call__(self, x: Tensor, steps: int | None = None) -> Tensor:
+        x = add(x, self.attn(self.norm_attn(x), steps))
         return add(x, self.ff_out(relu(self.ff_in(self.norm_ff(x)))))
 
 
@@ -137,9 +123,9 @@ class TransformerEncoder(Module):
     def __init__(self, dim: int, layers: int, heads: int, rng: np.random.Generator):
         self.blocks = [TransformerBlock(dim, heads, rng) for _ in range(layers)]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, steps: int | None = None) -> Tensor:
         for block in self.blocks:
-            x = block(x)
+            x = block(x, steps)
         return x
 
 
@@ -150,8 +136,8 @@ class RNNCell(Module):
         self.bias = Tensor(np.zeros((1, dim)), requires_grad=True)
         self.dim = dim
 
-    def initial_state(self) -> tuple[Tensor, ...]:
-        return (Tensor(np.zeros((1, self.dim))),)
+    def initial_state(self, batch: int = 1) -> tuple[Tensor, ...]:
+        return (Tensor(np.zeros((batch, self.dim))),)
 
     def step(self, x: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, ...]:
         (h,) = state
@@ -173,8 +159,8 @@ class GRUCell(Module):
         self.b_cand = Tensor(np.zeros((1, dim)), requires_grad=True)
         self.dim = dim
 
-    def initial_state(self) -> tuple[Tensor, ...]:
-        return (Tensor(np.zeros((1, self.dim))),)
+    def initial_state(self, batch: int = 1) -> tuple[Tensor, ...]:
+        return (Tensor(np.zeros((batch, self.dim))),)
 
     def step(self, x: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, ...]:
         (h,) = state
@@ -194,8 +180,8 @@ class LSTMCell(Module):
         self.bias = Tensor(np.zeros((1, 4 * dim)), requires_grad=True)
         self.dim = dim
 
-    def initial_state(self) -> tuple[Tensor, ...]:
-        return (Tensor(np.zeros((1, self.dim))), Tensor(np.zeros((1, self.dim))))
+    def initial_state(self, batch: int = 1) -> tuple[Tensor, ...]:
+        return (Tensor(np.zeros((batch, self.dim))), Tensor(np.zeros((batch, self.dim))))
 
     def step(self, x: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, ...]:
         h, c = state
@@ -220,11 +206,14 @@ def make_cell(kind: str, in_dim: int, dim: int, rng: np.random.Generator) -> Mod
 
 
 class SequenceTrunk(Module):
-    """Map a (T, in_dim) sequence to (T, dim) features with a chosen backbone.
+    """Map sequences of in_dim rows to dim-wide feature rows with a chosen
+    backbone: (B*T, in_dim) -> (B*T, dim) for a row-stacked batch of B
+    sequences of T = steps rows (one sequence of all rows by default).
 
-    kind "transformer" embeds, adds the fixed position table, and runs the
-    encoder; recurrent kinds unroll a cell from a zero state and stack the
-    hidden rows.
+    kind "transformer" embeds, adds the fixed position table to every
+    sequence, and runs the encoder; recurrent kinds unroll a cell from a
+    zero state over the B sequences at once, one (B, dim) state per step,
+    and stack the hidden rows back sequence-major.
     """
 
     def __init__(self, kind: str, in_dim: int, dim: int, layers: int, heads: int, rng: np.random.Generator):
@@ -238,20 +227,22 @@ class SequenceTrunk(Module):
         else:
             self.cell = make_cell(kind, dim, dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        steps = x.data.shape[0]
+    def __call__(self, x: Tensor, steps: int | None = None) -> Tensor:
+        rows = x.data.shape[0]
+        steps = steps or rows
         h = self.embed(x)
         if self.kind == "transformer":
-            return self.encoder(add(h, Tensor(sinusoidal_encoding(steps, self.dim))))
-        state = self.cell.initial_state()
-        rows = []
+            positions = np.tile(sinusoidal_encoding(steps, self.dim), (rows // steps, 1))
+            return self.encoder(add(h, Tensor(positions)), steps)
+        state = self.cell.initial_state(rows // steps)
+        hidden = []
         for t in range(steps):
-            state = self.cell.step(slice_rows(h, t, t + 1), state)
-            rows.append(state[0])
-        return concat_rows(rows)
+            state = self.cell.step(strided_rows(h, t, steps), state)
+            hidden.append(state[0])
+        return interleave_rows(hidden)
 
 
-class Adam(Module):
+class Adam:
     """Adam with bias correction. step() consumes and clears gradients."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,

@@ -7,6 +7,11 @@ window, tiled over the window's steps. The denoiser and the predictor are
 trained end to end on pixel targets only; positions are never supervised
 directly.
 
+A forward pass takes a batch of scenes of one shape (t_obs, t_pred, image
+size) and row-stacks them, scene-major, so a training minibatch is one
+autodiff graph (see the tensor module). Only the camera fit runs scene by
+scene; its rows are stacked like the rest.
+
 Model inputs are strictly: the hidden agent's sensor window and the
 visible agents' pixel/sensor windows. The hidden agent's ground-truth
 pixels appear only inside loss targets and metrics, never in the forward
@@ -44,15 +49,17 @@ from .tensor import (
     clamp_away_from_zero,
     col_scale,
     concat_cols,
+    concat_rows,
     div,
     mean_rows,
     mse_loss,
     mul,
+    no_grad,
     reshape,
     row_sum,
     scale,
     slice_cols,
-    slice_rows,
+    strided_rows,
     tile_rows,
 )
 
@@ -139,35 +146,90 @@ def project_rows(matrix_rows: Tensor, points: Tensor) -> Tensor:
     return concat_cols([div(u_num, den), div(v_num, den)])
 
 
+def as_batch(scenes: Scene | list[Scene]) -> list[Scene]:
+    """A list of scenes; a single Scene is a batch of one."""
+    return [scenes] if isinstance(scenes, Scene) else list(scenes)
+
+
+def _shape_key(scene: Scene) -> tuple:
+    return scene.t_obs, scene.t_pred, tuple(scene.image_size)
+
+
+def shape_groups(scenes: list[Scene]) -> list[list[Scene]]:
+    """Scenes grouped by (t_obs, t_pred, image_size), in order of first
+    appearance; each group can be row-stacked into one forward pass."""
+    groups: dict[tuple, list[Scene]] = {}
+    for scene in scenes:
+        groups.setdefault(_shape_key(scene), []).append(scene)
+    return list(groups.values())
+
+
+def batch_shape(scenes: list[Scene]) -> tuple[int, int, tuple[int, int]]:
+    """(t_obs, t_pred, image_size) shared by every scene of a batch."""
+    if not scenes:
+        raise LengthMismatch("a forward pass needs at least one scene")
+    key = _shape_key(scenes[0])
+    for scene in scenes[1:]:
+        if _shape_key(scene) != key:
+            raise LengthMismatch(
+                f"scenes of one forward pass must share (t_obs, t_pred, image_size): {key} vs {_shape_key(scene)}"
+            )
+    return key
+
+
+def hidden_sensor(scenes: list[Scene]) -> Tensor:
+    """The hidden agents' sensor windows, row-stacked, (B*t_obs, 3)."""
+    return Tensor(np.concatenate([scene.out_of_sight().sensor for scene in scenes]))
+
+
 class TrajectoryModel(Module):
     """Interface shared by the pipeline and the learned baselines: a
-    forward pass from a scene to raw-pixel tracks, with losses and metrics
+    forward pass from scenes to raw-pixel tracks, with losses and metrics
     derived uniformly from it."""
 
     name = "model"
     cfg: ModelConfig
 
-    def forward(self, scene: Scene) -> tuple[Tensor, Tensor]:
+    def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
+        """Row-stacked tracks of a batch of equal-shape scenes: observed
+        pixels (B*t_obs, 2) and future pixels (B*t_pred, 2)."""
         raise NotImplementedError
 
-    def loss_terms(self, scene: Scene) -> tuple[Tensor, Tensor]:
-        """(denoising loss, prediction loss): mean squared error on pixel
-        coordinates normalized by the image size."""
-        visual, future = self.forward(scene)
-        return pixel_losses(scene, visual, future)
+    def loss_terms(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
+        """(denoising loss, prediction loss) of a scene or a minibatch: the
+        mean over scenes of each scene's mean squared error on pixel
+        coordinates normalized by the image size. Scenes of different
+        shapes run as separate forward passes, weighted by scene count."""
+        scenes = as_batch(scenes)
+        groups = shape_groups(scenes)
+        if len(groups) == 1:
+            return pixel_losses(scenes, *self.forward(scenes))
+        loss_d = loss_p = None
+        for group in groups:
+            weight = len(group) / len(scenes)
+            group_d, group_p = pixel_losses(group, *self.forward(group))
+            group_d, group_p = scale(group_d, weight), scale(group_p, weight)
+            loss_d = group_d if loss_d is None else add(loss_d, group_d)
+            loss_p = group_p if loss_p is None else add(loss_p, group_p)
+        return loss_d, loss_p
 
     def predict(self, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-        visual, future = self.forward(scene)
-        return visual.data.copy(), future.data.copy()
+        """Observed and future pixel tracks of one scene; builds no graph."""
+        with no_grad():
+            visual, future = self.forward(scene)
+        return visual.data, future.data
 
 
-def pixel_losses(scene: Scene, visual: Tensor, future: Tensor) -> tuple[Tensor, Tensor]:
-    hidden = scene.out_of_sight()
-    w, h = scene.image_size
+def pixel_losses(scenes: list[Scene], visual: Tensor, future: Tensor) -> tuple[Tensor, Tensor]:
+    """Normalized-pixel MSE of a row-stacked batch of equal-shape scenes:
+    the mean over its scenes of each scene's mean, since every scene has
+    the same number of entries."""
+    t_obs, _, (w, h) = batch_shape(scenes)
     norm = np.array([1.0 / w, 1.0 / h])
-    loss_d = mse_loss(col_scale(visual, norm), Tensor(hidden.pixel[: scene.t_obs] * norm))
-    loss_p = mse_loss(col_scale(future, norm), Tensor(hidden.pixel[scene.t_obs:] * norm))
-    return loss_d, loss_p
+    pixels = [scene.out_of_sight().pixel for scene in scenes]
+    observed = np.concatenate([p[:t_obs] for p in pixels]) * norm
+    ahead = np.concatenate([p[t_obs:] for p in pixels]) * norm
+    return mse_loss(col_scale(visual, norm), Tensor(observed)), mse_loss(col_scale(future, norm), Tensor(ahead))
 
 
 # the camera prior, shared by nominal_camera() and the camera fit: the
@@ -309,7 +371,8 @@ def fit_camera(world: np.ndarray, pixel: np.ndarray) -> np.ndarray:
 
 
 class SensorDenoiser(Module):
-    """Residual correction of the noisy sensor track, (T, 3) -> (T, 3).
+    """Residual correction of the noisy sensor track, (B*T, 3) -> (B*T, 3)
+    for B row-stacked tracks of T = steps rows (one track by default).
 
     The trunk reads the track normalized like the features (ARENA_MID,
     ARENA_HALF), and its residual is scaled back to metres by ARENA_HALF.
@@ -322,9 +385,9 @@ class SensorDenoiser(Module):
         self.head.weight.data[...] = 0.0
         self.shift = Tensor(-ARENA_MID[None, :])
 
-    def __call__(self, sensor: Tensor) -> Tensor:
+    def __call__(self, sensor: Tensor, steps: int | None = None) -> Tensor:
         normalized = col_scale(add(sensor, self.shift), 1.0 / ARENA_HALF)
-        return add(sensor, col_scale(self.head(self.trunk(normalized)), ARENA_HALF))
+        return add(sensor, col_scale(self.head(self.trunk(normalized, steps)), ARENA_HALF))
 
 
 class CameraEstimator:
@@ -350,7 +413,9 @@ class CameraEstimator:
 
 
 class FuturePixelPredictor(Module):
-    """Forecast the prediction window from an observed pixel track.
+    """Forecast the prediction window from an observed pixel track,
+    (B*T, 2) -> (B*t_pred, 2) for B row-stacked tracks of T = steps rows
+    (one track by default).
 
     Input and output are raw pixels; coordinates are normalized by the
     image size internally and denormalized on the way out.
@@ -361,11 +426,11 @@ class FuturePixelPredictor(Module):
         self.trunk = SequenceTrunk(kind or cfg.predictor_kind, 2, cfg.width, cfg.layers, cfg.heads, rng)
         self.head = Linear(cfg.width, 2 * cfg.t_pred, rng)
 
-    def __call__(self, pixels: Tensor, image_size: tuple[int, int]) -> Tensor:
+    def __call__(self, pixels: Tensor, image_size: tuple[int, int], steps: int | None = None) -> Tensor:
         w, h = image_size
         normalized = col_scale(pixels, (1.0 / w, 1.0 / h))
-        pooled = mean_rows(self.trunk(normalized))
-        out = reshape(self.head(pooled), self.t_pred, 2)
+        pooled = mean_rows(self.trunk(normalized, steps), steps)
+        out = reshape(self.head(pooled), pooled.data.shape[0] * self.t_pred, 2)
         return col_scale(out, (w, h))
 
 
@@ -398,31 +463,34 @@ class VisionPipeline(TrajectoryModel):
         if cfg.use_predictor:
             self.predictor = FuturePixelPredictor(cfg, rng)
 
-    def forward(self, scene: Scene) -> tuple[Tensor, Tensor]:
-        """Returns (denoised pixel track (t_obs, 2), future track (t_pred, 2))."""
+    def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
+        """Returns (denoised pixel tracks (B*t_obs, 2), future tracks
+        (B*t_pred, 2)), row-stacked in batch order."""
         cfg = self.cfg
-        if scene.t_pred != cfg.t_pred:
-            raise LengthMismatch(f"scene predicts {scene.t_pred} steps, model expects {cfg.t_pred}")
-        hidden = scene.out_of_sight()
-        sensor = Tensor(hidden.sensor)
-        t_obs = scene.t_obs
+        scenes = as_batch(scenes)
+        t_obs, t_pred, size = batch_shape(scenes)
+        if t_pred != cfg.t_pred:
+            raise LengthMismatch(f"scene predicts {t_pred} steps, model expects {cfg.t_pred}")
+        sensor = hidden_sensor(scenes)
 
-        denoised = self.denoiser(sensor) if cfg.use_denoiser else sensor
+        denoised = self.denoiser(sensor, t_obs) if cfg.use_denoiser else sensor
 
         if cfg.use_projection:
             if cfg.use_estimator:
-                rows = self.estimator(Tensor(estimator_features(scene, cfg.n_in_max)), scene.image_size)
+                rows = concat_rows(
+                    [self.estimator(Tensor(estimator_features(s, cfg.n_in_max)), size) for s in scenes]
+                )
             else:
                 static = add(col_scale(self.static_rows, self.static_spread), self.static_nominal)
-                rows = tile_rows(static, t_obs)
+                rows = tile_rows(static, len(scenes) * t_obs)
             visual = project_rows(rows, denoised)
         else:
-            visual = col_scale(self.visual_head(denoised), scene.image_size)
+            visual = col_scale(self.visual_head(denoised), size)
 
         if cfg.use_predictor:
-            future = self.predictor(visual, scene.image_size)
+            future = self.predictor(visual, size, t_obs)
         else:
-            future = tile_rows(slice_rows(visual, t_obs - 1, t_obs), scene.t_pred)
+            future = tile_rows(strided_rows(visual, t_obs - 1, t_obs), t_pred)
         return visual, future
 
 
@@ -472,14 +540,25 @@ def restore_parameters(model: Module, arrays: dict[str, np.ndarray]) -> None:
         p.data[...] = arrays[name]
 
 
+# scenes per forward pass when scoring a split: bounds the memory of the
+# attention weights, (batch, heads, T, T) per layer
+EVAL_BATCH = 64
+
+
 def evaluate_split(model, scenes: list[Scene]) -> tuple[float, float]:
-    """Mean denoising and prediction errors (raw pixels) over scenes."""
+    """Mean denoising and prediction errors (raw pixels) over scenes,
+    scored in batches of equal-shape scenes with no graph built."""
     d_errors, p_errors = [], []
-    for scene in scenes:
-        hidden = scene.out_of_sight()
-        denoised, future = model.predict(scene)
-        d_errors.append(mse_t(denoised, hidden.pixel[: scene.t_obs]))
-        p_errors.append(mse_t(future, hidden.pixel[scene.t_obs:]))
+    for group in shape_groups(scenes):
+        t_obs, t_pred, _ = batch_shape(group)
+        for start in range(0, len(group), EVAL_BATCH):
+            batch = group[start:start + EVAL_BATCH]
+            with no_grad():
+                visual, future = model.forward(batch)
+            for i, scene in enumerate(batch):
+                pixel = scene.out_of_sight().pixel
+                d_errors.append(mse_t(visual.data[i * t_obs:(i + 1) * t_obs], pixel[:t_obs]))
+                p_errors.append(mse_t(future.data[i * t_pred:(i + 1) * t_pred], pixel[t_obs:]))
     return float(np.mean(d_errors)), float(np.mean(p_errors))
 
 
@@ -493,7 +572,8 @@ def train_model(
     stop_epoch: int | None = None,
     on_epoch=None,
 ) -> TrainResult:
-    """Joint training on the weighted pixel losses.
+    """Joint training on the weighted pixel losses, one autodiff graph per
+    minibatch (TrajectoryModel.loss_terms on the whole batch).
 
     The scene order is reshuffled each epoch from a generator keyed by
     (seed, epoch) alone, so resuming from a checkpoint replays the exact
@@ -509,23 +589,17 @@ def train_model(
         order = _shuffle(tcfg.seed, epoch, len(train_scenes))
         sum_d = sum_p = 0.0
         for batch_no, start in enumerate(range(0, len(order), tcfg.batch_size)):
-            batch = order[start:start + tcfg.batch_size]
-            terms = []
-            batch_d = batch_p = 0.0
-            for idx in batch:
-                loss_d, loss_p = model.loss_terms(train_scenes[idx])
-                terms.append(add(loss_d, scale(loss_p, tcfg.pred_weight)))
-                batch_d += loss_d.item()
-                batch_p += loss_p.item()
-            total = scale(_sum_terms(terms), 1.0 / len(batch))
+            batch = [train_scenes[idx] for idx in order[start:start + tcfg.batch_size]]
+            loss_d, loss_p = model.loss_terms(batch)
+            total = add(loss_d, scale(loss_p, tcfg.pred_weight))
             if not np.isfinite(total.item()):
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}", epoch=epoch, batch=batch_no
                 )
             total.backward()
             optimizer.step()
-            sum_d += batch_d
-            sum_p += batch_p
+            sum_d += loss_d.item() * len(batch)
+            sum_p += loss_p.item() * len(batch)
         stats = EpochStats(
             epoch=epoch,
             loss_denoise=sum_d / len(order),
@@ -546,13 +620,6 @@ def train_model(
     elif result.history:
         result.best_epoch = result.history[-1].epoch
     return result
-
-
-def _sum_terms(terms: list) -> "Tensor":
-    total = terms[0]
-    for term in terms[1:]:
-        total = add(total, term)
-    return total
 
 
 def history_to_csv(history: list[EpochStats]) -> str:

@@ -13,16 +13,15 @@ the same sigma as horizontal for simplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SceneGenerationFailed
+from .errors import ConfigError, SceneGenerationFailed, SchemaError
 from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, homogeneous_apply, look_at
 
 DT = 0.1  # seconds per timestep
 V_MAX = 3.0  # hard cap on agent speed, m/s
-SENSOR_HEIGHT = 1.0  # nominal sensor height, m
 # per-agent sensor height range; distinct heights keep the set of world
 # points non-coplanar, which classical calibration needs
 HEIGHT_RANGE = (0.8, 1.9)
@@ -132,15 +131,6 @@ class SimulatorConfig:
 
 
 @dataclass
-class AgentTrack:
-    """One agent's ground-truth path at sensor height."""
-
-    agent_id: int
-    positions: np.ndarray  # (T, 3)
-    speeds: np.ndarray  # (T-1,) realized speed per step, m/s
-
-
-@dataclass
 class SceneAgent:
     agent_id: int
     world: np.ndarray  # (t_total, 3) ground truth
@@ -164,7 +154,13 @@ class Scene:
         return self.t_obs + self.t_pred
 
     def out_of_sight(self) -> SceneAgent:
-        return next(a for a in self.agents if a.agent_id == self.out_of_sight_id)
+        for agent in self.agents:
+            if agent.agent_id == self.out_of_sight_id:
+                return agent
+        raise SchemaError(
+            f"scene seed {self.seed}: no agent carries out_of_sight_id {self.out_of_sight_id}",
+            field="out_of_sight_id",
+        )
 
     def in_sight(self) -> list[SceneAgent]:
         return [a for a in self.agents if a.agent_id != self.out_of_sight_id]
@@ -214,10 +210,6 @@ def gen_track(rng: np.random.Generator, steps: int, height: float | None = None)
     xy[:, 1] = np.clip(xy[:, 1], *ARENA_Y)
     out = np.column_stack([xy, np.full(len(xy), height)])
     return out
-
-
-def track_speeds(positions: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.diff(positions[:, :2], axis=0), axis=1) / DT
 
 
 def camera_sequence(cfg: SimulatorConfig, rng: np.random.Generator, steps: int) -> np.ndarray:
@@ -330,7 +322,3 @@ def make_dataset(
         "val": make_split(cfg, base_seed + n_train, n_val),
         "test": make_split(cfg, base_seed + n_train + n_val, n_test),
     }
-
-
-def clean_variant(cfg: SimulatorConfig) -> SimulatorConfig:
-    return replace(cfg, noise=NoiseModel.preset("clean"))

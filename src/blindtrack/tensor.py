@@ -6,12 +6,26 @@ and a closure that maps the node's cotangent to per-parent cotangents.
 backward() walks the graph once in reverse topological order, so shared
 subexpressions contribute exactly once.
 
+A batch of B sequences of T steps is row-stacked into one (B*T, d) matrix,
+sequence-major: rows b*T .. b*T + T - 1 hold sequence b, and each such
+block of T rows is a segment. Row-wise ops act on a stacked batch
+unchanged. The ops that mix rows take the segment length T: attention_block
+attends only within each segment, mean_rows pools each segment to one row,
+and strided_rows / interleave_rows take out and put back step t of every
+segment for a recurrent unroll. A minibatch is thus one graph, not one
+graph per sequence.
+
+Inside `with no_grad():` ops compute their values but record no parents and
+no backward closures, so inference builds no graph.
+
 There is no silent broadcasting. The single allowed broadcast is adding a
 (1, n) bias row to an (m, n) matrix. Everything else must match shapes
 exactly or raises ShapeMismatch.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,6 +49,8 @@ __all__ = [
     "row_sum",
     "mean_rows",
     "tile_rows",
+    "strided_rows",
+    "interleave_rows",
     "square",
     "exp",
     "tanh",
@@ -47,7 +63,23 @@ __all__ = [
     "clamp_away_from_zero",
     "mse_loss",
     "attention_block",
+    "no_grad",
 ]
+
+_recording = True  # False inside no_grad(): ops build no graph
+
+
+@contextmanager
+def no_grad():
+    """Compute without recording the graph: every node made inside has no
+    parents, no backward closure and requires_grad False."""
+    global _recording
+    before = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = before
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -162,7 +194,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
@@ -302,17 +334,65 @@ def row_sum(a: Tensor) -> Tensor:
     return _node(a.data.sum(axis=1, keepdims=True), (a,), lambda g: (np.repeat(g, n, axis=1),))
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """(m, n) -> (1, n), averaging over rows. Used for sequence pooling."""
+def _segment_rows(a: Tensor, segment: int | None, op: str) -> int:
+    """Rows per segment of a row-stacked batch; None means one segment."""
     m = a.data.shape[0]
-    inv = 1.0 / m
-    return _node(a.data.mean(axis=0, keepdims=True), (a,), lambda g: (np.repeat(g * inv, m, axis=0),))
+    if segment is None:
+        return m
+    if segment < 1 or m % segment:
+        raise ShapeMismatch(f"{op}: {m} rows do not split into segments of {segment}")
+    return segment
+
+
+def mean_rows(a: Tensor, segment: int | None = None) -> Tensor:
+    """(B*T, n) -> (B, n), averaging each segment of T = segment rows (one
+    segment of all rows by default). Used for sequence pooling."""
+    m, n = a.data.shape
+    steps = _segment_rows(a, segment, "mean_rows")
+    out = a.data.reshape(m // steps, steps, n).mean(axis=1)
+    inv = 1.0 / steps
+    return _node(out, (a,), lambda g: (np.repeat(g * inv, steps, axis=0),))
 
 
 def tile_rows(a: Tensor, count: int) -> Tensor:
-    if a.data.shape[0] != 1:
-        raise ShapeMismatch(f"tile_rows expects a single row, got {a.data.shape}")
-    return _node(np.repeat(a.data, count, axis=0), (a,), lambda g: (g.sum(axis=0, keepdims=True),))
+    """(B, n) -> (B*count, n): each row repeated count times in place, so
+    one row per sequence becomes a segment of count rows."""
+    rows, n = a.data.shape
+    return _node(np.repeat(a.data, count, axis=0), (a,), lambda g: (g.reshape(rows, count, n).sum(axis=1),))
+
+
+def strided_rows(a: Tensor, start: int, stride: int) -> Tensor:
+    """Rows start, start + stride, ...: step `start` of every segment of
+    `stride` rows, (B*T, n) -> (B, n)."""
+    m, _ = a.data.shape
+    if not 0 <= start < stride or m % stride:
+        raise ShapeMismatch(f"strided_rows: row {start} of segments of {stride} in {a.data.shape}")
+
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[start::stride] = g
+        return (full,)
+
+    return _node(a.data[start::stride].copy(), (a,), back)
+
+
+def interleave_rows(parts: list[Tensor]) -> Tensor:
+    """Inverse of strided_rows over every step: T tensors of (B, n), part
+    t holding step t of each sequence, -> (B*T, n), sequence-major."""
+    if not parts:
+        raise ShapeMismatch("interleave_rows: empty list")
+    shape = parts[0].data.shape
+    for p in parts:
+        if p.data.shape != shape:
+            raise ShapeMismatch(f"interleave_rows: shapes differ ({p.data.shape} vs {shape})")
+    rows, n = shape
+    steps = len(parts)
+
+    def back(g):
+        blocks = g.reshape(rows, steps, n)
+        return tuple(blocks[:, t] for t in range(steps))
+
+    return _node(np.stack([p.data for p in parts], axis=1).reshape(rows * steps, n), tuple(parts), back)
 
 
 def square(a: Tensor) -> Tensor:
@@ -419,16 +499,54 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return _node(out, (pred, target), back)
 
 
-def attention_block(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention for one head.
+def attention_block(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, segment: int | None = None) -> Tensor:
+    """Scaled dot-product attention, fused over heads and segments.
 
-    q, k, v are (T, d). Scores are scaled by 1/sqrt(d) before the row-wise
-    softmax, and rows of the result are convex combinations of v rows.
+    q and k are (m, d), v is (m_k, e). Their columns split into `heads`
+    equal groups, one per head. With `segment` = T the rows split into
+    segments of T rows and each row attends only within its own segment,
+    the sequences of a row-stacked batch. By default there is one head and
+    one segment, and q may then have a different number of rows than k.
+    Scores are scaled by 1/sqrt(d / heads) before the row-wise softmax, so
+    each head's output rows are convex combinations of its v rows. Forward
+    and backward are batched (B, heads, T, T) numpy products.
     """
-    if q.data.shape[1] != k.data.shape[1]:
+    (mq, d), (mk, dk), (mv, e) = q.data.shape, k.data.shape, v.data.shape
+    if d != dk:
         raise ShapeMismatch(f"attention: query dim {q.data.shape} vs key dim {k.data.shape}")
-    if k.data.shape[0] != v.data.shape[0]:
-        raise ShapeMismatch(f"attention: {k.data.shape[0]} keys vs {v.data.shape[0]} values")
-    d = q.data.shape[1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(d))
-    return matmul(softmax_rows(scores), v)
+    if mk != mv:
+        raise ShapeMismatch(f"attention: {mk} keys vs {mv} values")
+    if heads < 1 or d % heads or e % heads:
+        raise ShapeMismatch(f"attention: widths {d} and {e} do not split into {heads} heads")
+    if segment is None:
+        batch, tq, tk = 1, mq, mk
+    elif mq != mk:
+        raise ShapeMismatch(f"attention: segments need as many queries as keys, got {mq} and {mk}")
+    else:
+        tq = tk = _segment_rows(q, segment, "attention")
+        batch = mq // tq
+    dh, eh = d // heads, e // heads
+    factor = 1.0 / np.sqrt(dh)
+
+    def split(x, steps, width):  # (batch*steps, heads*width) -> (batch, heads, steps, width)
+        return x.reshape(batch, steps, heads, width).transpose(0, 2, 1, 3)
+
+    def merge(x, rows):  # inverse of split
+        return x.transpose(0, 2, 1, 3).reshape(rows, -1)
+
+    qh, kh, vh = split(q.data, tq, dh), split(k.data, tk, dh), split(v.data, tk, eh)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * factor
+    e_scores = np.exp(scores - scores.max(axis=3, keepdims=True))
+    weights = e_scores / e_scores.sum(axis=3, keepdims=True)
+
+    def back(g):
+        gh = split(g, tq, eh)
+        d_weights = gh @ vh.transpose(0, 1, 3, 2)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=3, keepdims=True)) * factor
+        return (
+            merge(d_scores @ kh, mq),
+            merge(d_scores.transpose(0, 1, 3, 2) @ qh, mk),
+            merge(weights.transpose(0, 1, 3, 2) @ gh, mk),
+        )
+
+    return _node(merge(weights @ vh, mq), (q, k, v), back)

@@ -10,7 +10,7 @@ from blindtrack import pipeline as pl
 from blindtrack import simulator as sim
 from blindtrack.errors import ConfigError, TooShort
 
-from test_pipeline import TINY, tiny_scenes
+from test_pipeline import TINY, assert_batch_matches_scene_mean, tiny_scenes
 from util_grad import check_gradients
 
 
@@ -52,6 +52,25 @@ class TestLearnedBaselines:
         assert future.data.shape == (scene.t_pred, 2)
         loss_d, loss_p = model.loss_terms(scene)
         assert np.isfinite(loss_d.item()) and np.isfinite(loss_p.item())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["direct:transformer"] + [f"{family}:{kind}" for family in ("two_stage", "plus_vpd") for kind in ("rnn", "gru", "lstm")],
+    )
+    def test_batch_loss_and_gradients_equal_the_scene_mean(self, name):
+        model = bl.make_model(name, TINY, np.random.default_rng(6))
+        assert_batch_matches_scene_mean(model, tiny_scenes(4, noise="default"))
+
+    @pytest.mark.parametrize("name", ["direct:gru", "two_stage:lstm"])
+    def test_predict_equals_the_scenes_rows_of_a_batched_forward(self, name):
+        scenes = tiny_scenes(3, noise="default")
+        model = bl.make_model(name, TINY, np.random.default_rng(7))
+        visual, future = model.forward(scenes)
+        t_obs, t_pred = TINY.t_obs, TINY.t_pred
+        for i, scene in enumerate(scenes):
+            got_v, got_f = model.predict(scene)
+            assert np.allclose(got_v, visual.data[i * t_obs:(i + 1) * t_obs], rtol=1e-12, atol=1e-9)
+            assert np.allclose(got_f, future.data[i * t_pred:(i + 1) * t_pred], rtol=1e-12, atol=1e-9)
 
     def test_direct_baseline_gradients(self):
         cfg = pl.ModelConfig(t_obs=4, t_pred=2, width=6, layers=1, heads=1, n_in_max=2)

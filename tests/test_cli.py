@@ -6,6 +6,7 @@ and the return value is the exit code the shell would see.
 
 import copy
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,18 @@ class TestEval:
                         config_hash=header["config_hash"])
         assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
         assert "legacy_stage.weight" in capsys.readouterr().err
+
+    def test_scene_without_its_hidden_agent_exits_7(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        records = [json.loads(line) for line in (data / "test.jsonl").read_text().splitlines()]
+        for record in records:
+            record["out_of_sight_id"] = 99
+        (data / "test.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+                     "--dataset", str(data)]) == 7
+        err = capsys.readouterr().err
+        assert f"scene seed {records[0]['seed']}" in err and "out_of_sight_id 99" in err
 
     def test_bad_split_exits_2(self, workdir):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),

@@ -12,7 +12,7 @@ from blindtrack import pipeline as pl
 from blindtrack import simulator as sim
 from blindtrack.errors import LengthMismatch, NoInSightAgents, NonFiniteLoss
 from blindtrack.nn import Adam
-from blindtrack.tensor import Tensor
+from blindtrack.tensor import Tensor, add, scale
 
 from test_simulator import small_config
 from util_grad import check_gradients
@@ -23,6 +23,39 @@ TINY = pl.ModelConfig(t_obs=6, t_pred=3, width=8, layers=1, heads=2, n_in_max=4)
 def tiny_scenes(count, seed0=0, noise="clean", t_obs=6, t_pred=3):
     cfg = small_config(n_agents=4, t_obs=t_obs, t_pred=t_pred, noise=sim.NoiseModel.preset(noise))
     return [sim.make_scene(cfg, seed0 + i) for i in range(count)]
+
+
+def scene_mean_loss(model, scenes):
+    """The per-scene reference: the mean over scenes of each scene's
+    (denoising + prediction) loss, one graph per scene."""
+    total = None
+    for scene in scenes:
+        term = add(*model.loss_terms(scene))
+        total = term if total is None else add(total, term)
+    return scale(total, 1.0 / len(scenes))
+
+
+def assert_batch_matches_scene_mean(model, scenes):
+    """loss_terms on the whole batch equals the per-scene mean to 1e-12
+    relative, and so do its parameter gradients, to 1e-10."""
+    params = model.parameters()
+    reference = scene_mean_loss(model, scenes)
+    reference.backward()
+    want = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    batched = add(*model.loss_terms(scenes))
+    batched.backward()
+    got = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    assert batched.item() == pytest.approx(reference.item(), rel=1e-12)
+    # parameters with no true gradient (attention key biases: softmax is
+    # shift-invariant) hold rounding residue only, so each parameter is
+    # compared on the scale of the largest gradient when its own is tiny
+    floor = 1e-6 * max(np.abs(g).max() for g in want)
+    for (name, _), a, b in zip(model.named_parameters(), got, want):
+        assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), floor), name
 
 
 class TestProjectRows:
@@ -206,6 +239,65 @@ class TestForward:
         want_p = np.mean(((future - hidden.pixel[scene.t_obs:]) * norm) ** 2)
         assert loss_d.item() == pytest.approx(want_d, rel=1e-12)
         assert loss_p.item() == pytest.approx(want_p, rel=1e-12)
+
+
+class TestBatching:
+    @pytest.mark.parametrize("drop", [None, "denoiser", "estimator", "projection", "predictor"])
+    def test_batch_loss_and_gradients_equal_the_scene_mean(self, drop):
+        cfg = TINY if drop is None else pl.ablation_config(TINY, drop)
+        model = pl.VisionPipeline(cfg, np.random.default_rng(10))
+        assert_batch_matches_scene_mean(model, tiny_scenes(4, noise="default"))
+
+    def test_mixed_observation_windows_equal_the_scene_mean(self):
+        long, short = tiny_scenes(2, noise="default"), tiny_scenes(2, seed0=20, noise="default", t_obs=5)
+        model = pl.VisionPipeline(TINY, np.random.default_rng(11))
+        assert_batch_matches_scene_mean(model, [long[0], short[0], short[1], long[1]])
+
+    def test_predict_equals_the_scenes_rows_of_a_batched_forward(self):
+        scenes = tiny_scenes(3, noise="default")
+        model = pl.VisionPipeline(TINY, np.random.default_rng(12))
+        visual, future = model.forward(scenes)
+        t_obs, t_pred = TINY.t_obs, TINY.t_pred
+        assert visual.data.shape == (3 * t_obs, 2) and future.data.shape == (3 * t_pred, 2)
+        for i, scene in enumerate(scenes):
+            got_v, got_f = model.predict(scene)
+            assert np.allclose(got_v, visual.data[i * t_obs:(i + 1) * t_obs], rtol=1e-12, atol=1e-9)
+            assert np.allclose(got_f, future.data[i * t_pred:(i + 1) * t_pred], rtol=1e-12, atol=1e-9)
+
+    def test_forward_rejects_mixed_shapes(self):
+        scenes = [tiny_scenes(1)[0], tiny_scenes(1, t_obs=5)[0]]
+        model = pl.VisionPipeline(TINY, np.random.default_rng(13))
+        with pytest.raises(LengthMismatch):
+            model.forward(scenes)
+
+    def test_predict_builds_no_graph(self):
+        scene = tiny_scenes(1, noise="default")[0]
+        model = pl.VisionPipeline(TINY, np.random.default_rng(14))
+        visual, future = model.forward(scene)
+        returned = []
+
+        def forward(scenes):  # what predict's forward pass returns
+            returned.extend(pl.VisionPipeline.forward(model, scenes))
+            return returned
+
+        model.forward = forward
+        got_v, got_f = model.predict(scene)
+        assert np.array_equal(got_v, visual.data) and np.array_equal(got_f, future.data)
+        assert all(node._parents == () and not node.requires_grad for node in returned)
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_evaluate_split_matches_per_scene_predictions(self):
+        scenes = tiny_scenes(3, noise="default") + tiny_scenes(2, seed0=30, noise="default", t_obs=5)
+        model = pl.VisionPipeline(TINY, np.random.default_rng(15))
+        d_errors, p_errors = [], []
+        for scene in scenes:
+            visual, future = model.predict(scene)
+            pixel = scene.out_of_sight().pixel
+            d_errors.append(np.linalg.norm(visual - pixel[: scene.t_obs], axis=1).mean())
+            p_errors.append(np.linalg.norm(future - pixel[scene.t_obs:], axis=1).mean())
+        got_d, got_p = pl.evaluate_split(model, scenes)
+        assert got_d == pytest.approx(np.mean(d_errors), rel=1e-12)
+        assert got_p == pytest.approx(np.mean(p_errors), rel=1e-12)
 
 
 class TestBlindness:

@@ -235,3 +235,106 @@ class TestBackward:
         tz.sum_all(mid).backward()
         assert mid.grad is not None
         assert np.array_equal(mid.grad, np.ones((1, 2)))
+
+
+def composite_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One head of attention from the unfused primitives."""
+    scores = tz.scale(tz.matmul(Tensor(q), tz.transpose(Tensor(k))), 1.0 / np.sqrt(q.shape[1]))
+    return tz.matmul(tz.softmax_rows(scores), Tensor(v)).data
+
+
+class TestRowStackedOps:
+    SEGMENTS, STEPS = 3, 4
+
+    def stacked(self, rng, width):
+        return Tensor(rng.normal(size=(self.SEGMENTS * self.STEPS, width)), requires_grad=True)
+
+    def test_fused_attention_matches_per_segment_per_head_loop(self):
+        rng = np.random.default_rng(20)
+        q, k, v = (self.stacked(rng, 6) for _ in range(3))
+        for heads in (1, 2, 3):
+            got = tz.attention_block(q, k, v, heads=heads, segment=self.STEPS).data
+            want = np.zeros_like(got)
+            width = 6 // heads
+            for b in range(self.SEGMENTS):
+                rows = slice(b * self.STEPS, (b + 1) * self.STEPS)
+                for h in range(heads):
+                    cols = slice(h * width, (h + 1) * width)
+                    want[rows, cols] = composite_attention(q.data[rows, cols], k.data[rows, cols], v.data[rows, cols])
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_one_head_one_segment_is_the_composite_exactly(self):
+        rng = np.random.default_rng(21)
+        q, k, v = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+        got = tz.attention_block(Tensor(q), Tensor(k), Tensor(v)).data
+        assert np.array_equal(got, composite_attention(q, k, v))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_fused_attention_gradient(self, heads):
+        rng = np.random.default_rng(22)
+        q, k, v = (self.stacked(rng, 4) for _ in range(3))
+        check_gradients(
+            lambda: tz.sum_all(tz.square(tz.attention_block(q, k, v, heads=heads, segment=self.STEPS))),
+            [q, k, v],
+            tol=1e-4,
+        )
+
+    def test_segment_pooling(self):
+        rng = np.random.default_rng(23)
+        x = self.stacked(rng, 3)
+        pooled = tz.mean_rows(x, self.STEPS).data
+        assert np.allclose(pooled, x.data.reshape(self.SEGMENTS, self.STEPS, 3).mean(axis=1), atol=1e-15)
+        check_gradients(lambda: tz.sum_all(tz.square(tz.mean_rows(x, self.STEPS))), [x], tol=1e-4)
+
+    def test_strided_gather_and_interleave(self):
+        rng = np.random.default_rng(24)
+        x = self.stacked(rng, 3)
+        steps = [tz.strided_rows(x, t, self.STEPS) for t in range(self.STEPS)]
+        assert np.array_equal(steps[1].data, x.data[[1, 5, 9]])
+        assert np.array_equal(tz.interleave_rows(steps).data, x.data)
+        weights = [Tensor(rng.normal(size=(self.SEGMENTS, 3))) for _ in range(self.STEPS)]
+
+        def build():
+            parts = [tz.mul(tz.strided_rows(x, t, self.STEPS), w) for t, w in enumerate(weights)]
+            return tz.sum_all(tz.square(tz.interleave_rows(parts)))
+
+        check_gradients(build, [x], tol=1e-4)
+
+    def test_tile_rows_repeats_each_row_in_place(self):
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        assert np.array_equal(tz.tile_rows(x, 3).data, x.data[[0, 0, 0, 1, 1, 1]])
+        check_gradients(lambda: tz.sum_all(tz.square(tz.tile_rows(x, 3))), [x], tol=1e-4)
+
+    def test_segment_lengths_checked(self):
+        x = Tensor(np.zeros((6, 2)))
+        with pytest.raises(ShapeMismatch):
+            tz.mean_rows(x, 4)
+        with pytest.raises(ShapeMismatch):
+            tz.strided_rows(x, 4, 4)
+        with pytest.raises(ShapeMismatch):
+            tz.attention_block(x, x, x, segment=4)
+        with pytest.raises(ShapeMismatch):
+            tz.attention_block(x, x, x, heads=3)
+
+
+class TestNoGrad:
+    def test_records_no_graph_and_restores_recording(self):
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        with tz.no_grad():
+            y = tz.sum_all(tz.square(x))
+        assert y._parents == () and y._backward is None and not y.requires_grad
+        assert y.item() == pytest.approx(5.0, abs=1e-12)
+        z = tz.sum_all(tz.square(x))
+        assert z.requires_grad and z._parents
+
+    def test_values_are_bit_identical(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+
+        def build():
+            return tz.attention_block(x, x, tz.tanh(x), heads=2, segment=2)
+
+        with tz.no_grad():
+            quiet = build().data
+        assert np.array_equal(quiet, build().data)
