@@ -3,9 +3,13 @@ track, fit the camera to the visible agents' (pixel, sensor) pairs,
 project the denoised track into the image with a differentiable pinhole
 map, and predict future pixels from the projected track. The camera is a
 geometric fit with no learned parameters: one matrix per observation
-window, tiled over the window's steps. The denoiser and the predictor are
-trained end to end on pixel targets only; positions are never supervised
-directly.
+window, tiled over the window's steps. It never depends on the weights,
+so a model fits each scene's camera once and reuses it in every later
+epoch, validation pass and prediction (CameraEstimator). The fit assumes
+the standard rig's intrinsics (FOCAL, IMAGE_SIZE): a model that fits the
+camera refuses other rigs with ConfigError (require_standard_rig; exit 2
+from the command line). The denoiser and the predictor are trained end to
+end on pixel targets only; positions are never supervised directly.
 
 A forward pass takes a batch of scenes of one shape (t_obs, t_pred, image
 size) and row-stacks them, scene-major, so a training minibatch is one
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteLoss, NoInSightAgents
+from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents
 from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at
 from .metrics import mse_t
 from .nn import Adam, Linear, Module, SequenceTrunk
@@ -71,7 +75,7 @@ class ModelConfig:
     width: int = 64
     layers: int = 2
     heads: int = 4
-    n_in_max: int = 8  # visible-agent slots the camera fit reads
+    n_in_max: int = 8  # most visible agents the camera fit reads
     predictor_kind: str = "transformer"
     use_denoiser: bool = True
     use_estimator: bool = True
@@ -90,38 +94,28 @@ ARENA_HALF = np.array(
 
 
 def estimator_features(scene: Scene, n_in_max: int) -> np.ndarray:
-    """Per-timestep feature rows of the visible agents, (t_obs, 12*n).
+    """The camera fit's input: each visible agent's (pixel, sensor) pair
+    averaged over the observation window, (n, 5).
 
-    Visible agents fill slots in ascending agent_id order; surplus agents
-    beyond n_in_max are dropped. Each slot holds the image-centered pixel
-    [u/W - 1/2, v/H - 1/2] and the arena-normalized sensor position, with
-    a trailing presence flag per slot; absent or momentarily invisible
-    slots are zeroed with flag 0. The second half of every row repeats
-    the block averaged over each slot's visible timesteps (flag column:
-    fraction of the window visible). The camera fit reads its pairs from
-    that pooled half: averaging over the window shrinks the sensor noise,
-    which would otherwise bias a fit toward a camera that sees the agents
-    closer together than they are.
+    Rows follow ascending agent_id over the first n_in_max visible agents;
+    an agent never visible inside the window is dropped, so n may be 0.
+    Each row holds the image-centered pixel [u/W - 1/2, v/H - 1/2] and the
+    arena-normalized sensor position. Averaging over the window shrinks
+    the sensor noise, which would otherwise bias a fit toward a camera
+    that sees the agents closer together than they are.
     """
     agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)[:n_in_max]
     if not agents:
         raise NoInSightAgents(f"scene seed {scene.seed} has no visible agents")
-    w, h = scene.image_size
-    t_obs = scene.t_obs
-    block = 6 * n_in_max
-    feats = np.zeros((t_obs, 2 * block))
-    for slot, agent in enumerate(agents):
-        vis = agent.visible[:t_obs]
-        pixel = np.nan_to_num(agent.pixel[:t_obs], nan=0.0)
-        base = 5 * slot
-        feats[vis, base + 0] = pixel[vis, 0] / w - 0.5
-        feats[vis, base + 1] = pixel[vis, 1] / h - 0.5
-        feats[vis, base + 2 : base + 5] = (agent.sensor[vis] - ARENA_MID) / ARENA_HALF
-        feats[vis, 5 * n_in_max + slot] = 1.0
+    size = np.asarray(scene.image_size)
+    pairs = []
+    for agent in agents:
+        vis = agent.visible[: scene.t_obs]
         if vis.any():
-            feats[:, block + base : block + base + 5] = feats[vis, base : base + 5].mean(axis=0)
-        feats[:, block + 5 * n_in_max + slot] = vis.mean()
-    return feats
+            pixel = agent.pixel[: scene.t_obs][vis] / size - 0.5
+            sensor = (agent.sensor[vis] - ARENA_MID) / ARENA_HALF
+            pairs.append(np.concatenate([pixel, sensor], axis=1).mean(axis=0))
+    return np.array(pairs).reshape(-1, 5)
 
 
 def project_rows(matrix_rows: Tensor, points: Tensor) -> Tensor:
@@ -189,6 +183,7 @@ class TrajectoryModel(Module):
 
     name = "model"
     cfg: ModelConfig
+    fits_camera = False  # whether forward fits the camera (standard rig only)
 
     def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
         """Row-stacked tracks of a batch of equal-shape scenes: observed
@@ -253,6 +248,20 @@ def pose_camera(pose: np.ndarray) -> np.ndarray:
     """The (3, 4) camera of a look-at pose (mount xyz, aim xyz) on the
     standard rig."""
     return compose_matrix(1.0, PRIOR_INTRINSICS, look_at(pose[:3], pose[3:]))
+
+
+def require_standard_rig(model, focal: float, image_size: tuple[int, int]) -> None:
+    """Refuse to run a model that fits the camera on a rig other than the
+    standard one: fit_camera assumes FOCAL and IMAGE_SIZE, and on another
+    rig it returns a camera that is silently wrong (a 214 px median miss
+    on a 1280x960, f = 1000 rig)."""
+    if model.fits_camera and (focal != FOCAL or tuple(image_size) != IMAGE_SIZE):
+        raise ConfigError(
+            f"method {model.name!r} fits the camera of the standard rig (focal {FOCAL}, image "
+            f"{IMAGE_SIZE[0]}x{IMAGE_SIZE[1]}); this config has focal {focal}, image "
+            f"{image_size[0]}x{image_size[1]}",
+            field="focal",
+        )
 
 
 def nominal_camera() -> tuple[np.ndarray, np.ndarray]:
@@ -392,23 +401,28 @@ class SensorDenoiser(Module):
 
 class CameraEstimator:
     """The camera fitted to the visible agents, as matrix rows tiled over
-    the observation window, (t_obs, 12*n) features -> (t_obs, 12).
+    the observation window: (n, 5) pairs from estimator_features -> (steps,
+    12).
 
-    It reads each present slot's window-averaged (pixel, sensor) pair from
-    the pooled half of estimator_features and fits one look-at camera to
-    them (fit_camera). It has no parameters and passes no gradient: the
-    camera is a pure function of the visible agents' inputs.
+    It fits one look-at camera (fit_camera) to the pairs. It has no
+    parameters and passes no gradient: the camera is a pure function of
+    the visible agents' inputs. So each estimator fits a scene's camera
+    once and keeps it in `fits`, keyed by the fit's exact input (the pairs'
+    bytes and the image size): later epochs, validation passes and
+    predictions reuse the same float64 rows, and a scene whose visible
+    agents change gets a fit of its own.
     """
 
-    def __call__(self, feats: Tensor, image_size: tuple[int, int]) -> Tensor:
-        steps, width = feats.data.shape
-        slots = width // 12
-        pooled = feats.data[0, width // 2 :]
-        present = pooled[5 * slots :] > 0.0
-        block = pooled[: 5 * slots].reshape(slots, 5)[present]
-        pixel = (block[:, :2] + 0.5) * np.asarray(image_size, dtype=np.float64)
-        world = block[:, 2:] * ARENA_HALF + ARENA_MID
-        rows = fit_camera(world, pixel).reshape(1, 12)
+    def __init__(self):
+        self.fits: dict[tuple[bytes, tuple[int, int]], np.ndarray] = {}
+
+    def __call__(self, pairs: np.ndarray, image_size: tuple[int, int], steps: int) -> Tensor:
+        key = (pairs.tobytes(), tuple(image_size))
+        rows = self.fits.get(key)
+        if rows is None:
+            pixel = (pairs[:, :2] + 0.5) * np.asarray(image_size, dtype=np.float64)
+            world = pairs[:, 2:] * ARENA_HALF + ARENA_MID
+            rows = self.fits[key] = fit_camera(world, pixel).reshape(1, 12)
         return Tensor(np.repeat(rows, steps, axis=0))
 
 
@@ -463,9 +477,14 @@ class VisionPipeline(TrajectoryModel):
         if cfg.use_predictor:
             self.predictor = FuturePixelPredictor(cfg, rng)
 
+    @property
+    def fits_camera(self) -> bool:
+        return self.cfg.use_projection and self.cfg.use_estimator
+
     def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
         """Returns (denoised pixel tracks (B*t_obs, 2), future tracks
-        (B*t_pred, 2)), row-stacked in batch order."""
+        (B*t_pred, 2)), row-stacked in batch order. With the camera fit,
+        scenes must have the standard rig's image size (ConfigError)."""
         cfg = self.cfg
         scenes = as_batch(scenes)
         t_obs, t_pred, size = batch_shape(scenes)
@@ -477,8 +496,13 @@ class VisionPipeline(TrajectoryModel):
 
         if cfg.use_projection:
             if cfg.use_estimator:
+                if size != IMAGE_SIZE:
+                    raise ConfigError(
+                        f"image size {size} is not the standard rig's {IMAGE_SIZE}, which the camera fit assumes",
+                        field="image_size",
+                    )
                 rows = concat_rows(
-                    [self.estimator(Tensor(estimator_features(s, cfg.n_in_max)), size) for s in scenes]
+                    [self.estimator(estimator_features(s, cfg.n_in_max), size, t_obs) for s in scenes]
                 )
             else:
                 static = add(col_scale(self.static_rows, self.static_spread), self.static_nominal)

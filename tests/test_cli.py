@@ -219,6 +219,32 @@ class TestCalibrate:
         assert "need 6" in capsys.readouterr().err
 
 
+class TestRig:
+    def test_camera_fit_on_another_rig_exits_2(self, workdir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "wide.json", **{"sim.image_size": [1280, 960], "sim.focal": 1000.0})
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "run")]) == 2
+        assert "focal 1000.0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert main(["ablate", "--dataset", str(data)]) == 2
+        assert "focal 1000.0" in capsys.readouterr().err
+        # a trained full checkpoint, pinned to this dataset
+        header, arrays = load_checkpoint(workdir / "run" / "checkpoint.ckpt")
+        model = make_model(header["kind"], model_config_from_header(header), np.random.default_rng(0))
+        restore_model(model, header, arrays)
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(path, model, Adam(model.parameters()), train_config_from_header(header),
+                        config_hash=read_manifest(data)["config_hash"])
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(data)]) == 2
+        assert "focal 1000.0" in capsys.readouterr().err
+        # methods that do not fit the camera still run on this rig
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(data), "--methods", "smoother"]) == 0
+        assert main(["train", "--dataset", str(data), "--method", "two_stage:gru",
+                     "--out", str(tmp_path / "gru")]) == 0
+
+
 class TestImport:
     def test_dataset_reimport_is_byte_identical(self, workdir, tmp_path):
         assert main(["import", str(workdir / "data"), "--out", str(tmp_path / "copy")]) == 0

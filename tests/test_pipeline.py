@@ -10,7 +10,7 @@ import pytest
 from blindtrack import geometry as geo
 from blindtrack import pipeline as pl
 from blindtrack import simulator as sim
-from blindtrack.errors import LengthMismatch, NoInSightAgents, NonFiniteLoss
+from blindtrack.errors import ConfigError, LengthMismatch, NoInSightAgents, NonFiniteLoss
 from blindtrack.nn import Adam
 from blindtrack.tensor import Tensor, add, scale
 
@@ -108,25 +108,55 @@ class TestProjectRows:
 class TestFeatures:
     def test_slots_filled_in_agent_order(self):
         scene = tiny_scenes(1)[0]
-        feats = pl.estimator_features(scene, 4)
+        pairs = pl.estimator_features(scene, 4)
         in_sight = sorted(scene.in_sight(), key=lambda a: a.agent_id)
         w, h = scene.image_size
-        assert feats.shape == (scene.t_obs, 48)
-        for slot, agent in enumerate(in_sight):
-            assert np.allclose(
-                feats[:, 5 * slot], agent.pixel[: scene.t_obs, 0] / w - 0.5
-            )
-            want = (agent.sensor[:, 0] - pl.ARENA_MID[0]) / pl.ARENA_HALF[0]
-            assert np.allclose(feats[:, 5 * slot + 2], want)
-            assert np.all(feats[:, 20 + slot] == 1.0)
-            # the pooled half repeats the slot's window mean on every row
-            assert np.allclose(feats[:, 24 + 5 * slot], feats[:, 5 * slot].mean())
-            assert np.all(feats[:, 44 + slot] == 1.0)
-        # unused slot: all zero, presence 0, in both halves
-        assert np.all(feats[:, 15:20] == 0.0)
-        assert np.all(feats[:, 23] == 0.0)
-        assert np.all(feats[:, 39:44] == 0.0)
-        assert np.all(feats[:, 47] == 0.0)
+        t = scene.t_obs
+        # one row per visible agent, none for the unused fourth slot
+        assert pairs.shape == (len(in_sight), 5) == (3, 5)
+        for row, agent in zip(pairs, in_sight):
+            assert agent.visible[:t].all()
+            assert np.allclose(row[0], np.mean(agent.pixel[:t, 0] / w - 0.5), rtol=1e-12, atol=0)
+            assert np.allclose(row[1], np.mean(agent.pixel[:t, 1] / h - 0.5), rtol=1e-12, atol=0)
+            want = ((agent.sensor - pl.ARENA_MID) / pl.ARENA_HALF).mean(axis=0)
+            assert np.allclose(row[2:], want, rtol=1e-12, atol=0)
+        # pixels centered on the image, positions on the arena box
+        assert np.all(np.abs(pairs[:, :2]) < 0.5)
+        assert np.all(np.abs(pairs[:, 2:]) <= 1.0)
+
+    def test_surplus_agents_are_dropped(self):
+        scene = tiny_scenes(1)[0]
+        assert np.array_equal(pl.estimator_features(scene, 2), pl.estimator_features(scene, 4)[:2])
+
+    def test_only_visible_steps_are_averaged(self):
+        scene = tiny_scenes(1)[0]
+        base = pl.estimator_features(scene, 4)
+        edited = copy.deepcopy(scene)
+        first, second = sorted(edited.in_sight(), key=lambda a: a.agent_id)[:2]
+        first.visible[:2] = False
+        first.pixel[:2] = np.nan
+        second.visible[: scene.t_obs] = False
+        second.pixel[: scene.t_obs] = np.nan
+        pairs = pl.estimator_features(edited, 4)
+        # the agent never visible in the window is dropped; the other two
+        # keep their slot order
+        assert pairs.shape == (2, 5)
+        assert np.array_equal(pairs[1], base[2])
+        w, h = scene.image_size
+        t = scene.t_obs
+        assert np.allclose(pairs[0, :2], (first.pixel[2:t] / [w, h] - 0.5).mean(axis=0), rtol=1e-12, atol=0)
+        want = ((first.sensor[2:t] - pl.ARENA_MID) / pl.ARENA_HALF).mean(axis=0)
+        assert np.allclose(pairs[0, 2:], want, rtol=1e-12, atol=0)
+
+    def test_no_pairs_in_the_window_leave_the_prior(self):
+        scene = tiny_scenes(1)[0]
+        blind = copy.deepcopy(scene)
+        for agent in blind.in_sight():
+            agent.visible[: scene.t_obs] = False
+        pairs = pl.estimator_features(blind, 4)
+        assert pairs.shape == (0, 5)
+        rows = pl.CameraEstimator()(pairs, blind.image_size, blind.t_obs).data
+        assert np.all(np.isfinite(rows))
 
     def test_no_visible_agents_rejected(self):
         scene = tiny_scenes(1)[0]
@@ -136,9 +166,12 @@ class TestFeatures:
             pl.estimator_features(lone, 4)
 
 
+def fit_rows(estimator, scene, n_in_max=8):
+    return estimator(pl.estimator_features(scene, n_in_max), scene.image_size, scene.t_obs).data
+
+
 def fitted_camera(scene):
-    feats = Tensor(pl.estimator_features(scene, 8))
-    rows = pl.CameraEstimator()(feats, scene.image_size).data
+    rows = fit_rows(pl.CameraEstimator(), scene)
     assert rows.shape == (scene.t_obs, 12)
     assert np.all(rows == rows[0])  # one matrix for the whole window
     return geo.rows_to_camera(rows[0])
@@ -199,6 +232,80 @@ class TestCameraFit:
             down = pl.look_at_residuals(pose - step, world, pixel)[0]
             numeric[:, i] = (up - down) / 2e-6
         assert np.abs(jac - numeric).max() < 1e-6 * np.abs(numeric).max()
+
+
+class TestCameraMemo:
+    def test_one_fit_per_scene_across_epochs_and_validation(self, monkeypatch):
+        fitted = []
+        fit = pl.fit_camera
+
+        def counting(world, pixel):
+            fitted.append(world.tobytes())
+            return fit(world, pixel)
+
+        monkeypatch.setattr(pl, "fit_camera", counting)
+        scenes = tiny_scenes(6, noise="default")
+        model = pl.VisionPipeline(TINY, np.random.default_rng(20))
+        result = pl.train_model(model, scenes[:4], scenes[4:], pl.TrainConfig(epochs=2, batch_size=2, seed=0))
+        assert len(result.history) == 2 and result.history[-1].val_sum is not None
+        assert len(fitted) == len(set(fitted)) == 6
+        for scene in scenes:
+            model.predict(scene)
+        assert len(fitted) == 6
+
+    def test_memoized_predictions_equal_a_fresh_models(self):
+        scenes = tiny_scenes(5, noise="default")
+        model = pl.VisionPipeline(TINY, np.random.default_rng(21))
+        pl.train_model(model, scenes[:3], scenes[3:], pl.TrainConfig(epochs=2, batch_size=2, seed=1))
+        assert len(model.estimator.fits) == 5
+        fresh = pl.VisionPipeline(TINY, np.random.default_rng(0))
+        pl.restore_parameters(fresh, pl.snapshot_parameters(model))
+        assert not fresh.estimator.fits
+        for scene in scenes:
+            for got, want in zip(model.predict(scene), fresh.predict(scene)):
+                assert np.array_equal(got, want)
+
+    def test_moved_agents_get_their_own_fit(self):
+        scene = tiny_scenes(1, noise="default")[0]
+        estimator = pl.CameraEstimator()
+        original = fit_rows(estimator, scene)
+        moved = copy.deepcopy(scene)
+        for agent in moved.in_sight():
+            agent.sensor[:] = agent.sensor + np.array([1.5, -2.0, 0.0])
+            agent.pixel[:] = agent.pixel + 7.0
+        got = fit_rows(estimator, moved)
+        assert len(estimator.fits) == 2
+        assert np.array_equal(got, fit_rows(pl.CameraEstimator(), moved))
+        assert not np.allclose(got, original)
+        assert np.array_equal(fit_rows(estimator, scene), original)
+
+
+class TestStandardRig:
+    def test_forward_refuses_another_image_size(self):
+        scene = copy.deepcopy(tiny_scenes(1)[0])
+        scene.image_size = (1280, 960)
+        with pytest.raises(ConfigError) as err:
+            pl.VisionPipeline(TINY, np.random.default_rng(0)).forward(scene)
+        assert err.value.field == "image_size"
+        # without the camera fit the image size is only a scale
+        for drop in ("estimator", "projection"):
+            model = pl.VisionPipeline(pl.ablation_config(TINY, drop), np.random.default_rng(0))
+            visual, _ = model.forward(scene)
+            assert np.all(np.isfinite(visual.data))
+
+    @pytest.mark.parametrize("drop", [None, "denoiser", "estimator", "projection", "predictor"])
+    def test_only_models_that_fit_the_camera_refuse_another_rig(self, drop):
+        cfg = TINY if drop is None else pl.ablation_config(TINY, drop)
+        model = pl.VisionPipeline(cfg, np.random.default_rng(0))
+        assert model.fits_camera == (drop not in ("estimator", "projection"))
+        pl.require_standard_rig(model, sim.FOCAL, sim.IMAGE_SIZE)
+        for focal, size in ((1000.0, sim.IMAGE_SIZE), (sim.FOCAL, (1280, 960))):
+            if model.fits_camera:
+                with pytest.raises(ConfigError) as err:
+                    pl.require_standard_rig(model, focal, size)
+                assert err.value.field == "focal"
+            else:
+                pl.require_standard_rig(model, focal, size)
 
 
 class TestForward:
