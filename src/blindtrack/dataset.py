@@ -31,28 +31,17 @@ def hash_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def scene_to_record(scene: Scene) -> dict:
     agents = []
     for agent in scene.agents:
-        pixel = [
-            [float(u), float(v)] if bool(vis) else None
-            for (u, v), vis in zip(agent.pixel, agent.visible)
-        ]
+        visible = np.asarray(agent.visible, dtype=bool).tolist()
         agents.append(
             {
                 "agent_id": int(agent.agent_id),
                 "world": agent.world.tolist(),
                 "sensor": agent.sensor.tolist(),
-                "pixel": pixel,
-                "visible": [bool(v) for v in agent.visible],
+                "pixel": [uv if vis else None for uv, vis in zip(agent.pixel.tolist(), visible)],
+                "visible": visible,
             }
         )
     return {
@@ -61,7 +50,7 @@ def scene_to_record(scene: Scene) -> dict:
         "t_obs": int(scene.t_obs),
         "t_pred": int(scene.t_pred),
         "image_size": [int(scene.image_size[0]), int(scene.image_size[1])],
-        "camera": [m.reshape(12).tolist() for m in scene.camera],
+        "camera": scene.camera.reshape(-1, 12).tolist(),
         "agents": agents,
         "out_of_sight_id": int(scene.out_of_sight_id),
     }
@@ -158,13 +147,9 @@ def validate_record(record: dict, line: int = 0) -> None:
 
 
 def record_to_scene(record: dict) -> Scene:
-    total = record["t_obs"] + record["t_pred"]
     agents = []
     for entry in record["agents"]:
-        pixel = np.full((total, 2), np.nan)
-        for t, value in enumerate(entry["pixel"]):
-            if value is not None:
-                pixel[t] = value
+        pixel = np.array([(np.nan, np.nan) if uv is None else uv for uv in entry["pixel"]], dtype=np.float64)
         agents.append(
             SceneAgent(
                 agent_id=entry["agent_id"],
@@ -185,11 +170,16 @@ def record_to_scene(record: dict) -> Scene:
     )
 
 
-def write_scenes(path, scenes: list[Scene]) -> None:
-    with open(path, "w") as fh:
+def write_scenes(path, scenes: list[Scene]) -> str:
+    """Write one canonical JSON line per scene; returns the sha256 of the
+    bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
         for scene in scenes:
-            fh.write(canonical_json(scene_to_record(scene)))
-            fh.write("\n")
+            line = (canonical_json(scene_to_record(scene)) + "\n").encode()
+            fh.write(line)
+            digest.update(line)
+    return digest.hexdigest()
 
 
 def read_scenes(path, validate: bool = True) -> list[Scene]:
@@ -223,12 +213,11 @@ def write_dataset(out_dir, splits: dict[str, list[Scene]], config_dict: dict) ->
     for name in SPLIT_NAMES:
         scenes = splits.get(name, [])
         filename = f"{name}.jsonl"
-        write_scenes(out / filename, scenes)
         manifest["splits"][name] = {
             "file": filename,
             "count": len(scenes),
             "seeds": [s.seed for s in scenes],
-            "sha256": file_sha256(out / filename),
+            "sha256": write_scenes(out / filename, scenes),
         }
     with open(out / "manifest.json", "w") as fh:
         fh.write(canonical_json(manifest))

@@ -5,6 +5,10 @@ World points are metres in a right-handed frame with +z up. Pixel
 coordinates follow the usual image convention: u rightward, v downward,
 origin at the top-left. Projection matrices are plain (3, 4) float arrays;
 a time-varying camera is a (T, 3, 4) stack.
+
+`look_at`, `ExtrinsicPose` and `compose_matrix` broadcast over leading
+axes: given (T, 3) positions they build the whole (T, 3, 4) camera in one
+array pass, with every pose check applied to every pose.
 """
 
 from __future__ import annotations
@@ -53,28 +57,62 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class ExtrinsicPose:
-    """World-to-camera rotation (3, 3) and translation (3,)."""
+    """World-to-camera rotation (..., 3, 3) and translation (..., 3).
+
+    One pose, or a stack of poses over any leading axes (a time-varying
+    camera is a (T,) stack); every method applies to each pose of the
+    stack.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def validate(self, tol: float = 1e-6) -> None:
+        """Raise InvalidPose unless every rotation is orthonormal with
+        determinant +1; a stack names the first bad pose's index."""
         r = np.asarray(self.rotation, dtype=np.float64)
         t = np.asarray(self.translation, dtype=np.float64)
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise InvalidPose(f"pose shapes {r.shape}, {t.shape}; need (3, 3) and (3,)")
-        if not np.allclose(r @ r.T, np.eye(3), atol=tol):
-            raise InvalidPose("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > tol:
-            raise InvalidPose(f"rotation determinant {np.linalg.det(r):.6f}, not +1")
+        if r.ndim < 2 or r.shape[-2:] != (3, 3) or t.shape != r.shape[:-1]:
+            raise InvalidPose(f"pose shapes {r.shape}, {t.shape}; need (..., 3, 3) and (..., 3)")
+        gram = r @ np.swapaxes(r, -1, -2)
+        bad = _first(~np.isclose(gram, np.eye(3), atol=tol).all(axis=(-2, -1)))
+        if bad is not None:
+            raise _invalid(bad, "rotation is not orthonormal")
+        det = np.linalg.det(r)
+        bad = _first(np.abs(det - 1.0) > tol)
+        if bad is not None:
+            raise _invalid(bad, f"rotation determinant {det[bad]:.6f}, not +1")
 
     def as_matrix(self) -> np.ndarray:
-        """The (3, 4) stack [R | t]."""
-        return np.hstack([self.rotation, self.translation[:, None]])
+        """The (..., 3, 4) stack [R | t]."""
+        return np.concatenate([self.rotation, self.translation[..., None]], axis=-1)
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first set entry of a mask over poses (() for a single
+    pose), or None when none is set."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def _invalid(index: tuple[int, ...], message: str) -> InvalidPose:
+    """InvalidPose for the pose at `index`; a pose of a stack is named."""
+    if index:
+        message = f"step {index[0] if len(index) == 1 else index}: {message}"
+    return InvalidPose(message)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of (..., 3). Taken as a row dot product
+    through matmul, which gives the bits np.linalg.norm gives one vector
+    (its BLAS dot); np.linalg.norm(axis=-1) and einsum round differently."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def compose_matrix(scale: float, intrinsics: CameraIntrinsics, pose: ExtrinsicPose) -> np.ndarray:
-    """Build the (3, 4) projection matrix scale * K [R | t]."""
+    """Build the projection matrix scale * K [R | t]: (3, 4) for one pose,
+    (..., 3, 4) for a stack."""
     if not scale > 0.0:
         raise InvalidPose(f"global scale must be positive, got {scale}")
     pose.validate()
@@ -84,25 +122,30 @@ def compose_matrix(scale: float, intrinsics: CameraIntrinsics, pose: ExtrinsicPo
 def look_at(position, target, tol: float = 1e-9) -> ExtrinsicPose:
     """Pose of a camera at `position` looking toward `target`, world +z up.
 
-    Camera axes follow the usual image convention: x right, y down,
-    z forward, so the view axis must not be vertical.
+    Both are (3,) or stacks (..., 3) that broadcast against each other; a
+    stack gives a stack of poses. Camera axes follow the usual image
+    convention: x right, y down, z forward, so the view axis must not be
+    vertical. A stack with one degenerate pose raises InvalidPose naming
+    its index.
     """
     position = np.asarray(position, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     forward = target - position
-    norm = np.linalg.norm(forward)
-    if norm < tol:
-        raise InvalidPose("camera position and target coincide")
-    forward = forward / norm
-    up = np.array([0.0, 0.0, 1.0])
-    right = np.cross(forward, up)
-    right_norm = np.linalg.norm(right)
-    if right_norm < tol:
-        raise InvalidPose("view axis is vertical; image orientation undefined")
-    right = right / right_norm
+    norm = _row_norms(forward)
+    bad = _first(norm < tol)
+    if bad is not None:
+        raise _invalid(bad, "camera position and target coincide")
+    forward = forward / norm[..., None]
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+    right_norm = _row_norms(right)
+    bad = _first(right_norm < tol)
+    if bad is not None:
+        raise _invalid(bad, "view axis is vertical; image orientation undefined")
+    right = right / right_norm[..., None]
     down = np.cross(forward, right)
-    rotation = np.vstack([right, down, forward])
-    return ExtrinsicPose(rotation=rotation, translation=-rotation @ position)
+    rotation = np.stack([right, down, forward], axis=-2)
+    translation = (-rotation @ position[..., None])[..., 0]
+    return ExtrinsicPose(rotation=rotation, translation=translation)
 
 
 def homogeneous_apply(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ the same sigma as horizontal for simplicity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,12 +187,12 @@ def gen_track(rng: np.random.Generator, steps: int, height: float | None = None)
     cur = pos.copy()
     for t in range(steps - 1):
         to_go = waypoint - cur
-        dist = np.linalg.norm(to_go)
+        dist = math.sqrt(to_go.dot(to_go))
         while dist < speed * DT:
             waypoint = np.array([rng.uniform(*ARENA_X), rng.uniform(*ARENA_Y)])
             speed = rng.uniform(*WALK_SPEED)
             to_go = waypoint - cur
-            dist = np.linalg.norm(to_go)
+            dist = math.sqrt(to_go.dot(to_go))
         velocity[t] = to_go / dist * speed
         cur = cur + velocity[t] * DT
     if steps > 1:
@@ -213,9 +214,10 @@ def gen_track(rng: np.random.Generator, steps: int, height: float | None = None)
 
 
 def camera_sequence(cfg: SimulatorConfig, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """Per-timestep projection matrices, (steps, 3, 4). Mount position and
-    gaze point are jittered per scene; moving presets translate the mount
-    while always re-aiming at the scene's own gaze point."""
+    """Per-timestep projection matrices, (steps, 3, 4), built in one array
+    pass over the mount positions. Mount position and gaze point are
+    jittered per scene; moving presets translate the mount while always
+    re-aiming at the scene's own gaze point."""
     base = np.array([rng.uniform(*MOUNT_X), rng.uniform(*MOUNT_Y), rng.uniform(*MOUNT_H)])
     aim = np.array([rng.uniform(*AIM_X), rng.uniform(*AIM_Y), rng.uniform(*AIM_H)])
     intrinsics = cfg.intrinsics()
@@ -233,9 +235,7 @@ def camera_sequence(cfg: SimulatorConfig, rng: np.random.Generator, steps: int) 
             [cos_a * radius_vec[0] - sin_a * radius_vec[1], sin_a * radius_vec[0] + cos_a * radius_vec[1]]
         )
         positions = np.column_stack([aim[:2] + rotated, np.full(steps, base[2])])
-    return np.stack(
-        [compose_matrix(1.0, intrinsics, look_at(positions[t], aim)) for t in range(steps)]
-    )
+    return compose_matrix(1.0, intrinsics, look_at(positions, aim))
 
 
 def render_visual(

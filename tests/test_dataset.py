@@ -1,12 +1,18 @@
 """Serialization: exact round trips, canonical bytes, schema validation
 with line/field reporting, and manifest hashing."""
 
+import copy
+import hashlib
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 
 from blindtrack import dataset as ds
+from blindtrack import geometry as geo
 from blindtrack import simulator as sim
 from blindtrack.errors import SchemaError
 
@@ -17,6 +23,17 @@ from test_simulator import assert_scene_equal, small_config
 def scenes():
     cfg = small_config(noise=sim.NoiseModel.preset("hard"))
     return [sim.make_scene(cfg, seed) for seed in (0, 1, 2)]
+
+
+@lru_cache(maxsize=1)
+def masked_base_scene():
+    """A scene with a rounded pixel at every step of every agent, in frame
+    or not, for the round-trip property to mask."""
+    scene = sim.make_scene(small_config(noise=sim.NoiseModel.preset("hard")), 4)
+    for agent in scene.agents:
+        agent.pixel = np.rint(geo.project_trajectory(scene.camera, agent.world))
+        agent.visible = np.ones(scene.t_total, dtype=bool)
+    return scene
 
 
 class TestRoundTrip:
@@ -36,6 +53,18 @@ class TestRoundTrip:
         ds.write_scenes(first, scenes)
         ds.write_scenes(second, ds.read_scenes(first))
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(bool, (4, 15)))
+    def test_bytes_survive_a_round_trip_for_any_mask(self, masks):
+        scene = copy.deepcopy(masked_base_scene())
+        for agent, mask in zip(scene.agents, masks):
+            agent.visible = mask
+            agent.pixel[~mask] = np.nan
+        line = ds.canonical_json(ds.scene_to_record(scene))
+        rebuilt = ds.record_to_scene(json.loads(line))
+        assert ds.canonical_json(ds.scene_to_record(rebuilt)) == line
+        assert_scene_equal(scene, rebuilt)
 
     def test_invisible_pixels_serialize_as_null(self, scenes):
         record = ds.scene_to_record(scenes[0])
@@ -133,6 +162,12 @@ class TestManifest:
         for name in ds.SPLIT_NAMES:
             assert (out1 / f"{name}.jsonl").read_bytes() == (out2 / f"{name}.jsonl").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+    def test_manifest_hashes_the_written_bytes(self, tmp_path):
+        manifest = ds.write_dataset(tmp_path, sim.make_dataset(small_config(), 5, 2, 1, 0), {"x": 1})
+        for name, info in manifest["splits"].items():
+            assert info["sha256"] == hashlib.sha256((tmp_path / info["file"]).read_bytes()).hexdigest()
+        assert manifest["splits"]["test"]["sha256"] == hashlib.sha256(b"").hexdigest()
 
     def test_load_dataset_round_trip(self, tmp_path):
         cfg = small_config()

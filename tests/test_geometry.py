@@ -3,6 +3,9 @@ projective invariances, and matrix recovery from correspondences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blindtrack import geometry as geo
 from blindtrack.errors import (
@@ -125,6 +128,101 @@ class TestPose:
         pose = geo.ExtrinsicPose(rotation=np.eye(3), translation=np.zeros(3))
         with pytest.raises(InvalidPose):
             geo.compose_matrix(0.0, INTRINSICS, pose)
+
+
+def per_step_extrinsic(position, target):
+    """[R | t] of one look-at pose, with the single-vector formulas:
+    np.linalg.norm, np.cross, np.vstack and np.hstack."""
+    forward = target - position
+    forward = forward / np.linalg.norm(forward)
+    right = np.cross(forward, [0.0, 0.0, 1.0])
+    right = right / np.linalg.norm(right)
+    down = np.cross(forward, right)
+    rotation = np.vstack([right, down, forward])
+    return np.hstack([rotation, (-rotation @ position)[:, None]])
+
+
+def in_box(shape, low, high):
+    """Float arrays of `shape` whose rows lie in the box [low, high]."""
+    unit = arrays(np.float64, shape, elements=st.floats(0.0, 1.0))
+    return unit.map(lambda u: np.asarray(low) + u * (np.subtract(high, low)))
+
+
+# mounts 1-4 m high, gaze points ahead and lower: never coincident, never vertical
+positions = st.integers(1, 40).flatmap(lambda t: in_box((t, 3), [-5.0, -5.0, 1.0], [5.0, 5.0, 4.0]))
+targets = in_box(3, [-5.0, 9.0, 0.0], [5.0, 19.0, 0.9])
+
+
+class TestPoseStacks:
+    """look_at, ExtrinsicPose and compose_matrix over a leading axis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(positions, targets)
+    def test_stack_equals_row_by_row_bit_for_bit(self, position, target):
+        stack = geo.look_at(position, target)
+        assert stack.rotation.shape == (len(position), 3, 3)
+        for t, p in enumerate(position):
+            one = geo.look_at(p, target)
+            assert np.array_equal(stack.rotation[t], one.rotation)
+            assert np.array_equal(stack.translation[t], one.translation)
+
+    @settings(max_examples=60, deadline=None)
+    @given(positions, targets)
+    def test_stack_equals_single_vector_formulas(self, position, target):
+        matrices = geo.compose_matrix(1.0, INTRINSICS, geo.look_at(position, target))
+        for t, p in enumerate(position):
+            assert np.array_equal(matrices[t], INTRINSICS.matrix() @ per_step_extrinsic(p, target))
+
+    def test_targets_stack_too(self):
+        rng = np.random.default_rng(9)
+        position = np.array([0.2, -0.1, 2.5])
+        target = random_points(rng, 6)
+        stack = geo.look_at(position, target)
+        for t in range(6):
+            assert np.array_equal(stack.rotation[t], geo.look_at(position, target[t]).rotation)
+        assert geo.compose_matrix(2.0, INTRINSICS, stack).shape == (6, 3, 4)
+
+    def test_coincident_step_named(self):
+        position = np.array([[0.0, 0.0, 2.0]] * 5)
+        position[3] = [0.0, 10.0, 1.0]
+        with pytest.raises(InvalidPose, match=r"^step 3: camera position and target coincide"):
+            geo.look_at(position, [0.0, 10.0, 1.0])
+
+    def test_vertical_step_named(self):
+        position = np.array([[0.0, 0.0, 2.0]] * 5)
+        position[4] = [0.0, 10.0, 6.0]
+        with pytest.raises(InvalidPose, match=r"^step 4: view axis is vertical"):
+            geo.look_at(position, [0.0, 10.0, 1.0])
+
+    def test_bad_rotation_step_named(self):
+        pose = geo.look_at(np.array([[0.0, 0.0, 2.0]] * 4), [0.0, 10.0, 1.0])
+        pose.validate()
+        skewed = pose.rotation.copy()
+        skewed[2] *= 1.01
+        with pytest.raises(InvalidPose, match=r"^step 2: rotation is not orthonormal"):
+            geo.compose_matrix(1.0, INTRINSICS, geo.ExtrinsicPose(skewed, pose.translation))
+        flipped = pose.rotation.copy()
+        flipped[1] = -flipped[1]
+        with pytest.raises(InvalidPose, match=r"^step 1: rotation determinant -1\.000000, not \+1"):
+            geo.ExtrinsicPose(flipped, pose.translation).validate()
+
+    def test_grid_of_poses_names_its_index(self):
+        position = np.zeros((2, 3, 3)) + [0.0, 0.0, 2.0]
+        position[1, 2] = [0.0, 10.0, 1.0]
+        with pytest.raises(InvalidPose, match=r"^step \(1, 2\): camera position"):
+            geo.look_at(position, [0.0, 10.0, 1.0])
+
+    def test_single_pose_messages_unchanged(self):
+        with pytest.raises(InvalidPose, match=r"^camera position and target coincide$"):
+            geo.look_at([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidPose, match=r"^view axis is vertical"):
+            geo.look_at([0.0, 0.0, 5.0], [0.0, 0.0, 0.0])
+        with pytest.raises(InvalidPose, match=r"^rotation is not orthonormal$"):
+            geo.ExtrinsicPose(rotation=np.eye(3) * 2.0, translation=np.zeros(3)).validate()
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(InvalidPose, match="pose shapes"):
+            geo.ExtrinsicPose(rotation=np.stack([np.eye(3)] * 2), translation=np.zeros(3)).validate()
 
 
 class TestDLT:

@@ -8,6 +8,8 @@ from blindtrack import geometry as geo
 from blindtrack import simulator as sim
 from blindtrack.errors import ConfigError, SceneGenerationFailed
 
+from test_geometry import per_step_extrinsic
+
 
 def small_config(**overrides):
     base = dict(n_agents=4, t_obs=10, t_pred=5, noise=sim.NoiseModel.preset("clean"))
@@ -174,6 +176,28 @@ class TestCameraMotion:
         dist = np.linalg.norm(pos[:, :2] - np.array([ux, uy]), axis=1)
         assert np.allclose(dist, dist[0], atol=1e-6)
         assert np.allclose(pos[:, 2], pos[0, 2], atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "motion, t_obs, t_pred", [("static", 10, 5), ("linear", 10, 5), ("arc", 10, 5), ("arc", 50, 50)]
+    )
+    def test_rig_equals_per_step_poses_bit_for_bit(self, monkeypatch, motion, t_obs, t_pred):
+        # the rig is built in one array pass; each matrix must carry the
+        # bits of composing that step's pose alone
+        seen = []
+
+        def recording_look_at(position, target):
+            seen.append((np.array(position), np.array(target)))
+            return geo.look_at(position, target)
+
+        monkeypatch.setattr(sim, "look_at", recording_look_at)
+        cfg = small_config(camera_motion=motion, t_obs=t_obs, t_pred=t_pred)
+        for seed in range(8):
+            seen.clear()
+            camera = sim.camera_sequence(cfg, np.random.default_rng(seed), cfg.t_total)
+            (positions, aim), = seen
+            assert camera.shape == (cfg.t_total, 3, 4) and positions.shape == (cfg.t_total, 3)
+            k = cfg.intrinsics().matrix()
+            assert np.array_equal(camera, np.stack([k @ per_step_extrinsic(p, aim) for p in positions]))
 
     def test_all_motions_keep_scene_generable(self):
         for motion in sim.MOTION_KINDS:
