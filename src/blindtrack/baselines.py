@@ -204,18 +204,40 @@ def rts_smooth(
     return smooth_x[:, 0, :], smooth_x[:, 1, :]
 
 
+def _reference_predict(scenes: Scene | list[Scene], world_tracks) -> tuple[np.ndarray, np.ndarray]:
+    """A reference's predict: the hidden sensor windows of a batch of B
+    equal-shape scenes, column-stacked into one (t_obs, 3B) array, go
+    through world_tracks(sensor, t_pred) -> (observed, future) world
+    columns in one call; both are projected through each scene's true
+    camera in one clamped_project call. Each scene's columns see only
+    elementwise arithmetic, or matrix products of which each column is
+    its own, so every scene gets the bits a batch of one would give it.
+    Shapes are as TrajectoryModel.predict returns them."""
+    batch = as_batch(scenes)
+    t_obs, t_pred, _ = batch_shape(batch)
+    sensor = np.concatenate([scene.out_of_sight().sensor for scene in batch], axis=1)
+    observed, ahead = world_tracks(sensor, t_pred)
+
+    def project(columns: np.ndarray, window: slice) -> np.ndarray:
+        steps = len(columns)
+        points = columns.reshape(steps, len(batch), 3).swapaxes(0, 1).reshape(-1, 3)
+        cameras = np.concatenate([scene.camera[window] for scene in batch])
+        return clamped_project(cameras, points).reshape(len(batch), steps, 2)
+
+    visual, future = project(observed, slice(0, t_obs)), project(ahead, slice(t_obs, None))
+    if isinstance(scenes, Scene):
+        return visual[0], future[0]
+    return visual, future
+
+
 class ConstVelocityOracle:
     """Raw sensor projected through the true camera; future by straight-line
     extrapolation of the sensor track."""
 
     name = "const_velocity"
 
-    def predict(self, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-        hidden = scene.out_of_sight()
-        t_obs = scene.t_obs
-        visual = clamped_project(scene.camera[:t_obs], hidden.sensor)
-        future_world = const_velocity_extrapolate(hidden.sensor, scene.t_pred)
-        return visual, clamped_project(scene.camera[t_obs:], future_world)
+    def predict(self, scenes: Scene | list[Scene]) -> tuple[np.ndarray, np.ndarray]:
+        return _reference_predict(scenes, lambda sensor, steps: (sensor, const_velocity_extrapolate(sensor, steps)))
 
 
 class SmootherOracle:
@@ -228,16 +250,13 @@ class SmootherOracle:
         self.process_var = process_var
         self.meas_var = meas_var
 
-    def predict(self, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-        hidden = scene.out_of_sight()
-        t_obs = scene.t_obs
-        positions, velocities = rts_smooth(
-            hidden.sensor, process_var=self.process_var, meas_var=self.meas_var
-        )
-        visual = clamped_project(scene.camera[:t_obs], positions)
-        horizon = np.arange(1, scene.t_pred + 1)[:, None] * DT
-        future_world = positions[-1] + horizon * velocities[-1]
-        return visual, clamped_project(scene.camera[t_obs:], future_world)
+    def predict(self, scenes: Scene | list[Scene]) -> tuple[np.ndarray, np.ndarray]:
+        return _reference_predict(scenes, self._world_tracks)
+
+    def _world_tracks(self, sensor: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        positions, velocities = rts_smooth(sensor, process_var=self.process_var, meas_var=self.meas_var)
+        horizon = np.arange(1, steps + 1)[:, None] * DT
+        return positions, positions[-1] + horizon * velocities[-1]
 
 
 def make_reference(name: str) -> ConstVelocityOracle | SmootherOracle:

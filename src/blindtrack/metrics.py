@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import EmptyInput, EmptyTrajectory, LengthMismatch
+from .simulator import shape_groups
 
 
 def mse_t(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -52,18 +53,47 @@ class EvalReport:
             raise ValueError(f"negative error in report for {self.method}")
 
 
+# observed rows (scenes x t_obs) per predict call when scoring (see
+# score_scenes). Swept over the benchmark's three workloads on a 2-core
+# x86-64 box (numpy 2.4, OpenBLAS 0.3.31), ms per scene with the camera
+# memo warm: `full` at T = 20 is fastest at 320 rows, 16 scenes (0.83, vs
+# 0.96 at 160 rows and 1.07 at 480); `full` at T = 100 at 320 rows, 3
+# scenes (4.9, vs 5.2 at 200 and 6.6 at 400); two_stage:gru, which has no
+# attention, still gains past it (0.36 at 320, 0.24 at 640).
+SCORE_ROWS = 320
+
+
 def score_scenes(predict, scenes, method: str, split: str, config_hash: str = "", seed: int = 0) -> EvalReport:
-    """Run predict(scene) -> (denoised_px, future_px) over scenes and
-    aggregate. Scenes are processed in ascending seed order so reports do
-    not depend on input ordering."""
+    """Score a method on a split: the mean over scenes of each scene's
+    mse_t over the observed window (MSE-D) and the prediction window
+    (MSE-P). This is the one scorer; every report comes from it.
+
+    predict(batch) takes a list of B scenes of one shape (Scene.shape)
+    and returns their observed and future pixel tracks, (B, t_obs, 2) and
+    (B, t_pred, 2). Scenes are sorted by seed, grouped by shape, and each
+    group is cut into chunks of at most SCORE_ROWS observed rows, one
+    predict call each, so a learned model scores a chunk as one
+    row-stacked forward pass. Each scene's errors keep its place in seed
+    order, so reports do not depend on input ordering.
+    """
     if not scenes:
         raise EmptyInput(f"no scenes in split {split!r}")
-    d_errors, p_errors = [], []
-    for scene in sorted(scenes, key=lambda s: s.seed):
-        hidden = scene.out_of_sight()
-        denoised, future = predict(scene)
-        d_errors.append(mse_t(denoised, hidden.pixel[: scene.t_obs]))
-        p_errors.append(mse_t(future, hidden.pixel[scene.t_obs:]))
+    ordered = sorted(scenes, key=lambda s: s.seed)
+    d_errors, p_errors = np.empty(len(ordered)), np.empty(len(ordered))
+    for group in shape_groups(ordered):
+        per_call = max(1, SCORE_ROWS // ordered[group[0]].t_obs)
+        for start in range(0, len(group), per_call):
+            chunk = group[start:start + per_call]
+            visual, future = predict([ordered[i] for i in chunk])
+            if len(visual) != len(chunk) or len(future) != len(chunk):
+                raise LengthMismatch(
+                    f"{method}: predicted {len(visual)} and {len(future)} tracks for {len(chunk)} scenes"
+                )
+            for i, denoised, ahead in zip(chunk, visual, future):
+                scene = ordered[i]
+                pixel = scene.out_of_sight().pixel
+                d_errors[i] = mse_t(denoised, pixel[: scene.t_obs])
+                p_errors[i] = mse_t(ahead, pixel[scene.t_obs:])
     mse_d = float(np.mean(d_errors))
     mse_p = float(np.mean(p_errors))
     report = EvalReport(

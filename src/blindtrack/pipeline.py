@@ -9,12 +9,17 @@ epoch, validation pass and prediction (CameraEstimator). The fit assumes
 the standard rig's intrinsics (FOCAL, IMAGE_SIZE): a model that fits the
 camera refuses other rigs with ConfigError (require_standard_rig; exit 2
 from the command line). The denoiser and the predictor are trained end to
-end on pixel targets only; positions are never supervised directly.
+end on the hidden agent's pixels (hidden.pixel, in pixel_losses): the
+denoising loss compares the projected denoised track with them over the
+observation window, the prediction loss the forecast over the prediction
+window. No loss compares against the sensor stream mapped through the
+camera, and positions are never supervised.
 
 A forward pass takes a batch of scenes of one shape (t_obs, t_pred, image
 size) and row-stacks them, scene-major, so a training minibatch is one
-autodiff graph (see the tensor module). Only the camera fit runs scene by
-scene; its rows are stacked like the rest.
+autodiff graph (see the tensor module), and a chunk of scenes scored by
+metrics.score_scenes is one forward pass with no graph. Only the camera
+fit runs scene by scene; its rows are stacked like the rest.
 
 Model inputs are strictly: the hidden agent's sensor window and the
 visible agents' pixel/sensor windows. The hidden agent's ground-truth
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents
 from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at
-from .metrics import mse_t
+from .metrics import score_scenes
 from .nn import Adam, Linear, Module, SequenceTrunk
 from .simulator import (
     AIM_H,
@@ -46,6 +51,7 @@ from .simulator import (
     MOUNT_X,
     MOUNT_Y,
     Scene,
+    shape_groups,
 )
 from .tensor import (
     Tensor,
@@ -107,15 +113,17 @@ def estimator_features(scene: Scene, n_in_max: int) -> np.ndarray:
     agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)[:n_in_max]
     if not agents:
         raise NoInSightAgents(f"scene seed {scene.seed} has no visible agents")
-    size = np.asarray(scene.image_size)
-    pairs = []
-    for agent in agents:
-        vis = agent.visible[: scene.t_obs]
-        if vis.any():
-            pixel = agent.pixel[: scene.t_obs][vis] / size - 0.5
-            sensor = (agent.sensor[vis] - ARENA_MID) / ARENA_HALF
-            pairs.append(np.concatenate([pixel, sensor], axis=1).mean(axis=0))
-    return np.array(pairs).reshape(-1, 5)
+    t_obs = scene.t_obs
+    visible = np.stack([agent.visible[:t_obs] for agent in agents])
+    pixel = np.stack([agent.pixel[:t_obs] for agent in agents]) / np.asarray(scene.image_size) - 0.5
+    sensor = (np.stack([agent.sensor for agent in agents]) - ARENA_MID) / ARENA_HALF
+    values = np.where(visible[:, :, None], np.concatenate([pixel, sensor], axis=2), 0.0)
+    # summing over the step axis adds each agent's rows in sequence, and
+    # adding the zeros of a hidden step is exact: the same bits as the mean
+    # over the agent's visible rows alone
+    counts = visible.sum(axis=1)
+    seen = counts > 0
+    return values.sum(axis=1)[seen] / counts[seen, None]
 
 
 def project_rows(matrix_rows: Tensor, points: Tensor) -> Tensor:
@@ -145,28 +153,15 @@ def as_batch(scenes: Scene | list[Scene]) -> list[Scene]:
     return [scenes] if isinstance(scenes, Scene) else list(scenes)
 
 
-def _shape_key(scene: Scene) -> tuple:
-    return scene.t_obs, scene.t_pred, tuple(scene.image_size)
-
-
-def shape_groups(scenes: list[Scene]) -> list[list[Scene]]:
-    """Scenes grouped by (t_obs, t_pred, image_size), in order of first
-    appearance; each group can be row-stacked into one forward pass."""
-    groups: dict[tuple, list[Scene]] = {}
-    for scene in scenes:
-        groups.setdefault(_shape_key(scene), []).append(scene)
-    return list(groups.values())
-
-
 def batch_shape(scenes: list[Scene]) -> tuple[int, int, tuple[int, int]]:
     """(t_obs, t_pred, image_size) shared by every scene of a batch."""
     if not scenes:
         raise LengthMismatch("a forward pass needs at least one scene")
-    key = _shape_key(scenes[0])
+    key = scenes[0].shape
     for scene in scenes[1:]:
-        if _shape_key(scene) != key:
+        if scene.shape != key:
             raise LengthMismatch(
-                f"scenes of one forward pass must share (t_obs, t_pred, image_size): {key} vs {_shape_key(scene)}"
+                f"scenes of one forward pass must share (t_obs, t_pred, image_size): {key} vs {scene.shape}"
             )
     return key
 
@@ -200,7 +195,8 @@ class TrajectoryModel(Module):
         if len(groups) == 1:
             return pixel_losses(scenes, *self.forward(scenes))
         loss_d = loss_p = None
-        for group in groups:
+        for positions in groups:
+            group = [scenes[i] for i in positions]
             weight = len(group) / len(scenes)
             group_d, group_p = pixel_losses(group, *self.forward(group))
             group_d, group_p = scale(group_d, weight), scale(group_p, weight)
@@ -208,11 +204,17 @@ class TrajectoryModel(Module):
             loss_p = group_p if loss_p is None else add(loss_p, group_p)
         return loss_d, loss_p
 
-    def predict(self, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-        """Observed and future pixel tracks of one scene; builds no graph."""
+    def predict(self, scenes: Scene | list[Scene]) -> tuple[np.ndarray, np.ndarray]:
+        """Observed and future pixel tracks from one forward pass that
+        builds no graph: (t_obs, 2) and (t_pred, 2) for a Scene, (B,
+        t_obs, 2) and (B, t_pred, 2) for a list of B equal-shape scenes.
+        The batch form is what metrics.score_scenes calls."""
         with no_grad():
-            visual, future = self.forward(scene)
-        return visual.data, future.data
+            visual, future = self.forward(scenes)
+        if isinstance(scenes, Scene):
+            return visual.data, future.data
+        count = len(scenes)
+        return visual.data.reshape(count, -1, 2), future.data.reshape(count, -1, 2)
 
 
 def pixel_losses(scenes: list[Scene], visual: Tensor, future: Tensor) -> tuple[Tensor, Tensor]:
@@ -564,26 +566,11 @@ def restore_parameters(model: Module, arrays: dict[str, np.ndarray]) -> None:
         p.data[...] = arrays[name]
 
 
-# scenes per forward pass when scoring a split: bounds the memory of the
-# attention weights, (batch, heads, T, T) per layer
-EVAL_BATCH = 64
-
-
 def evaluate_split(model, scenes: list[Scene]) -> tuple[float, float]:
-    """Mean denoising and prediction errors (raw pixels) over scenes,
-    scored in batches of equal-shape scenes with no graph built."""
-    d_errors, p_errors = [], []
-    for group in shape_groups(scenes):
-        t_obs, t_pred, _ = batch_shape(group)
-        for start in range(0, len(group), EVAL_BATCH):
-            batch = group[start:start + EVAL_BATCH]
-            with no_grad():
-                visual, future = model.forward(batch)
-            for i, scene in enumerate(batch):
-                pixel = scene.out_of_sight().pixel
-                d_errors.append(mse_t(visual.data[i * t_obs:(i + 1) * t_obs], pixel[:t_obs]))
-                p_errors.append(mse_t(future.data[i * t_pred:(i + 1) * t_pred], pixel[t_obs:]))
-    return float(np.mean(d_errors)), float(np.mean(p_errors))
+    """Mean denoising and prediction errors (raw pixels) over scenes, from
+    the one scorer (metrics.score_scenes)."""
+    report = score_scenes(model.predict, scenes, model.name, "val")
+    return report.mse_d, report.mse_p
 
 
 def train_model(

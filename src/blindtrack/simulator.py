@@ -166,6 +166,21 @@ class Scene:
     def in_sight(self) -> list[SceneAgent]:
         return [a for a in self.agents if a.agent_id != self.out_of_sight_id]
 
+    @property
+    def shape(self) -> tuple[int, int, tuple[int, int]]:
+        """(t_obs, t_pred, image_size): scenes of one shape row-stack into
+        one forward pass."""
+        return self.t_obs, self.t_pred, tuple(self.image_size)
+
+
+def shape_groups(scenes: list[Scene]) -> list[list[int]]:
+    """Positions of scenes grouped by shape (Scene.shape), each group in
+    list order and the groups in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for position, scene in enumerate(scenes):
+        groups.setdefault(scene.shape, []).append(position)
+    return list(groups.values())
+
 
 def gen_track(rng: np.random.Generator, steps: int, height: float | None = None) -> np.ndarray:
     """Waypoint wander inside the arena, (steps, 3), z fixed per track.

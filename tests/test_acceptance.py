@@ -347,12 +347,10 @@ class TestCriterion09Metrics:
         scfg = SimulatorConfig(n_agents=3, t_obs=6, t_pred=3, noise=NoiseModel.preset("default"))
         scenes = make_split(scfg, base_seed=900, count=5)
 
-        def offset_predict(scene):
-            hidden = scene.out_of_sight()
-            return (
-                hidden.pixel[: scene.t_obs] + np.array([3.0, 4.0]),
-                hidden.pixel[scene.t_obs:] + np.array([6.0, 8.0]),
-            )
+        def offset_predict(batch):
+            pixels = np.stack([scene.out_of_sight().pixel for scene in batch])
+            t_obs = batch[0].t_obs
+            return pixels[:, :t_obs] + np.array([3.0, 4.0]), pixels[:, t_obs:] + np.array([6.0, 8.0])
 
         report = score_scenes(offset_predict, scenes, "offset", "test")
         additive = abs(report.mse_sum - (report.mse_d + report.mse_p))

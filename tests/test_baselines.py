@@ -67,10 +67,14 @@ class TestLearnedBaselines:
         model = bl.make_model(name, TINY, np.random.default_rng(7))
         visual, future = model.forward(scenes)
         t_obs, t_pred = TINY.t_obs, TINY.t_pred
+        batch_v, batch_f = model.predict(scenes)
+        assert batch_v.shape == (3, t_obs, 2) and batch_f.shape == (3, t_pred, 2)
+        assert np.array_equal(batch_v.reshape(-1, 2), visual.data)
+        assert np.array_equal(batch_f.reshape(-1, 2), future.data)
         for i, scene in enumerate(scenes):
             got_v, got_f = model.predict(scene)
-            assert np.allclose(got_v, visual.data[i * t_obs:(i + 1) * t_obs], rtol=1e-12, atol=1e-9)
-            assert np.allclose(got_f, future.data[i * t_pred:(i + 1) * t_pred], rtol=1e-12, atol=1e-9)
+            assert np.allclose(got_v, batch_v[i], rtol=1e-12, atol=1e-9)
+            assert np.allclose(got_f, batch_f[i], rtol=1e-12, atol=1e-9)
 
     def test_direct_baseline_gradients(self):
         cfg = pl.ModelConfig(t_obs=4, t_pred=2, width=6, layers=1, heads=1, n_in_max=2)
@@ -175,6 +179,16 @@ class TestOracles:
         # the half-pixel rasterization of the targets
         err = np.abs(visual - hidden.pixel[:10]).max()
         assert err <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("name", bl.REFERENCE_METHODS)
+    def test_batch_predict_equals_each_scenes_predict_bit_for_bit(self, name):
+        reference = bl.make_reference(name)
+        scenes = tiny_scenes(5, noise="hard", t_obs=12, t_pred=4)
+        visual, future = reference.predict(scenes)
+        assert visual.shape == (5, 12, 2) and future.shape == (5, 4, 2)
+        for i, scene in enumerate(scenes):
+            got_v, got_f = reference.predict(scene)
+            assert np.array_equal(got_v, visual[i]) and np.array_equal(got_f, future[i])
 
     def test_smoother_oracle_shapes(self):
         scene = tiny_scenes(1, noise="default", t_obs=8, t_pred=4)[0]

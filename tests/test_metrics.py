@@ -1,13 +1,15 @@
-"""Metrics: the per-timestep pixel distance, report aggregation, and CSV
-round trips."""
+"""Metrics: the per-timestep pixel distance, report aggregation, the
+batched scorer against per-scene scoring, and CSV round trips."""
 
 import numpy as np
 import pytest
 
+from blindtrack import baselines as bl
 from blindtrack import metrics as mt
 from blindtrack import simulator as sim
 from blindtrack.errors import EmptyInput, EmptyTrajectory, LengthMismatch
 
+from test_pipeline import TINY, tiny_scenes
 from test_simulator import small_config
 
 
@@ -51,12 +53,10 @@ class FixedOffsetMethod:
     def __init__(self, du, dv):
         self.offset = np.array([du, dv])
 
-    def predict(self, scene):
-        hidden = scene.out_of_sight()
-        return (
-            hidden.pixel[: scene.t_obs] + self.offset,
-            hidden.pixel[scene.t_obs:] + self.offset,
-        )
+    def predict(self, scenes):
+        pixels = np.stack([scene.out_of_sight().pixel for scene in scenes])
+        t_obs = scenes[0].t_obs
+        return pixels[:, :t_obs] + self.offset, pixels[:, t_obs:] + self.offset
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +105,68 @@ class TestReports:
         report = mt.score_scenes(FixedOffsetMethod(3.0, 4.0).predict, scenes, "m", "test")
         md = mt.reports_to_markdown([report])
         assert "| m | test |" in md and "5.000" in md
+
+
+def per_scene_scores(predict_one, scenes):
+    """The per-scene reference: one predict per scene, in seed order."""
+    d_errors, p_errors = [], []
+    for scene in sorted(scenes, key=lambda s: s.seed):
+        visual, future = predict_one(scene)
+        pixel = scene.out_of_sight().pixel
+        d_errors.append(mt.mse_t(visual, pixel[: scene.t_obs]))
+        p_errors.append(mt.mse_t(future, pixel[scene.t_obs:]))
+    return float(np.mean(d_errors)), float(np.mean(p_errors))
+
+
+@pytest.fixture(scope="module")
+def mixed_scenes():
+    """Nine scenes with observation windows of 6 and 5 steps, interleaved."""
+    long = tiny_scenes(5, seed0=40, noise="default")
+    short = tiny_scenes(4, seed0=60, noise="default", t_obs=5)
+    return [long[0], short[0], long[1], long[2], short[1], short[2], long[3], short[3], long[4]]
+
+
+class TestBatchedScoring:
+    def test_chunks_hold_one_shape_within_the_row_budget(self, mixed_scenes, monkeypatch):
+        monkeypatch.setattr(mt, "SCORE_ROWS", 18)
+        calls = []
+
+        def predict(batch):
+            calls.append(batch)
+            return FixedOffsetMethod(3.0, 4.0).predict(batch)
+
+        report = mt.score_scenes(predict, mixed_scenes, "m", "test")
+        assert report.mse_d == pytest.approx(5.0, abs=1e-12)
+        assert all(len({scene.shape for scene in batch}) == 1 for batch in calls)
+        assert all(len(batch) * batch[0].t_obs <= 18 for batch in calls)
+        # 5 scenes of 6 rows in chunks of 3, then 4 of 5 rows in chunks of 3
+        assert [len(batch) for batch in calls] == [3, 2, 3, 1]
+        scored = [scene.seed for batch in calls for scene in batch]
+        assert sorted(scored) == sorted(scene.seed for scene in mixed_scenes)
+
+    def test_input_order_does_not_matter(self, mixed_scenes):
+        model = bl.make_model("full", TINY, np.random.default_rng(20))
+        shuffled = [mixed_scenes[i] for i in np.random.default_rng(21).permutation(len(mixed_scenes))]
+        reports = [
+            mt.score_scenes(model.predict, order, "full", "test")
+            for order in (mixed_scenes, list(reversed(mixed_scenes)), shuffled)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("name", ["full", "two_stage:gru", "direct:lstm"])
+    def test_learned_methods_match_per_scene_scoring(self, mixed_scenes, name):
+        model = bl.make_model(name, TINY, np.random.default_rng(22))
+        report = mt.score_scenes(model.predict, mixed_scenes, name, "test")
+        want_d, want_p = per_scene_scores(model.predict, mixed_scenes)
+        assert report.mse_d == pytest.approx(want_d, rel=1e-12, abs=0)
+        assert report.mse_p == pytest.approx(want_p, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", bl.REFERENCE_METHODS)
+    def test_references_match_per_scene_scoring_bit_for_bit(self, mixed_scenes, name):
+        reference = bl.make_reference(name)
+        report = mt.score_scenes(reference.predict, mixed_scenes, name, "test")
+        assert (report.mse_d, report.mse_p) == per_scene_scores(reference.predict, mixed_scenes)
+
+    def test_a_predict_that_drops_scenes_is_rejected(self, scenes):
+        with pytest.raises(LengthMismatch):
+            mt.score_scenes(lambda batch: FixedOffsetMethod(0.0, 0.0).predict(batch[1:]), scenes, "m", "test")

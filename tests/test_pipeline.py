@@ -105,7 +105,40 @@ class TestProjectRows:
             pl.project_rows(Tensor(np.zeros((3, 11))), Tensor(np.zeros((3, 3))))
 
 
+def loop_estimator_features(scene, n_in_max):
+    """estimator_features as a loop over agents, each averaged over its
+    visible steps alone: the reference the vectorized form must match bit
+    for bit, since its bytes key the camera memo."""
+    agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)[:n_in_max]
+    size = np.asarray(scene.image_size)
+    pairs = []
+    for agent in agents:
+        vis = agent.visible[: scene.t_obs]
+        if vis.any():
+            pixel = agent.pixel[: scene.t_obs][vis] / size - 0.5
+            sensor = (agent.sensor[vis] - pl.ARENA_MID) / pl.ARENA_HALF
+            pairs.append(np.concatenate([pixel, sensor], axis=1).mean(axis=0))
+    return np.array(pairs).reshape(-1, 5)
+
+
 class TestFeatures:
+    def test_matches_the_per_agent_loop_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        scenes = tiny_scenes(4, noise="hard", t_obs=12) + [
+            sim.make_scene(sim.SimulatorConfig(t_obs=30, t_pred=5, camera_motion="arc"), seed) for seed in (1, 2)
+        ]
+        for scene in scenes:
+            for _ in range(5):
+                edited = copy.deepcopy(scene)
+                t = scene.t_obs
+                for agent in edited.in_sight():
+                    agent.visible[:t] &= rng.random(t) < rng.random()
+                    agent.pixel[:t][~agent.visible[:t]] = np.nan
+                for n_in_max in (8, 2):
+                    want = loop_estimator_features(edited, n_in_max)
+                    got = pl.estimator_features(edited, n_in_max)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_slots_filled_in_agent_order(self):
         scene = tiny_scenes(1)[0]
         pairs = pl.estimator_features(scene, 4)
@@ -366,10 +399,14 @@ class TestBatching:
         visual, future = model.forward(scenes)
         t_obs, t_pred = TINY.t_obs, TINY.t_pred
         assert visual.data.shape == (3 * t_obs, 2) and future.data.shape == (3 * t_pred, 2)
+        batch_v, batch_f = model.predict(scenes)
+        assert batch_v.shape == (3, t_obs, 2) and batch_f.shape == (3, t_pred, 2)
+        assert np.array_equal(batch_v.reshape(-1, 2), visual.data)
+        assert np.array_equal(batch_f.reshape(-1, 2), future.data)
         for i, scene in enumerate(scenes):
             got_v, got_f = model.predict(scene)
-            assert np.allclose(got_v, visual.data[i * t_obs:(i + 1) * t_obs], rtol=1e-12, atol=1e-9)
-            assert np.allclose(got_f, future.data[i * t_pred:(i + 1) * t_pred], rtol=1e-12, atol=1e-9)
+            assert np.allclose(got_v, batch_v[i], rtol=1e-12, atol=1e-9)
+            assert np.allclose(got_f, batch_f[i], rtol=1e-12, atol=1e-9)
 
     def test_forward_rejects_mixed_shapes(self):
         scenes = [tiny_scenes(1)[0], tiny_scenes(1, t_obs=5)[0]]
