@@ -59,7 +59,8 @@ class EvalReport:
 # memo warm: `full` at T = 20 is fastest at 320 rows, 16 scenes (0.83, vs
 # 0.96 at 160 rows and 1.07 at 480); `full` at T = 100 at 320 rows, 3
 # scenes (4.9, vs 5.2 at 200 and 6.6 at 400); two_stage:gru, which has no
-# attention, still gains past it (0.36 at 320, 0.24 at 640).
+# attention and runs each recurrent trunk as one fused scan, gains little
+# past it (0.21 at 320, 0.20 at 640).
 SCORE_ROWS = 320
 
 

@@ -14,14 +14,13 @@ from .tensor import (
     Tensor,
     add,
     attention_block,
-    interleave_rows,
     layer_norm,
     matmul,
     mul,
+    recurrent_scan,
     relu,
     sigmoid,
     slice_cols,
-    strided_rows,
     tanh,
 )
 
@@ -211,9 +210,11 @@ class SequenceTrunk(Module):
     sequences of T = steps rows (one sequence of all rows by default).
 
     kind "transformer" embeds, adds the fixed position table to every
-    sequence, and runs the encoder; recurrent kinds unroll a cell from a
-    zero state over the B sequences at once, one (B, dim) state per step,
-    and stack the hidden rows back sequence-major.
+    sequence, and runs the encoder; recurrent kinds embed and run one
+    fused recurrent_scan of the cell from a zero state over the B
+    sequences at once, one (B, dim) state per step, which returns the
+    hidden rows sequence-major as one graph node. The cell's own step is
+    the single-step definition the scan reproduces bit for bit.
     """
 
     def __init__(self, kind: str, in_dim: int, dim: int, layers: int, heads: int, rng: np.random.Generator):
@@ -234,12 +235,7 @@ class SequenceTrunk(Module):
         if self.kind == "transformer":
             positions = np.tile(sinusoidal_encoding(steps, self.dim), (rows // steps, 1))
             return self.encoder(add(h, Tensor(positions)), steps)
-        state = self.cell.initial_state(rows // steps)
-        hidden = []
-        for t in range(steps):
-            state = self.cell.step(strided_rows(h, t, steps), state)
-            hidden.append(state[0])
-        return interleave_rows(hidden)
+        return recurrent_scan(self.kind, h, self.cell.parameters(), steps)
 
 
 class Adam:

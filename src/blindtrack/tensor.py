@@ -11,8 +11,9 @@ sequence-major: rows b*T .. b*T + T - 1 hold sequence b, and each such
 block of T rows is a segment. Row-wise ops act on a stacked batch
 unchanged. The ops that mix rows take the segment length T: attention_block
 attends only within each segment, mean_rows pools each segment to one row,
-and strided_rows / interleave_rows take out and put back step t of every
-segment for a recurrent unroll. A minibatch is thus one graph, not one
+strided_rows takes out step t of every segment, and recurrent_scan runs a
+recurrent cell over every segment at once as one node with its own
+backpropagation through time. A minibatch is thus one graph, not one
 graph per sequence.
 
 Inside `with no_grad():` ops compute their values but record no parents and
@@ -29,7 +30,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NotScalar, ShapeMismatch
+from .errors import NotScalar, ShapeMismatch, UnknownCellKind
 
 __all__ = [
     "Tensor",
@@ -50,7 +51,6 @@ __all__ = [
     "mean_rows",
     "tile_rows",
     "strided_rows",
-    "interleave_rows",
     "square",
     "exp",
     "tanh",
@@ -63,6 +63,7 @@ __all__ = [
     "clamp_away_from_zero",
     "mse_loss",
     "attention_block",
+    "recurrent_scan",
     "no_grad",
 ]
 
@@ -376,25 +377,6 @@ def strided_rows(a: Tensor, start: int, stride: int) -> Tensor:
     return _node(a.data[start::stride].copy(), (a,), back)
 
 
-def interleave_rows(parts: list[Tensor]) -> Tensor:
-    """Inverse of strided_rows over every step: T tensors of (B, n), part
-    t holding step t of each sequence, -> (B*T, n), sequence-major."""
-    if not parts:
-        raise ShapeMismatch("interleave_rows: empty list")
-    shape = parts[0].data.shape
-    for p in parts:
-        if p.data.shape != shape:
-            raise ShapeMismatch(f"interleave_rows: shapes differ ({p.data.shape} vs {shape})")
-    rows, n = shape
-    steps = len(parts)
-
-    def back(g):
-        blocks = g.reshape(rows, steps, n)
-        return tuple(blocks[:, t] for t in range(steps))
-
-    return _node(np.stack([p.data for p in parts], axis=1).reshape(rows * steps, n), tuple(parts), back)
-
-
 def square(a: Tensor) -> Tensor:
     return _node(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
 
@@ -409,8 +391,12 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+def _logistic(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-a))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = _logistic(a.data)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -550,3 +536,178 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, segment: in
         )
 
     return _node(merge(weights @ vh, mq), (q, k, v), back)
+
+
+def _previous(hidden: list[np.ndarray]) -> np.ndarray:
+    """(T, B, d) states each step started from: zero, then h_0 .. h_{T-2}."""
+    return np.stack([np.zeros_like(hidden[0])] + hidden[:-1])
+
+
+# Each unroll below steps one cell over the step blocks xs from state h and
+# returns its hidden states and a bptt closure. It keeps what bptt needs
+# only when `keep` (a graph is being recorded), so inference holds no more
+# than the hidden states. bptt maps the (T, B, d) cotangent of the hidden
+# states to the (T, B, groups * w) cotangent of every step's
+# pre-activations and, per (wx, wh, b) group, the (T, B, d) rows that
+# multiplied wh. The factors from a state's cotangent to its
+# pre-activations' are formed for all steps at once before the reverse
+# loop, which is left with the products that carry the cotangent back.
+
+
+def _rnn_scan(xs, weights, h, keep):
+    wx, wh, b = weights
+    hidden = []
+    for xt in xs:
+        h = np.tanh((xt @ wx + h @ wh) + b)
+        hidden.append(h)
+
+    def bptt(gs):
+        slope = np.stack(hidden)
+        slope = 1.0 - slope * slope
+        d_pre = np.empty_like(slope)
+        dh = np.zeros_like(h)
+        for t in reversed(range(len(xs))):
+            dh = np.multiply(dh + gs[t], slope[t], out=d_pre[t]) @ wh.T
+        return d_pre, [_previous(hidden)]
+
+    return hidden, bptt
+
+
+def _gru_scan(xs, weights, h, keep):
+    wx_u, wh_u, b_u, wx_r, wh_r, b_r, wx_c, wh_c, b_c = weights
+    hidden, gates = [], []
+    for xt in xs:
+        update = _logistic((xt @ wx_u + h @ wh_u) + b_u)
+        reset = _logistic((xt @ wx_r + h @ wh_r) + b_r)
+        cand = np.tanh((xt @ wx_c + (reset * h) @ wh_c) + b_c)
+        h = update * h + (1.0 - update) * cand
+        hidden.append(h)
+        if keep:
+            gates.append((update, reset, cand))
+
+    def bptt(gs):
+        update, reset, cand = (np.stack(a) for a in zip(*gates))
+        prev = _previous(hidden)
+        d = prev.shape[2]
+        via_update = (prev - cand) * update * (1.0 - update)
+        via_reset = prev * reset * (1.0 - reset)  # from the candidate's reset * h_prev
+        via_cand = (1.0 - update) * (1.0 - cand * cand)
+        wh_ur = np.concatenate([wh_u, wh_r], axis=1).T
+        d_pre = np.empty(prev.shape[:2] + (3 * d,))  # update | reset | candidate
+        dh = np.zeros_like(h)
+        for t in reversed(range(len(xs))):
+            dh = dh + gs[t]
+            d_gated = np.multiply(dh, via_cand[t], out=d_pre[t, :, 2 * d:]) @ wh_c.T
+            np.multiply(dh, via_update[t], out=d_pre[t, :, :d])
+            np.multiply(d_gated, via_reset[t], out=d_pre[t, :, d:2 * d])
+            dh = dh * update[t] + d_gated * reset[t] + d_pre[t, :, :2 * d] @ wh_ur
+        return d_pre, [prev, prev, reset * prev]
+
+    return hidden, bptt
+
+
+def _lstm_scan(xs, weights, h, keep):
+    wx, wh, b = weights
+    d = h.shape[1]
+    c = np.zeros_like(h)
+    hidden, saved = [], []
+    for xt in xs:
+        pre = (xt @ wx + h @ wh) + b
+        gate_in = _logistic(np.ascontiguousarray(pre[:, :d]))
+        gate_forget = _logistic(np.ascontiguousarray(pre[:, d:2 * d]))
+        cand = np.tanh(np.ascontiguousarray(pre[:, 2 * d:3 * d]))
+        gate_out = _logistic(np.ascontiguousarray(pre[:, 3 * d:]))
+        c_prev = c
+        c = gate_forget * c + gate_in * cand
+        squashed = np.tanh(c)
+        h = gate_out * squashed
+        hidden.append(h)
+        if keep:
+            saved.append((gate_in, gate_forget, cand, gate_out, c_prev, squashed))
+
+    def bptt(gs):
+        gate_in, gate_forget, cand, gate_out, c_prev, squashed = (np.stack(a) for a in zip(*saved))
+        via_cell = gate_out * (1.0 - squashed * squashed)
+        # from the cell state's cotangent to the input, forget and candidate rows
+        via_gates = np.stack(
+            [
+                cand * gate_in * (1.0 - gate_in),
+                c_prev * gate_forget * (1.0 - gate_forget),
+                gate_in * (1.0 - cand * cand),
+            ],
+            axis=2,
+        )
+        via_out = squashed * gate_out * (1.0 - gate_out)
+        steps, batch = via_cell.shape[:2]
+        d_pre = np.empty((steps, batch, 4, d))
+        dh, dc = np.zeros_like(h), np.zeros_like(h)
+        for t in reversed(range(steps)):
+            dh = dh + gs[t]
+            dc = dc + dh * via_cell[t]
+            np.multiply(dc[:, None], via_gates[t], out=d_pre[t, :, :3])
+            np.multiply(dh, via_out[t], out=d_pre[t, :, 3])
+            dc = dc * gate_forget[t]
+            dh = d_pre[t].reshape(batch, 4 * d) @ wh.T
+        return d_pre.reshape(steps, batch, 4 * d), [_previous(hidden)]
+
+    return hidden, bptt
+
+
+# kind -> (unroll, number of (wx, wh, b) groups, pre-activation width per
+# group in state widths)
+_SCANS = {"rnn": (_rnn_scan, 1, 1), "gru": (_gru_scan, 3, 1), "lstm": (_lstm_scan, 1, 4)}
+
+
+def recurrent_scan(kind: str, x: Tensor, params, segment: int | None = None) -> Tensor:
+    """A recurrent cell unrolled over a row-stacked batch, as one node.
+
+    x is (B*T, n): B sequences of T = segment rows (one sequence of all
+    rows by default). From a zero state the cell steps over t = 0 .. T-1
+    with one (B, d) state for all B sequences, and the hidden rows come
+    back stacked sequence-major, (B*T, d). params are the cell's weights
+    as (wx, wh, b) groups, in nn's order: rnn one group; gru the update,
+    reset and candidate groups; lstm one group of 4*d columns holding the
+    input, forget, candidate and output gates.
+
+    Each step forms (x_t @ wx + h @ wh) + b from a contiguous (B, n) block
+    x_t, the same products in the same order as the cells' single step, so
+    the forward is bit for bit that of the per-step composite. The
+    backward is backpropagation through time in numpy; the weight
+    gradients and the input gradient are single products over all steps.
+    """
+    if kind not in _SCANS:
+        raise UnknownCellKind(f"recurrent_scan: unknown cell kind {kind!r}; expected one of {tuple(_SCANS)}")
+    unroll, groups, widen = _SCANS[kind]
+    rows, n = x.data.shape
+    steps = _segment_rows(x, segment, "recurrent_scan")
+    weights = [p.data for p in params]
+    if len(weights) != 3 * groups:
+        raise ShapeMismatch(f"recurrent_scan: {kind} takes {3 * groups} parameters, got {len(weights)}")
+    dim = weights[1].shape[0]
+    width = widen * dim
+    for wx, wh, b in zip(weights[0::3], weights[1::3], weights[2::3]):
+        if wx.shape != (n, width) or wh.shape != (dim, width) or b.shape != (1, width):
+            raise ShapeMismatch(
+                f"recurrent_scan: {kind} weights {wx.shape}, {wh.shape}, {b.shape} "
+                f"for rows of width {n} and a state of width {dim}"
+            )
+    batch = rows // steps
+    xs = [x.data[t::steps].copy() for t in range(steps)]
+    parents = (x, *params)
+    keep = _recording and any(p.requires_grad for p in parents)
+    hidden, bptt = unroll(xs, weights, np.zeros((batch, dim)), keep)
+
+    def back(g):
+        # everything here is step-major, (T*B, .); dx goes back sequence-major
+        d_pre, h_ins = bptt(g.reshape(batch, steps, dim).transpose(1, 0, 2))
+        d_pre = d_pre.reshape(rows, groups * width)
+        dx = d_pre @ np.concatenate(weights[0::3], axis=1).T
+        dwx = np.concatenate(xs).T @ d_pre
+        grads = []
+        for k, h_in in enumerate(h_ins):
+            cols = slice(k * width, (k + 1) * width)
+            d_group = d_pre[:, cols]
+            grads += [dwx[:, cols], h_in.reshape(rows, dim).T @ d_group, d_group.sum(axis=0, keepdims=True)]
+        return (dx.reshape(steps, batch, n).transpose(1, 0, 2).reshape(rows, n), *grads)
+
+    return _node(np.stack(hidden, axis=1).reshape(rows, dim), parents, back)

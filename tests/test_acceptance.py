@@ -45,6 +45,7 @@ from blindtrack.tensor import (
     mean_rows,
     mse_loss,
     mul,
+    recurrent_scan,
     relu,
     reshape,
     row_sum,
@@ -120,6 +121,11 @@ class TestCriterion01Gradients:
             (lambda p: mse_loss(p[0], target), [mat(4, 3)]),
             (lambda p: sum_all(attention_block(p[0], p[1], p[2])), [mat(4, 6), mat(4, 6), mat(4, 6)]),
         ]
+        # one fused recurrent unroll per cell kind: 3 sequences of 2 steps,
+        # a 2-wide state, (wx, wh, b) per gate group
+        for kind, groups, width in (("rnn", 1, 2), ("gru", 3, 2), ("lstm", 1, 8)):
+            params = [mat(6, 3)] + [m for _ in range(groups) for m in (mat(3, width), mat(2, width), mat(1, width))]
+            cases.append((lambda p, k=kind: sum_all(square(recurrent_scan(k, p[0], p[1:], 2))), params))
         for build, params in cases:
             bound = (lambda b=build, p=params: b(p))
             worst_prim = max(worst_prim, check_gradients(bound, params, tol=1e-4))

@@ -124,6 +124,71 @@ class TestSequenceTrunk:
         check_gradients(lambda: tz.mean_all(tz.square(trunk(x))), [x] + trunk.parameters(), tol=1e-4)
 
 
+def composite_unroll(cell, x: Tensor, steps: int) -> Tensor:
+    """The per-step reference the scan must reproduce: strided_rows of step
+    t into cell.step, hidden rows returned step-major, (T*B, d)."""
+    state = cell.initial_state(x.data.shape[0] // steps)
+    hidden = []
+    for t in range(steps):
+        state = cell.step(tz.strided_rows(x, t, steps), state)
+        hidden.append(state[0])
+    return tz.concat_rows(hidden)
+
+
+def step_major(a: np.ndarray, steps: int) -> np.ndarray:
+    """Sequence-major (B*T, d) rows reordered step-major, (T*B, d)."""
+    rows, width = a.shape
+    return a.reshape(rows // steps, steps, width).transpose(1, 0, 2).reshape(rows, width)
+
+
+class TestRecurrentScan:
+    IN, DIM = 6, 8
+
+    def cell_and_input(self, kind, batch, steps, seed):
+        rng = np.random.default_rng(seed)
+        cell = nn.make_cell(kind, self.IN, self.DIM, rng)
+        for p in cell.parameters():  # move the zero biases off their init too
+            p.data += rng.normal(scale=0.3, size=p.data.shape)
+        x = Tensor(rng.normal(size=(batch * steps, self.IN)), requires_grad=True)
+        return rng, cell, x
+
+    @pytest.mark.parametrize("steps", [1, 5, 20])
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("kind", nn.CELL_KINDS)
+    def test_forward_is_the_per_step_composite_bit_for_bit(self, kind, batch, steps):
+        _, cell, x = self.cell_and_input(kind, batch, steps, seed=batch * 100 + steps)
+        scanned = tz.recurrent_scan(kind, x, cell.parameters(), steps).data
+        assert np.array_equal(step_major(scanned, steps), composite_unroll(cell, x, steps).data)
+
+    @pytest.mark.parametrize("steps", [1, 5, 20])
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("kind", nn.CELL_KINDS)
+    def test_gradients_match_the_per_step_composite(self, kind, batch, steps):
+        rng, cell, x = self.cell_and_input(kind, batch, steps, seed=batch * 100 + steps + 1)
+        weight = rng.normal(size=(batch * steps, self.DIM))
+        params = [x] + cell.parameters()
+
+        def grads(out, w):
+            for p in params:
+                p.grad = None
+            tz.sum_all(tz.mul(tz.square(out), Tensor(w))).backward()
+            return [p.grad for p in params]
+
+        fused = grads(tz.recurrent_scan(kind, x, cell.parameters(), steps), weight)
+        composite = grads(composite_unroll(cell, x, steps), step_major(weight, steps))
+        for got, want in zip(fused, composite):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", nn.CELL_KINDS)
+    def test_trunk_is_one_scan_node_equal_to_the_composite(self, kind):
+        rng = np.random.default_rng(10)
+        trunk = nn.SequenceTrunk(kind, 5, 64, 1, 1, rng)
+        x = Tensor(rng.normal(size=(16 * 20, 5)))
+        out = trunk(x, 20)
+        assert len(out._parents) == 1 + len(trunk.cell.parameters())
+        assert np.array_equal(step_major(out.data, 20), composite_unroll(trunk.cell, trunk.embed(x), 20).data)
+
+
 class TestAdam:
     def test_first_step_is_minus_lr(self):
         # bias correction makes the first step exactly lr * g/(|g| + eps)

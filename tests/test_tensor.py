@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blindtrack import tensor as tz
-from blindtrack.errors import NotScalar, ShapeMismatch
+from blindtrack.errors import NotScalar, ShapeMismatch, UnknownCellKind
 from blindtrack.tensor import Tensor
 
 from util_grad import check_gradients
@@ -243,6 +243,13 @@ def composite_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarr
     return tz.matmul(tz.softmax_rows(scores), Tensor(v)).data
 
 
+def scan_params(rng, kind: str, n: int, d: int) -> list[Tensor]:
+    """Random (wx, wh, b) groups for recurrent_scan: n-wide rows, d-wide state."""
+    groups, width = {"rnn": (1, d), "gru": (3, d), "lstm": (1, 4 * d)}[kind]
+    shapes = [(n, width), (d, width), (1, width)] * groups
+    return [Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True) for shape in shapes]
+
+
 class TestRowStackedOps:
     SEGMENTS, STEPS = 3, 4
 
@@ -286,19 +293,30 @@ class TestRowStackedOps:
         assert np.allclose(pooled, x.data.reshape(self.SEGMENTS, self.STEPS, 3).mean(axis=1), atol=1e-15)
         check_gradients(lambda: tz.sum_all(tz.square(tz.mean_rows(x, self.STEPS))), [x], tol=1e-4)
 
-    def test_strided_gather_and_interleave(self):
+    def test_strided_gather(self):
         rng = np.random.default_rng(24)
         x = self.stacked(rng, 3)
         steps = [tz.strided_rows(x, t, self.STEPS) for t in range(self.STEPS)]
         assert np.array_equal(steps[1].data, x.data[[1, 5, 9]])
-        assert np.array_equal(tz.interleave_rows(steps).data, x.data)
         weights = [Tensor(rng.normal(size=(self.SEGMENTS, 3))) for _ in range(self.STEPS)]
 
         def build():
             parts = [tz.mul(tz.strided_rows(x, t, self.STEPS), w) for t, w in enumerate(weights)]
-            return tz.sum_all(tz.square(tz.interleave_rows(parts)))
+            return tz.sum_all(tz.square(tz.concat_rows(parts)))
 
         check_gradients(build, [x], tol=1e-4)
+
+    @pytest.mark.parametrize("kind", ["rnn", "gru", "lstm"])
+    def test_recurrent_scan_gradient(self, kind):
+        rng = np.random.default_rng(27)
+        x = self.stacked(rng, 3)
+        params = scan_params(rng, kind, 3, 4)
+        weight = Tensor(rng.normal(size=(self.SEGMENTS * self.STEPS, 4)))
+        check_gradients(
+            lambda: tz.sum_all(tz.mul(tz.square(tz.recurrent_scan(kind, x, params, self.STEPS)), weight)),
+            [x] + params,
+            tol=1e-4,
+        )
 
     def test_tile_rows_repeats_each_row_in_place(self):
         rng = np.random.default_rng(25)
@@ -316,6 +334,20 @@ class TestRowStackedOps:
             tz.attention_block(x, x, x, segment=4)
         with pytest.raises(ShapeMismatch):
             tz.attention_block(x, x, x, heads=3)
+        with pytest.raises(ShapeMismatch):
+            tz.recurrent_scan("rnn", x, scan_params(np.random.default_rng(0), "rnn", 2, 3), 4)
+
+    def test_recurrent_scan_checks_kind_and_weights(self):
+        rng = np.random.default_rng(28)
+        x = Tensor(np.zeros((6, 2)))
+        with pytest.raises(UnknownCellKind):
+            tz.recurrent_scan("conv", x, scan_params(rng, "rnn", 2, 3), 3)
+        with pytest.raises(ShapeMismatch):
+            tz.recurrent_scan("gru", x, scan_params(rng, "rnn", 2, 3), 3)
+        with pytest.raises(ShapeMismatch):
+            tz.recurrent_scan("lstm", x, scan_params(rng, "rnn", 2, 3), 3)
+        with pytest.raises(ShapeMismatch):
+            tz.recurrent_scan("rnn", x, scan_params(rng, "rnn", 3, 3), 3)
 
 
 class TestNoGrad:
@@ -338,3 +370,13 @@ class TestNoGrad:
         with tz.no_grad():
             quiet = build().data
         assert np.array_equal(quiet, build().data)
+
+    @pytest.mark.parametrize("kind", ["rnn", "gru", "lstm"])
+    def test_recurrent_scan_records_nothing_and_keeps_the_bits(self, kind):
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
+        params = scan_params(rng, kind, 3, 4)
+        with tz.no_grad():
+            quiet = tz.recurrent_scan(kind, x, params, 4)
+        assert quiet._parents == () and quiet._backward is None and not quiet.requires_grad
+        assert np.array_equal(quiet.data, tz.recurrent_scan(kind, x, params, 4).data)
