@@ -28,9 +28,9 @@ from .nn import SEQUENCE_KINDS, Linear, SequenceTrunk
 from .pipeline import (
     FuturePixelPredictor,
     ModelConfig,
+    STAGES,
     TrajectoryModel,
     VisionPipeline,
-    ablation_config,
     as_batch,
     batch_shape,
     hidden_sensor,
@@ -39,14 +39,13 @@ from .simulator import DT, Scene
 from .tensor import col_scale, mean_rows, reshape
 
 LEARNED_FAMILIES = ("direct", "two_stage", "plus_vpd")
-ABLATION_NAMES = ("no_denoiser", "no_estimator", "no_projection", "no_predictor")
 REFERENCE_METHODS = ("const_velocity", "smoother")
 
 
 def method_names() -> list[str]:
     names = ["full"]
     names += [f"{family}:{kind}" for family in LEARNED_FAMILIES for kind in SEQUENCE_KINDS]
-    names += list(ABLATION_NAMES)
+    names += [f"no_{stage}" for stage in STAGES]
     names += list(REFERENCE_METHODS)
     return names
 
@@ -93,39 +92,16 @@ class TwoStageBaseline(TrajectoryModel):
 
 def make_model(name: str, cfg: ModelConfig, rng: np.random.Generator) -> TrajectoryModel:
     """Build any trainable method by its canonical name."""
-    if name == "full":
-        return VisionPipeline(_with_kind(cfg, "transformer"), rng, name="full")
-    if name in ABLATION_NAMES:
-        stage = name.removeprefix("no_")
-        return VisionPipeline(ablation_config(_with_kind(cfg, "transformer"), stage), rng, name=name)
-    if ":" in name:
-        family, _, kind = name.partition(":")
-        if kind not in SEQUENCE_KINDS:
-            raise ConfigError(
-                f"unknown backbone {kind!r}; expected one of {SEQUENCE_KINDS}", field="method"
-            )
-        if family == "direct":
-            return DirectBaseline(cfg, rng, kind)
-        if family == "two_stage":
-            return TwoStageBaseline(cfg, rng, kind)
-        if family == "plus_vpd":
-            return VisionPipeline(_with_kind(cfg, kind), rng, name=name)
-    raise ConfigError(
-        f"unknown method {name!r}; expected one of {method_names()}", field="method"
-    )
-
-
-def _with_kind(cfg: ModelConfig, kind: str) -> ModelConfig:
-    from dataclasses import replace
-
-    return replace(
-        cfg,
-        predictor_kind=kind,
-        use_denoiser=True,
-        use_estimator=True,
-        use_projection=True,
-        use_predictor=True,
-    )
+    if name in REFERENCE_METHODS or name not in method_names():
+        raise ConfigError(
+            f"unknown method {name!r}; expected one of {method_names()}", field="method"
+        )
+    family, _, kind = name.partition(":")
+    if family == "direct":
+        return DirectBaseline(cfg, rng, kind)
+    if family == "two_stage":
+        return TwoStageBaseline(cfg, rng, kind)
+    return VisionPipeline(cfg, rng, name)
 
 
 def clamped_project(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:

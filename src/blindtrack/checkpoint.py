@@ -4,13 +4,17 @@ Layout: an 8-byte magic, an 8-byte little-endian header length, a
 canonical-JSON header, then each array as raw little-endian float64 in the
 order the header lists them. No timestamps or other ambient state, so the
 same model bytes always produce the same file.
+
+The header's "kind" (the method name) alone names the architecture, and
+"model" holds only the ModelConfig dimensions. A header of another format
+is refused with SchemaError.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -22,6 +26,8 @@ MAGIC = b"BTCKPT01"
 
 ADAM_M = "adam.m:"
 ADAM_V = "adam.v:"
+# header entries every reader relies on
+HEADER_KEYS = ("kind", "model", "train", "adam", "arrays")
 
 
 def _canonical(obj) -> bytes:
@@ -76,8 +82,14 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         magic = fh.read(8)
         if magic != MAGIC:
             raise SchemaError(f"{path}: not a checkpoint (magic {magic!r})", field="magic")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        length = fh.read(8)
+        if len(length) != 8:
+            raise SchemaError(f"{path}: truncated header", field="header")
+        (header_len,) = struct.unpack("<Q", length)
         header = json.loads(fh.read(header_len))
+        missing = [key for key in HEADER_KEYS if not isinstance(header, dict) or key not in header]
+        if missing:
+            raise SchemaError(f"{path}: checkpoint header has no {missing[0]!r}", field=missing[0])
         arrays = {}
         for entry in header["arrays"]:
             rows, cols = entry["rows"], entry["cols"]
@@ -90,13 +102,23 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
+def _section(header: dict, key: str, cls):
+    """Build cls from header[key], which must name exactly cls's fields: a
+    header written by another version of the format is refused."""
+    stored = header[key] if isinstance(header.get(key), dict) else {}
+    odd = sorted(set(stored) ^ {f.name for f in fields(cls)})
+    if odd:
+        what = "unknown" if odd[0] in stored else "missing"
+        raise SchemaError(f"checkpoint header {key!r}: {what} field {odd[0]!r}", field=f"{key}.{odd[0]}")
+    return cls(**stored)
+
+
 def model_config_from_header(header: dict) -> ModelConfig:
-    fields = dict(header["model"])
-    return ModelConfig(**fields)
+    return _section(header, "model", ModelConfig)
 
 
 def train_config_from_header(header: dict) -> TrainConfig:
-    return TrainConfig(**header["train"])
+    return _section(header, "train", TrainConfig)
 
 
 def restore_model(model, header: dict, arrays: dict[str, np.ndarray]) -> Adam:

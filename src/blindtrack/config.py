@@ -52,15 +52,13 @@ class RunConfig:
             raise ConfigError("seeds must be non-negative", field="data_seed")
         self.sim.validate()
 
-    def model_config(self, predictor_kind: str = "transformer") -> ModelConfig:
+    def model_config(self) -> ModelConfig:
         return ModelConfig(
-            t_obs=self.sim.t_obs,
             t_pred=self.sim.t_pred,
             width=self.width,
             layers=self.layers,
             heads=self.heads,
             n_in_max=self.n_in_max,
-            predictor_kind=predictor_kind,
         )
 
     def train_config(self, seed: int | None = None) -> TrainConfig:

@@ -8,6 +8,7 @@ budget; only the architecture differs. Model initialization is keyed by
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -101,18 +102,7 @@ def run_ablation(
     for method, label in ABLATION_ROWS:
         model, _ = train_method(method, splits, run_cfg, seed)
         report = evaluate_model(model, splits[split], split, config_hash, seed)
-        reports.append(
-            EvalReport(
-                method=label,
-                split=report.split,
-                n_scenes=report.n_scenes,
-                mse_d=report.mse_d,
-                mse_p=report.mse_p,
-                mse_sum=report.mse_sum,
-                config_hash=report.config_hash,
-                seed=report.seed,
-            )
-        )
+        reports.append(replace(report, method=label))
         if progress is not None:
             progress(reports[-1])
     return reports

@@ -172,19 +172,12 @@ def project_point(matrix: np.ndarray, point) -> np.ndarray:
     return row[:2] / row[2]
 
 
-def project_trajectory(matrices: np.ndarray, points: np.ndarray, mode: str = "divide") -> np.ndarray:
-    """Project a (T, 3) trajectory to (T, 2) pixels.
-
-    mode "divide" performs the homogeneous division and raises
-    DepthNonPositive (with the offending timestep) for points at or behind
-    the camera plane. mode "no_divide" returns the first two homogeneous
-    components untouched, which stays finite for any input.
-    """
+def project_trajectory(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Project a (T, 3) trajectory to (T, 2) pixels by the homogeneous
+    division; raises DepthNonPositive (with the offending timestep) for
+    points at or behind the camera plane. homogeneous_apply gives the
+    undivided rows."""
     rows = homogeneous_apply(matrices, points)
-    if mode == "no_divide":
-        return rows[:, :2].copy()
-    if mode != "divide":
-        raise ValueError(f"unknown projection mode {mode!r}")
     depths = rows[:, 2]
     bad = np.nonzero(depths <= EPS_DEPTH)[0]
     if bad.size:

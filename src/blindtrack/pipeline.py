@@ -21,6 +21,9 @@ autodiff graph (see the tensor module), and a chunk of scenes scored by
 metrics.score_scenes is one forward pass with no graph. Only the camera
 fit runs scene by scene; its rows are stacked like the rest.
 
+The method name alone is a pipeline's architecture (pipeline_layout);
+ModelConfig holds only its dimensions.
+
 Model inputs are strictly: the hidden agent's sensor window and the
 visible agents' pixel/sensor windows. The hidden agent's ground-truth
 pixels appear only inside loss targets and metrics, never in the forward
@@ -30,14 +33,14 @@ pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents
 from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at
 from .metrics import score_scenes
-from .nn import Adam, Linear, Module, SequenceTrunk
+from .nn import SEQUENCE_KINDS, Adam, Linear, Module, SequenceTrunk
 from .simulator import (
     AIM_H,
     AIM_X,
@@ -76,17 +79,14 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class ModelConfig:
-    t_obs: int = 20
+    """A model's dimensions; its method name alone names its architecture,
+    and each batch of scenes gives its observation window."""
+
     t_pred: int = 20
     width: int = 64
     layers: int = 2
     heads: int = 4
     n_in_max: int = 8  # most visible agents the camera fit reads
-    predictor_kind: str = "transformer"
-    use_denoiser: bool = True
-    use_estimator: bool = True
-    use_projection: bool = True
-    use_predictor: bool = True
 
 
 # feature conditioning: positions are centered on the arena box and
@@ -437,9 +437,9 @@ class FuturePixelPredictor(Module):
     image size internally and denormalized on the way out.
     """
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, kind: str | None = None):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, kind: str):
         self.t_pred = cfg.t_pred
-        self.trunk = SequenceTrunk(kind or cfg.predictor_kind, 2, cfg.width, cfg.layers, cfg.heads, rng)
+        self.trunk = SequenceTrunk(kind, 2, cfg.width, cfg.layers, cfg.heads, rng)
         self.head = Linear(cfg.width, 2 * cfg.t_pred, rng)
 
     def __call__(self, pixels: Tensor, image_size: tuple[int, int], steps: int | None = None) -> Tensor:
@@ -450,22 +450,44 @@ class FuturePixelPredictor(Module):
         return col_scale(out, (w, h))
 
 
-class VisionPipeline(TrajectoryModel):
-    """The full four-stage model, with each stage independently removable.
+# the stages a `no_<stage>` method drops, one at a time
+STAGES = ("denoiser", "estimator", "projection", "predictor")
 
-    Removed stages fall back to: identity on the sensor (no denoiser), one
-    learned scene-independent matrix (no estimator), a learned linear
-    sensor-to-pixel map (no projection, which also drops the estimator),
-    and carrying the last denoised pixel forward (no predictor).
+
+def pipeline_layout(name: str) -> tuple[str, str | None]:
+    """(predictor kind, dropped stage or None) of a pipeline method name:
+    full, no_<stage> or plus_vpd:<kind>."""
+    if name == "full":
+        return "transformer", None
+    if name.startswith("no_") and name[3:] in STAGES:
+        return "transformer", name[3:]
+    family, _, kind = name.partition(":")
+    if family == "plus_vpd" and kind in SEQUENCE_KINDS:
+        return kind, None
+    raise ConfigError(f"{name!r} is not a pipeline method (full, no_<stage>, plus_vpd:<kind>)", field="method")
+
+
+class VisionPipeline(TrajectoryModel):
+    """The four-stage model; its method name is its architecture.
+
+    `full` runs every stage with a transformer predictor, plus_vpd:<kind>
+    swaps the predictor's trunk to <kind>, and no_<stage> drops one stage
+    (pipeline_layout). A dropped stage falls back to: identity on the
+    sensor (no_denoiser), one learned scene-independent matrix
+    (no_estimator), a learned linear sensor-to-pixel map (no_projection,
+    which also drops the estimator), or carrying the last denoised pixel
+    forward (no_predictor).
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, name: str = "full"):
+        kind, drop = pipeline_layout(name)
         self.cfg = cfg
         self.name = name
-        if cfg.use_denoiser:
+        self.drop = drop
+        if drop != "denoiser":
             self.denoiser = SensorDenoiser(cfg, rng)
-        if cfg.use_projection:
-            if cfg.use_estimator:
+        if drop != "projection":
+            if drop != "estimator":
                 self.estimator = CameraEstimator()
             else:
                 # scene-independent camera: a learned correction to the
@@ -476,28 +498,28 @@ class VisionPipeline(TrajectoryModel):
                 self.static_spread = spread.ravel()
         else:
             self.visual_head = Linear(3, 2, rng)
-        if cfg.use_predictor:
-            self.predictor = FuturePixelPredictor(cfg, rng)
+        if drop != "predictor":
+            self.predictor = FuturePixelPredictor(cfg, rng, kind)
 
     @property
     def fits_camera(self) -> bool:
-        return self.cfg.use_projection and self.cfg.use_estimator
+        return hasattr(self, "estimator")
 
     def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
         """Returns (denoised pixel tracks (B*t_obs, 2), future tracks
         (B*t_pred, 2)), row-stacked in batch order. With the camera fit,
         scenes must have the standard rig's image size (ConfigError)."""
-        cfg = self.cfg
+        cfg, drop = self.cfg, self.drop
         scenes = as_batch(scenes)
         t_obs, t_pred, size = batch_shape(scenes)
         if t_pred != cfg.t_pred:
             raise LengthMismatch(f"scene predicts {t_pred} steps, model expects {cfg.t_pred}")
         sensor = hidden_sensor(scenes)
 
-        denoised = self.denoiser(sensor, t_obs) if cfg.use_denoiser else sensor
+        denoised = self.denoiser(sensor, t_obs) if drop != "denoiser" else sensor
 
-        if cfg.use_projection:
-            if cfg.use_estimator:
+        if drop != "projection":
+            if drop != "estimator":
                 if size != IMAGE_SIZE:
                     raise ConfigError(
                         f"image size {size} is not the standard rig's {IMAGE_SIZE}, which the camera fit assumes",
@@ -513,7 +535,7 @@ class VisionPipeline(TrajectoryModel):
         else:
             visual = col_scale(self.visual_head(denoised), size)
 
-        if cfg.use_predictor:
+        if drop != "predictor":
             future = self.predictor(visual, size, t_obs)
         else:
             future = tile_rows(strided_rows(visual, t_obs - 1, t_obs), t_pred)
@@ -643,17 +665,3 @@ def history_to_csv(history: list[EpochStats]) -> str:
         )
         lines.append(f"{s.epoch},{s.loss_denoise!r},{s.loss_pred!r},{val}")
     return "\n".join(lines) + "\n"
-
-
-def ablation_config(base: ModelConfig, drop: str) -> ModelConfig:
-    """Config with one stage removed; drop is one of denoiser, estimator,
-    projection, predictor."""
-    flags = {
-        "denoiser": "use_denoiser",
-        "estimator": "use_estimator",
-        "projection": "use_projection",
-        "predictor": "use_predictor",
-    }
-    if drop not in flags:
-        raise ValueError(f"unknown stage {drop!r}; expected one of {sorted(flags)}")
-    return replace(base, **{flags[drop]: False})

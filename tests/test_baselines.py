@@ -66,7 +66,7 @@ class TestLearnedBaselines:
         scenes = tiny_scenes(3, noise="default")
         model = bl.make_model(name, TINY, np.random.default_rng(7))
         visual, future = model.forward(scenes)
-        t_obs, t_pred = TINY.t_obs, TINY.t_pred
+        t_obs, t_pred = scenes[0].t_obs, TINY.t_pred
         batch_v, batch_f = model.predict(scenes)
         assert batch_v.shape == (3, t_obs, 2) and batch_f.shape == (3, t_pred, 2)
         assert np.array_equal(batch_v.reshape(-1, 2), visual.data)
@@ -77,7 +77,7 @@ class TestLearnedBaselines:
             assert np.allclose(got_f, batch_f[i], rtol=1e-12, atol=1e-9)
 
     def test_direct_baseline_gradients(self):
-        cfg = pl.ModelConfig(t_obs=4, t_pred=2, width=6, layers=1, heads=1, n_in_max=2)
+        cfg = pl.ModelConfig(t_pred=2, width=6, layers=1, heads=1, n_in_max=2)
         model = bl.make_model("direct:rnn", cfg, np.random.default_rng(3))
         scene = tiny_scenes(1, t_obs=4, t_pred=2)[0]
 

@@ -1,6 +1,10 @@
 """Checkpoints: exact round trips, byte determinism, bitwise training
 resume, and corruption guards."""
 
+import copy
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,17 @@ from blindtrack.errors import HashMismatch, SchemaError
 from blindtrack.nn import Adam
 
 from test_pipeline import TINY, tiny_scenes
+
+
+def rewrite_header(path, edit):
+    """Apply edit to a checkpoint file's JSON header in place, keeping
+    its arrays."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + length])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length :])
 
 
 def small_trained_model(epochs=2, seed=0):
@@ -87,6 +102,12 @@ class TestGuards:
         with pytest.raises(SchemaError):
             ck.load_checkpoint(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(ck.MAGIC + b"\x00" * 4)
+        with pytest.raises(SchemaError, match="truncated header"):
+            ck.load_checkpoint(path)
+
     def test_truncated_arrays_rejected(self, tmp_path):
         model, optimizer, tcfg, _ = small_trained_model()
         path = tmp_path / "model.ckpt"
@@ -113,6 +134,34 @@ class TestGuards:
         fresh = pl.VisionPipeline(TINY, np.random.default_rng(3))
         with pytest.raises(SchemaError, match="estimator.head.weight"):
             ck.restore_model(fresh, header, arrays)
+
+    @pytest.mark.parametrize("section", ["model", "train"])
+    def test_header_configs_must_name_exactly_the_fields(self, tmp_path, section):
+        model, optimizer, tcfg, _ = small_trained_model()
+        path = tmp_path / "model.ckpt"
+        ck.save_checkpoint(path, model, optimizer, tcfg)
+        header, _ = ck.load_checkpoint(path)
+        read = ck.model_config_from_header if section == "model" else ck.train_config_from_header
+        extra = copy.deepcopy(header)
+        extra[section]["use_denoiser"] = False
+        with pytest.raises(SchemaError, match="unknown field 'use_denoiser'") as err:
+            read(extra)
+        assert err.value.field == f"{section}.use_denoiser"
+        short = copy.deepcopy(header)
+        dropped = sorted(short[section])[0]
+        del short[section][dropped]
+        with pytest.raises(SchemaError, match=f"missing field '{dropped}'"):
+            read(short)
+
+    @pytest.mark.parametrize("key", ["kind", "model", "train", "adam", "arrays"])
+    def test_header_without_an_entry_rejected(self, tmp_path, key):
+        model, optimizer, tcfg, _ = small_trained_model()
+        path = tmp_path / "model.ckpt"
+        ck.save_checkpoint(path, model, optimizer, tcfg)
+        rewrite_header(path, lambda header: header.pop(key))
+        with pytest.raises(SchemaError, match=f"no '{key}'") as err:
+            ck.load_checkpoint(path)
+        assert err.value.field == key
 
     def test_optimizer_must_track_model(self, tmp_path):
         model, _, tcfg, _ = small_trained_model()

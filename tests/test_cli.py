@@ -6,6 +6,7 @@ and the return value is the exit code the shell would see.
 
 import copy
 import json
+import shlex
 import shutil
 from pathlib import Path
 
@@ -20,10 +21,12 @@ from blindtrack.checkpoint import (
     save_checkpoint,
     train_config_from_header,
 )
-from blindtrack.cli import main
+from blindtrack.cli import build_parser, main
 from blindtrack.dataset import read_manifest
 from blindtrack.metrics import reports_from_csv
 from blindtrack.nn import Adam, Linear
+
+from test_checkpoint import rewrite_header
 
 TINY = {
     "profile": "desk",
@@ -166,6 +169,23 @@ class TestEval:
                         config_hash=header["config_hash"])
         assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
         assert "legacy_stage.weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda header: header["model"].update(dropout=0.1), "'dropout'"),
+            # a header written before the method name alone named the model
+            (lambda header: header["model"].update(use_denoiser=True), "'use_denoiser'"),
+            (lambda header: header.pop("train"), "'train'"),
+        ],
+        ids=["extra_model_field", "use_denoiser", "missing_train"],
+    )
+    def test_checkpoint_header_of_another_format_exits_7(self, workdir, tmp_path, capsys, edit, named):
+        path = tmp_path / "edited.ckpt"
+        shutil.copy(workdir / "run" / "checkpoint.ckpt", path)
+        rewrite_header(path, edit)
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
+        assert named in capsys.readouterr().err
 
     def test_scene_without_its_hidden_agent_exits_7(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"
@@ -322,3 +342,13 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    def test_readme_cli_block_parses(self):
+        # every command line of README's CLI section, continuation lines
+        # joined, must parse as written
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("blindtrack ")]
+        parser = build_parser()
+        commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
+        assert set(commands) == {"simulate", "train", "eval", "ablate", "calibrate", "import", "report"}

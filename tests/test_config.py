@@ -87,10 +87,8 @@ class TestValidation:
 class TestDerivedConfigs:
     def test_model_config_carries_dimensions(self):
         cfg = RunConfig(width=32, layers=3, heads=2, n_in_max=6)
-        mcfg = cfg.model_config(predictor_kind="gru")
-        assert (mcfg.width, mcfg.layers, mcfg.heads, mcfg.n_in_max) == (32, 3, 2, 6)
-        assert mcfg.t_obs == cfg.sim.t_obs and mcfg.t_pred == cfg.sim.t_pred
-        assert mcfg.predictor_kind == "gru"
+        mcfg = cfg.model_config()
+        assert (mcfg.t_pred, mcfg.width, mcfg.layers, mcfg.heads, mcfg.n_in_max) == (cfg.sim.t_pred, 32, 3, 2, 6)
 
     def test_train_config_seed_override(self):
         cfg = RunConfig(train_seed=5, epochs=13, lr=2e-3)

@@ -72,15 +72,13 @@ class TestProjection:
             scaled = geo.project_trajectory(lam * matrix, points)
             assert np.allclose(scaled, base, atol=1e-9)
 
-    def test_no_divide_mode_returns_numerators(self):
+    def test_projection_divides_numerators_by_depth(self):
         rng = np.random.default_rng(3)
         matrix = random_camera(rng)
         points = random_points(rng, 5)
         rows = geo.homogeneous_apply(matrix, points)
-        raw = geo.project_trajectory(matrix, points, mode="no_divide")
-        assert np.allclose(raw, rows[:, :2], atol=1e-12)
         divided = geo.project_trajectory(matrix, points)
-        assert np.allclose(raw / rows[:, 2:3], divided, atol=1e-12)
+        assert np.allclose(rows[:, :2] / rows[:, 2:3], divided, atol=1e-12)
 
     def test_behind_camera_raises_with_timestep(self):
         pose = geo.ExtrinsicPose(rotation=np.eye(3), translation=np.zeros(3))

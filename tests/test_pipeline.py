@@ -17,12 +17,17 @@ from blindtrack.tensor import Tensor, add, scale
 from test_simulator import small_config
 from util_grad import check_gradients
 
-TINY = pl.ModelConfig(t_obs=6, t_pred=3, width=8, layers=1, heads=2, n_in_max=4)
+TINY = pl.ModelConfig(t_pred=3, width=8, layers=1, heads=2, n_in_max=4)
 
 
 def tiny_scenes(count, seed0=0, noise="clean", t_obs=6, t_pred=3):
     cfg = small_config(n_agents=4, t_obs=t_obs, t_pred=t_pred, noise=sim.NoiseModel.preset(noise))
     return [sim.make_scene(cfg, seed0 + i) for i in range(count)]
+
+
+def without(drop, seed):
+    """The tiny pipeline with one stage dropped (None: the full model)."""
+    return pl.VisionPipeline(TINY, np.random.default_rng(seed), "full" if drop is None else f"no_{drop}")
 
 
 def scene_mean_loss(model, scenes):
@@ -322,14 +327,12 @@ class TestStandardRig:
         assert err.value.field == "image_size"
         # without the camera fit the image size is only a scale
         for drop in ("estimator", "projection"):
-            model = pl.VisionPipeline(pl.ablation_config(TINY, drop), np.random.default_rng(0))
-            visual, _ = model.forward(scene)
+            visual, _ = without(drop, 0).forward(scene)
             assert np.all(np.isfinite(visual.data))
 
     @pytest.mark.parametrize("drop", [None, "denoiser", "estimator", "projection", "predictor"])
     def test_only_models_that_fit_the_camera_refuse_another_rig(self, drop):
-        cfg = TINY if drop is None else pl.ablation_config(TINY, drop)
-        model = pl.VisionPipeline(cfg, np.random.default_rng(0))
+        model = without(drop, 0)
         assert model.fits_camera == (drop not in ("estimator", "projection"))
         pl.require_standard_rig(model, sim.FOCAL, sim.IMAGE_SIZE)
         for focal, size in ((1000.0, sim.IMAGE_SIZE), (sim.FOCAL, (1280, 960))):
@@ -341,13 +344,35 @@ class TestStandardRig:
                 pl.require_standard_rig(model, focal, size)
 
 
+class TestMethodName:
+    @pytest.mark.parametrize("name", ["", "Full", "denoiser", "no_camera", "plus_vpd:cnn", "direct:gru"])
+    def test_a_name_that_is_no_pipeline_method_is_refused(self, name):
+        with pytest.raises(ConfigError) as err:
+            pl.VisionPipeline(TINY, np.random.default_rng(0), name)
+        assert err.value.field == "method"
+
+    def test_the_name_alone_sets_the_stages(self):
+        stages = {
+            drop: {key.split(".")[0] for key, _ in without(drop, 0).named_parameters()} for drop in (None, *pl.STAGES)
+        }
+        assert stages == {
+            None: {"denoiser", "predictor"},
+            "denoiser": {"predictor"},
+            "estimator": {"denoiser", "static_rows", "predictor"},
+            "projection": {"denoiser", "visual_head", "predictor"},
+            "predictor": {"denoiser"},
+        }
+        for kind in ("transformer", "gru"):
+            model = pl.VisionPipeline(TINY, np.random.default_rng(0), f"plus_vpd:{kind}")
+            assert model.predictor.trunk.kind == kind and model.denoiser.trunk.kind == "transformer"
+
+
 class TestForward:
     @pytest.mark.parametrize(
         "drop", [None, "denoiser", "estimator", "projection", "predictor"]
     )
     def test_shapes_for_all_variants(self, drop):
-        cfg = TINY if drop is None else pl.ablation_config(TINY, drop)
-        model = pl.VisionPipeline(cfg, np.random.default_rng(0))
+        model = without(drop, 0)
         scene = tiny_scenes(1)[0]
         visual, future = model.forward(scene)
         assert visual.data.shape == (scene.t_obs, 2)
@@ -356,8 +381,7 @@ class TestForward:
         assert np.isfinite(loss_d.item()) and np.isfinite(loss_p.item())
 
     def test_no_predictor_carries_last_pixel(self):
-        cfg = pl.ablation_config(TINY, "predictor")
-        model = pl.VisionPipeline(cfg, np.random.default_rng(1))
+        model = without("predictor", 1)
         visual, future = model.forward(tiny_scenes(1)[0])
         assert np.allclose(future.data, np.tile(visual.data[-1], (future.data.shape[0], 1)))
 
@@ -384,8 +408,7 @@ class TestForward:
 class TestBatching:
     @pytest.mark.parametrize("drop", [None, "denoiser", "estimator", "projection", "predictor"])
     def test_batch_loss_and_gradients_equal_the_scene_mean(self, drop):
-        cfg = TINY if drop is None else pl.ablation_config(TINY, drop)
-        model = pl.VisionPipeline(cfg, np.random.default_rng(10))
+        model = without(drop, 10)
         assert_batch_matches_scene_mean(model, tiny_scenes(4, noise="default"))
 
     def test_mixed_observation_windows_equal_the_scene_mean(self):
@@ -397,7 +420,7 @@ class TestBatching:
         scenes = tiny_scenes(3, noise="default")
         model = pl.VisionPipeline(TINY, np.random.default_rng(12))
         visual, future = model.forward(scenes)
-        t_obs, t_pred = TINY.t_obs, TINY.t_pred
+        t_obs, t_pred = scenes[0].t_obs, TINY.t_pred
         assert visual.data.shape == (3 * t_obs, 2) and future.data.shape == (3 * t_pred, 2)
         batch_v, batch_f = model.predict(scenes)
         assert batch_v.shape == (3, t_obs, 2) and batch_f.shape == (3, t_pred, 2)
@@ -467,7 +490,7 @@ class TestBlindness:
 
 class TestEndToEndGradients:
     def test_full_pipeline_against_finite_differences(self):
-        cfg = pl.ModelConfig(t_obs=4, t_pred=2, width=8, layers=1, heads=2, n_in_max=2)
+        cfg = pl.ModelConfig(t_pred=2, width=8, layers=1, heads=2, n_in_max=2)
         model = pl.VisionPipeline(cfg, np.random.default_rng(5))
         scene = tiny_scenes(1, t_obs=4, t_pred=2)[0]
 
