@@ -28,6 +28,8 @@ ADAM_M = "adam.m:"
 ADAM_V = "adam.v:"
 # header entries every reader relies on
 HEADER_KEYS = ("kind", "model", "train", "adam", "arrays")
+# the optimizer state restore_model reads from header["adam"]
+ADAM_KEYS = ("t", "lr", "beta1", "beta2", "eps")
 
 
 def _canonical(obj) -> bytes:
@@ -58,13 +60,7 @@ def save_checkpoint(
         "config_hash": config_hash,
         "epoch": int(epoch),
         "best_val_sum": best_val_sum,
-        "adam": {
-            "t": optimizer.t,
-            "lr": optimizer.lr,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-        },
+        "adam": {key: getattr(optimizer, key) for key in ADAM_KEYS},
         "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]} for n, a in arrays],
     }
     blob = _canonical(header)
@@ -134,13 +130,14 @@ def restore_model(model, header: dict, arrays: dict[str, np.ndarray]) -> Adam:
             f"checkpoint holds parameters a {model.name!r} model does not have: {', '.join(unknown)}",
             field=unknown[0],
         )
-    optimizer = Adam(
-        model.parameters(),
-        lr=header["adam"]["lr"],
-        betas=(header["adam"]["beta1"], header["adam"]["beta2"]),
-        eps=header["adam"]["eps"],
-    )
-    optimizer.t = header["adam"]["t"]
+    adam = header["adam"] if isinstance(header.get("adam"), dict) else {}
+    for key in ADAM_KEYS:
+        value = adam.get(key)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            what = "missing" if key not in adam else "non-numeric"
+            raise SchemaError(f"checkpoint header 'adam': {what} field {key!r}", field=f"adam.{key}")
+    optimizer = Adam(model.parameters(), lr=adam["lr"], betas=(adam["beta1"], adam["beta2"]), eps=adam["eps"])
+    optimizer.t = adam["t"]
     for i, (name, p) in enumerate(model.named_parameters()):
         for key, dest in ((name, p.data), (ADAM_M + name, optimizer.m[i]), (ADAM_V + name, optimizer.v[i])):
             if key not in arrays:

@@ -4,6 +4,14 @@ agent's visual track is withheld from models (it exists only as ground
 truth). All randomness flows through hierarchical seed sequences, so a
 scene is a pure function of its config and seed.
 
+A split is built in a few array passes rather than track by track: every
+agent's first attempt of every scene walks in one lockstep pass
+(`walk_tracks`), each scene's agents are rendered in one projection, and
+only agents still out of frame walk again, one pass per attempt index.
+Each track keeps its own (seed, agent, attempt) generator, drawn in a
+fixed order, so a scene carries the same bits whichever split builds it,
+and `make_scene` is `make_split` of one seed.
+
 Geometry defaults: the arena is a ground patch 8 m wide and 12 m deep in
 front of the camera, sensors ride at about 1 m height, and the camera
 sits 2-3 m high near the origin gazing at a per-scene point drawn near
@@ -13,13 +21,12 @@ the same sigma as horizontal for simplicity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, SceneGenerationFailed, SchemaError
-from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, homogeneous_apply, look_at
+from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at
 
 DT = 0.1  # seconds per timestep
 V_MAX = 3.0  # hard cap on agent speed, m/s
@@ -36,6 +43,7 @@ WALK_SPEED = (0.4, 1.4)  # m/s, sampled per waypoint leg
 SMOOTH_WINDOW = 5
 CAMERA_SPEED = 0.5  # m/s for moving-camera presets
 RETRY_BUDGET = 100
+RETRY_SCENES = 16  # scenes whose unplaced agents retry together
 
 # camera rig jitter: each scene draws its mount position from the MOUNT
 # box and its gaze point from the AIM box. Aim jitter is what makes the
@@ -182,50 +190,72 @@ def shape_groups(scenes: list[Scene]) -> list[list[int]]:
     return list(groups.values())
 
 
-def gen_track(rng: np.random.Generator, steps: int, height: float | None = None) -> np.ndarray:
-    """Waypoint wander inside the arena, (steps, 3), z fixed per track.
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Length of each row of an (n, 2) array. The dot product is taken as a
+    stacked matmul, which carries the bits of `math.sqrt(row.dot(row))`;
+    einsum and `sum(v * v)` round differently."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
-    Raw motion walks toward successive waypoints; velocities are then
+
+def walk_tracks(rngs: list[np.random.Generator], steps: int, height: float | None = None) -> np.ndarray:
+    """Waypoint wanders inside the arena, one per generator, walked in
+    lockstep: (len(rngs), steps, 3), z fixed per track.
+
+    Each track walks toward successive waypoints; velocities are then
     box-smoothed and re-integrated, which keeps per-step displacement at or
     under the raw maximum. Positions are clipped to the arena (projection
     onto a box never increases step length). Each track carries its sensor
     at a constant height, drawn from HEIGHT_RANGE when not given.
+
+    A track's draws come from its own generator alone, in a fixed order:
+    height, start, first waypoint and leg speed, then one waypoint and
+    speed per leg as each waypoint is reached. So a track's bits do not
+    depend on which other tracks walk beside it.
     """
     if steps < 1:
         raise ConfigError(f"track needs at least 1 step, got {steps}", field="t_obs")
-    if height is None:
-        height = rng.uniform(*HEIGHT_RANGE)
-    pos = np.array([rng.uniform(*ARENA_X), rng.uniform(*ARENA_Y)])
-    waypoint = np.array([rng.uniform(*ARENA_X), rng.uniform(*ARENA_Y)])
-    speed = rng.uniform(*WALK_SPEED)
-    velocity = np.zeros((max(steps - 1, 1), 2))
-    cur = pos.copy()
+    n = len(rngs)
+    # [height,] start x, y, then the first leg: waypoint x, y and speed
+    boxes = ([HEIGHT_RANGE] if height is None else []) + [ARENA_X, ARENA_Y, ARENA_X, ARENA_Y, WALK_SPEED]
+    first = np.array([rng.uniform(*zip(*boxes)) for rng in rngs]).reshape(n, len(boxes))
+    heights = first[:, 0] if height is None else np.full(n, float(height))
+    pos, waypoint, speed = first[:, -5:-3], first[:, -3:-1].copy(), first[:, -1].copy()
+    leg_low, leg_high = zip(ARENA_X, ARENA_Y, WALK_SPEED)
+    velocity = np.zeros((n, max(steps - 1, 1), 2))
+    cur = pos
     for t in range(steps - 1):
         to_go = waypoint - cur
-        dist = math.sqrt(to_go.dot(to_go))
-        while dist < speed * DT:
-            waypoint = np.array([rng.uniform(*ARENA_X), rng.uniform(*ARENA_Y)])
-            speed = rng.uniform(*WALK_SPEED)
-            to_go = waypoint - cur
-            dist = math.sqrt(to_go.dot(to_go))
-        velocity[t] = to_go / dist * speed
-        cur = cur + velocity[t] * DT
+        dist = _row_norms(to_go)
+        # only the tracks that reached their waypoint this step draw new
+        # legs, until a leg is longer than one step
+        for i in np.flatnonzero(dist < speed * DT):
+            while dist[i] < speed[i] * DT:
+                waypoint[i, 0], waypoint[i, 1], speed[i] = rngs[i].uniform(leg_low, leg_high)
+                to_go[i] = waypoint[i] - cur[i]
+                dist[i] = _row_norms(to_go[i : i + 1])[0]
+        velocity[:, t] = to_go / dist[:, None] * speed[:, None]
+        cur = cur + velocity[:, t] * DT
     if steps > 1:
+        half = SMOOTH_WINDOW // 2
         kernel = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
-        padded = np.vstack(
-            [np.repeat(velocity[:1], SMOOTH_WINDOW // 2, axis=0), velocity,
-             np.repeat(velocity[-1:], SMOOTH_WINDOW // 2, axis=0)]
+        padded = np.concatenate(
+            [np.repeat(velocity[:, :1], half, axis=1), velocity, np.repeat(velocity[:, -1:], half, axis=1)], axis=1
         )
-        smooth = np.column_stack(
-            [np.convolve(padded[:, 0], kernel, mode="valid"), np.convolve(padded[:, 1], kernel, mode="valid")]
-        )
-        xy = pos + np.vstack([np.zeros(2), np.cumsum(smooth * DT, axis=0)])
+        # the window's products summed in order carry np.convolve's bits;
+        # a matmul with the kernel rounds differently
+        smooth = padded[:, : steps - 1] * kernel[0]
+        for j in range(1, SMOOTH_WINDOW):
+            smooth = smooth + padded[:, j : j + steps - 1] * kernel[j]
+        xy = pos[:, None, :] + np.concatenate([np.zeros((n, 1, 2)), np.cumsum(smooth * DT, axis=1)], axis=1)
     else:
-        xy = pos[None, :]
-    xy[:, 0] = np.clip(xy[:, 0], *ARENA_X)
-    xy[:, 1] = np.clip(xy[:, 1], *ARENA_Y)
-    out = np.column_stack([xy, np.full(len(xy), height)])
-    return out
+        xy = pos[:, None, :]
+    xy = np.clip(xy, (ARENA_X[0], ARENA_Y[0]), (ARENA_X[1], ARENA_Y[1]))
+    return np.concatenate([xy, np.broadcast_to(heights[:, None, None], (n, steps, 1))], axis=2)
+
+
+def gen_track(rng: np.random.Generator, steps: int, height: float | None = None) -> np.ndarray:
+    """One waypoint wander, (steps, 3): `walk_tracks` of one generator."""
+    return walk_tracks([rng], steps, height)[0]
 
 
 def camera_sequence(cfg: SimulatorConfig, rng: np.random.Generator, steps: int) -> np.ndarray:
@@ -256,18 +286,21 @@ def camera_sequence(cfg: SimulatorConfig, rng: np.random.Generator, steps: int) 
 def render_visual(
     world: np.ndarray, matrices: np.ndarray, image_size: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rasterize a world track: rounded pixel coordinates plus a visibility
-    mask. Points behind the camera or outside the image are invisible (NaN
-    pixels), never an error."""
-    rows = homogeneous_apply(matrices, world)
-    depths = rows[:, 2]
+    """Rasterize world tracks (..., T, 3) through per-timestep (..., T, 3, 4)
+    matrices: rounded pixel coordinates (..., T, 2) plus a visibility mask
+    (..., T). Points behind the camera or outside the image are invisible
+    (NaN pixels), never an error. A stack of tracks gets the bits each
+    track gets alone."""
+    hom = np.concatenate([world, np.ones(world.shape[:-1] + (1,))], axis=-1)
+    rows = np.einsum("...tij,...tj->...ti", matrices, hom)
+    depths = rows[..., 2]
     safe = np.where(depths > EPS_DEPTH, depths, 1.0)
-    uv = np.rint(rows[:, :2] / safe[:, None])
+    uv = np.rint(rows[..., :2] / safe[..., None])
     w, h = image_size
     visible = (
         (depths > EPS_DEPTH)
-        & (uv[:, 0] >= 0.0) & (uv[:, 0] <= w - 1.0)
-        & (uv[:, 1] >= 0.0) & (uv[:, 1] <= h - 1.0)
+        & (uv[..., 0] >= 0.0) & (uv[..., 0] <= w - 1.0)
+        & (uv[..., 1] >= 0.0) & (uv[..., 1] <= h - 1.0)
     )
     uv[~visible] = np.nan
     return uv, visible
@@ -277,54 +310,86 @@ def _scene_rng(seed: int, *stream) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(s) for s in stream]))
 
 
-def make_scene(cfg: SimulatorConfig, seed: int) -> Scene:
-    """Sample one scene. The hidden agent must stay renderable over the
-    full horizon (its pixels are the labels); visible agents must stay in
-    frame over the observation window. Tracks violating this are resampled
-    up to a fixed retry budget."""
+def make_split(cfg: SimulatorConfig, base_seed: int, count: int) -> list[Scene]:
+    """Sample scenes of seeds base_seed .. base_seed + count - 1. The hidden
+    agent must stay renderable over the full horizon (its pixels are the
+    labels); visible agents must stay in frame over the observation window.
+    A track violating this is resampled from the agent's next attempt
+    stream, up to a fixed retry budget.
+
+    All tracks of the split walk in lockstep: first every agent's first
+    attempt, then, one attempt index at a time, only the agents still
+    unplaced. Every track draws from its own (seed, agent, attempt) stream,
+    so each scene is the same whichever split builds it."""
     cfg.validate()
     total = cfg.t_total
-    camera = camera_sequence(cfg, _scene_rng(seed, 0), total)
-    hidden_id = int(_scene_rng(seed, 1).integers(0, cfg.n_agents))
+    seeds = [int(base_seed) + i for i in range(count)]
+    cameras = np.array([camera_sequence(cfg, _scene_rng(seed, 0), total) for seed in seeds]).reshape(
+        count, total, 3, 4
+    )
+    hidden = np.array([int(_scene_rng(seed, 1).integers(0, cfg.n_agents)) for seed in seeds], dtype=int)
+    # the steps each agent must stay visible for: all of them for the hidden agent
+    need_until = np.where(np.arange(cfg.n_agents) == hidden[:, None], total, cfg.t_obs)
+    must_see = np.arange(total) < need_until[..., None]
+    world = np.empty((count, cfg.n_agents, total, 3))
+    pixel = np.empty((count, cfg.n_agents, total, 2))
+    visible = np.empty((count, cfg.n_agents, total), dtype=bool)
+    unplaced = np.ones((count, cfg.n_agents), dtype=bool)
 
-    agents: list[SceneAgent] = []
-    for agent_id in range(cfg.n_agents):
-        need_until = total if agent_id == hidden_id else cfg.t_obs
-        placed = False
-        for attempt in range(RETRY_BUDGET):
-            world = gen_track(_scene_rng(seed, 2, agent_id, attempt), total)
-            pixel, visible = render_visual(world, camera, cfg.image_size)
-            if bool(visible[:need_until].all()):
-                placed = True
+    def walk(attempt: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Walk and render one attempt of the given agents in one pass."""
+        tracks = walk_tracks([_scene_rng(seeds[r], 2, c, attempt) for r, c in zip(rows, cols)], total)
+        world[rows, cols] = tracks
+        pixel[rows, cols], visible[rows, cols] = render_visual(tracks, cameras[rows], cfg.image_size)
+        unplaced[rows, cols] = ~np.all(visible[rows, cols] | ~must_see[rows, cols], axis=1)
+
+    walk(0, *np.nonzero(unplaced))
+    # retries go RETRY_SCENES scenes at a time in seed order, so a rig no
+    # track fits fails after RETRY_BUDGET passes over a few scenes
+    retry_rows = np.flatnonzero(unplaced.any(axis=1))
+    for block in np.split(retry_rows, range(RETRY_SCENES, len(retry_rows), RETRY_SCENES)):
+        for attempt in range(1, RETRY_BUDGET):
+            rows, cols = np.nonzero(unplaced[block])
+            if not len(rows):
                 break
-        if not placed:
+            walk(attempt, block[rows], cols)
+        if unplaced[block].any():
+            row, agent_id = (int(i[0]) for i in np.nonzero(unplaced))
             raise SceneGenerationFailed(
-                f"scene seed {seed}: agent {agent_id} never fully visible for "
-                f"{need_until} steps in {RETRY_BUDGET} attempts"
+                f"scene seed {seeds[row]}: agent {agent_id} never fully visible for "
+                f"{need_until[row, agent_id]} steps in {RETRY_BUDGET} attempts"
             )
-        noise = cfg.noise.sample(_scene_rng(seed, 3, agent_id), cfg.t_obs)
-        agents.append(
-            SceneAgent(
-                agent_id=agent_id,
-                world=world,
-                sensor=world[: cfg.t_obs] + noise,
-                pixel=pixel,
-                visible=visible,
+    scenes = []
+    for row, seed in enumerate(seeds):
+        scene_agents = []
+        for agent_id in range(cfg.n_agents):
+            noise = cfg.noise.sample(_scene_rng(seed, 3, agent_id), cfg.t_obs)
+            scene_agents.append(
+                SceneAgent(
+                    agent_id=agent_id,
+                    world=world[row, agent_id],
+                    sensor=world[row, agent_id, : cfg.t_obs] + noise,
+                    pixel=pixel[row, agent_id],
+                    visible=visible[row, agent_id],
+                )
+            )
+        scenes.append(
+            Scene(
+                seed=seed,
+                t_obs=cfg.t_obs,
+                t_pred=cfg.t_pred,
+                image_size=tuple(cfg.image_size),
+                camera=cameras[row],
+                agents=scene_agents,
+                out_of_sight_id=int(hidden[row]),
             )
         )
-    return Scene(
-        seed=int(seed),
-        t_obs=cfg.t_obs,
-        t_pred=cfg.t_pred,
-        image_size=tuple(cfg.image_size),
-        camera=camera,
-        agents=agents,
-        out_of_sight_id=hidden_id,
-    )
+    return scenes
 
 
-def make_split(cfg: SimulatorConfig, base_seed: int, count: int) -> list[Scene]:
-    return [make_scene(cfg, base_seed + i) for i in range(count)]
+def make_scene(cfg: SimulatorConfig, seed: int) -> Scene:
+    """Sample one scene: `make_split` of one seed."""
+    return make_split(cfg, seed, 1)[0]
 
 
 def make_dataset(

@@ -177,8 +177,9 @@ class TestEval:
             # a header written before the method name alone named the model
             (lambda header: header["model"].update(use_denoiser=True), "'use_denoiser'"),
             (lambda header: header.pop("train"), "'train'"),
+            (lambda header: header["adam"].pop("lr"), "'adam': missing field 'lr'"),
         ],
-        ids=["extra_model_field", "use_denoiser", "missing_train"],
+        ids=["extra_model_field", "use_denoiser", "missing_train", "missing_adam_lr"],
     )
     def test_checkpoint_header_of_another_format_exits_7(self, workdir, tmp_path, capsys, edit, named):
         path = tmp_path / "edited.ckpt"

@@ -127,6 +127,21 @@ class TestValidation:
         with pytest.raises(SchemaError, match="world"):
             ds.validate_record(record)
 
+    @pytest.mark.parametrize("ragged", ["row_widths", "row_counts"])
+    def test_unvalidated_read_refuses_ragged_rows(self, scenes, ragged):
+        # both edits keep the flat count of numbers, so only a shape check
+        # tells them from a good record
+        record = self.good(scenes)
+        agents = record["agents"]
+        if ragged == "row_widths":
+            agents[0]["world"][0] = [1.0, 2.0, 3.0, 4.0]
+            agents[0]["world"][1] = [1.0, 2.0]
+        else:
+            agents[0]["sensor"].append([0.0, 0.0, 0.0])
+            agents[1]["sensor"].pop()
+        with pytest.raises(SchemaError):
+            ds.record_to_scene(record)
+
     def test_wrong_schema_tag(self, scenes):
         record = self.good(scenes)
         record["schema"] = "something-else"

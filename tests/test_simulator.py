@@ -1,8 +1,13 @@
 """Simulator: motion bounds, visibility contracts, noise statistics against
-closed-form laws, and bitwise scene determinism."""
+closed-form laws, bitwise scene determinism, and the lockstep walk against
+a per-track, per-step reference walk."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindtrack import geometry as geo
 from blindtrack import simulator as sim
@@ -26,6 +31,156 @@ def assert_scene_equal(a: sim.Scene, b: sim.Scene):
         assert np.array_equal(x.sensor, y.sensor)
         assert np.array_equal(x.pixel, y.pixel, equal_nan=True)
         assert np.array_equal(x.visible, y.visible)
+
+
+def reference_track(rng: np.random.Generator, steps: int) -> np.ndarray:
+    """One track walked step by step, drawing a new waypoint and speed
+    whenever the current waypoint is within one step: the per-track form
+    the lockstep walk must reproduce bit for bit."""
+    height = rng.uniform(*sim.HEIGHT_RANGE)
+    pos = np.array([rng.uniform(*sim.ARENA_X), rng.uniform(*sim.ARENA_Y)])
+    waypoint = np.array([rng.uniform(*sim.ARENA_X), rng.uniform(*sim.ARENA_Y)])
+    speed = rng.uniform(*sim.WALK_SPEED)
+    velocity = np.zeros((max(steps - 1, 1), 2))
+    cur = pos.copy()
+    for t in range(steps - 1):
+        to_go = waypoint - cur
+        dist = math.sqrt(to_go.dot(to_go))
+        while dist < speed * sim.DT:
+            waypoint = np.array([rng.uniform(*sim.ARENA_X), rng.uniform(*sim.ARENA_Y)])
+            speed = rng.uniform(*sim.WALK_SPEED)
+            to_go = waypoint - cur
+            dist = math.sqrt(to_go.dot(to_go))
+        velocity[t] = to_go / dist * speed
+        cur = cur + velocity[t] * sim.DT
+    if steps > 1:
+        kernel = np.ones(sim.SMOOTH_WINDOW) / sim.SMOOTH_WINDOW
+        padded = np.vstack(
+            [np.repeat(velocity[:1], sim.SMOOTH_WINDOW // 2, axis=0), velocity,
+             np.repeat(velocity[-1:], sim.SMOOTH_WINDOW // 2, axis=0)]
+        )
+        smooth = np.column_stack(
+            [np.convolve(padded[:, 0], kernel, mode="valid"), np.convolve(padded[:, 1], kernel, mode="valid")]
+        )
+        xy = pos + np.vstack([np.zeros(2), np.cumsum(smooth * sim.DT, axis=0)])
+    else:
+        xy = pos[None, :]
+    xy[:, 0] = np.clip(xy[:, 0], *sim.ARENA_X)
+    xy[:, 1] = np.clip(xy[:, 1], *sim.ARENA_Y)
+    return np.column_stack([xy, np.full(len(xy), height)])
+
+
+def reference_render(world: np.ndarray, camera: np.ndarray, image_size) -> tuple[np.ndarray, np.ndarray]:
+    """One track projected alone through geometry.homogeneous_apply."""
+    rows = geo.homogeneous_apply(camera, world)
+    depths = rows[:, 2]
+    uv = np.rint(rows[:, :2] / np.where(depths > geo.EPS_DEPTH, depths, 1.0)[:, None])
+    w, h = image_size
+    visible = (
+        (depths > geo.EPS_DEPTH)
+        & (uv[:, 0] >= 0.0) & (uv[:, 0] <= w - 1.0)
+        & (uv[:, 1] >= 0.0) & (uv[:, 1] <= h - 1.0)
+    )
+    uv[~visible] = np.nan
+    return uv, visible
+
+
+def reference_scene(cfg: sim.SimulatorConfig, seed: int) -> tuple[sim.Scene, int]:
+    """One scene built agent by agent and attempt by attempt from
+    reference tracks, each rendered alone; also returns the largest
+    attempt index any agent needed. The camera rig and the noise are the
+    simulator's own; their bits are pinned elsewhere."""
+    total = cfg.t_total
+    camera = sim.camera_sequence(cfg, sim._scene_rng(seed, 0), total)
+    hidden_id = int(sim._scene_rng(seed, 1).integers(0, cfg.n_agents))
+    agents, last_attempt = [], 0
+    for agent_id in range(cfg.n_agents):
+        need_until = total if agent_id == hidden_id else cfg.t_obs
+        for attempt in range(sim.RETRY_BUDGET):
+            world = reference_track(sim._scene_rng(seed, 2, agent_id, attempt), total)
+            uv, visible = reference_render(world, camera, cfg.image_size)
+            if visible[:need_until].all():
+                break
+        else:
+            raise AssertionError("reference scene exhausted its retry budget")
+        last_attempt = max(last_attempt, attempt)
+        noise = cfg.noise.sample(sim._scene_rng(seed, 3, agent_id), cfg.t_obs)
+        agents.append(sim.SceneAgent(agent_id, world, world[: cfg.t_obs] + noise, uv, visible))
+    scene = sim.Scene(int(seed), cfg.t_obs, cfg.t_pred, tuple(cfg.image_size), camera, agents, hidden_id)
+    return scene, last_attempt
+
+
+class TestLockstepWalk:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
+        st.sampled_from([1, 2, 3, 40, 200]),
+    )
+    def test_walk_equals_one_reference_walk_per_generator(self, seeds, steps):
+        walked = sim.walk_tracks([np.random.default_rng(s) for s in seeds], steps)
+        assert walked.shape == (len(seeds), steps, 3)
+        for seed, track in zip(seeds, walked):
+            assert np.array_equal(track, reference_track(np.random.default_rng(seed), steps))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(camera_motion="static"),
+            dict(camera_motion="linear"),
+            dict(camera_motion="arc", t_obs=30, t_pred=20),
+            dict(noise=sim.NoiseModel.preset("hard")),
+        ],
+        ids=["static", "linear", "arc", "hard"],
+    )
+    def test_split_equals_scene_by_scene_reference(self, overrides):
+        cfg = small_config(n_agents=6, **overrides)
+        split = sim.make_split(cfg, 40, 12)
+        assert [s.seed for s in split] == list(range(40, 52))
+        for scene in split:
+            assert_scene_equal(scene, reference_scene(cfg, scene.seed)[0])
+            assert len(scene.agents) == cfg.n_agents
+
+    def test_make_scene_is_a_split_of_one(self):
+        cfg = small_config(noise=sim.NoiseModel.preset("hard"))
+        for seed in (3, 17):
+            assert_scene_equal(sim.make_scene(cfg, seed), sim.make_split(cfg, seed - 2, 5)[2])
+
+
+class TestRetries:
+    # a small image forces resampling, which no default config exercises
+    RETRY_CFG = dict(n_agents=4, t_obs=10, t_pred=5, image_size=(200, 150))
+
+    def test_retried_scenes_equal_the_reference(self):
+        cfg = small_config(**self.RETRY_CFG)
+        split = sim.make_split(cfg, 0, 30)
+        retried = 0
+        for scene in split:
+            expected, last_attempt = reference_scene(cfg, scene.seed)
+            assert_scene_equal(scene, expected)
+            retried += last_attempt > 0
+        assert retried == 21
+
+    def test_retry_blocks_do_not_change_scenes(self, monkeypatch):
+        cfg = small_config(**self.RETRY_CFG, camera_motion="arc")
+        whole = sim.make_split(cfg, 0, 30)
+        monkeypatch.setattr(sim, "RETRY_SCENES", 1)
+        for a, b in zip(whole, sim.make_split(cfg, 0, 30)):
+            assert_scene_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "image_size, base_seed, count, seed, agent_id, steps",
+        [((2, 2), 5, 1, 5, 0, 15), ((24, 18), 3, 10, 5, 2, 10), ((30, 22), 2, 14, 12, 0, 10)],
+    )
+    def test_exhausted_budget_names_the_first_failing_scene_and_agent(
+        self, image_size, base_seed, count, seed, agent_id, steps
+    ):
+        # seeds before the named one build; it and later ones fail
+        cfg = small_config(n_agents=4, t_obs=10, t_pred=5, image_size=image_size)
+        message = f"scene seed {seed}: agent {agent_id} never fully visible for {steps} steps in 100 attempts"
+        with pytest.raises(SceneGenerationFailed, match=f"^{message}$"):
+            sim.make_split(cfg, base_seed, count)
+        with pytest.raises(SceneGenerationFailed, match=f"^{message}$"):
+            sim.make_scene(cfg, seed)
 
 
 class TestTracks:
