@@ -13,6 +13,7 @@ is refused with SchemaError.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, fields
 
@@ -75,37 +76,60 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (header, arrays by name)."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size  # bounds every length the header claims before it is read
         magic = fh.read(8)
         if magic != MAGIC:
             raise SchemaError(f"{path}: not a checkpoint (magic {magic!r})", field="magic")
         length = fh.read(8)
-        if len(length) != 8:
+        header_len = struct.unpack("<Q", length)[0] if len(length) == 8 else size
+        if header_len > size - 16:
             raise SchemaError(f"{path}: truncated header", field="header")
-        (header_len,) = struct.unpack("<Q", length)
-        header = json.loads(fh.read(header_len))
+        try:
+            header = json.loads(fh.read(header_len))
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise SchemaError(f"{path}: checkpoint header is not JSON ({err})", field="header") from err
         missing = [key for key in HEADER_KEYS if not isinstance(header, dict) or key not in header]
         if missing:
             raise SchemaError(f"{path}: checkpoint header has no {missing[0]!r}", field=missing[0])
+        if not isinstance(header["arrays"], list):
+            raise SchemaError(f"{path}: checkpoint header 'arrays' is not a list", field="arrays")
         arrays = {}
-        for entry in header["arrays"]:
+        for i, entry in enumerate(header["arrays"]):
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str) or not all(
+                type(entry.get(key)) is int and entry[key] >= 0 for key in ("rows", "cols")
+            ):
+                raise SchemaError(
+                    f"{path}: checkpoint header arrays[{i}] needs a name and non-negative integer rows and cols",
+                    field=f"arrays[{i}]",
+                )
             rows, cols = entry["rows"], entry["cols"]
-            raw = fh.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
+            if rows * cols * 8 > size - fh.tell():
                 raise SchemaError(f"{path}: truncated array {entry['name']!r}", field="arrays")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            arrays[entry["name"]] = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
         if fh.read(1):
             raise SchemaError(f"{path}: trailing bytes after arrays", field="arrays")
     return header, arrays
 
 
+# the JSON values a config field of each annotated type accepts; a bool is neither
+JSON_TYPES = {"int": {int}, "float": {int, float}}
+
+
 def _section(header: dict, key: str, cls):
-    """Build cls from header[key], which must name exactly cls's fields: a
-    header written by another version of the format is refused."""
+    """Build cls from header[key], which must name exactly cls's fields,
+    each holding a value of its type: a header written by another version
+    of the format is refused."""
     stored = header[key] if isinstance(header.get(key), dict) else {}
     odd = sorted(set(stored) ^ {f.name for f in fields(cls)})
     if odd:
         what = "unknown" if odd[0] in stored else "missing"
         raise SchemaError(f"checkpoint header {key!r}: {what} field {odd[0]!r}", field=f"{key}.{odd[0]}")
+    for f in fields(cls):
+        if type(stored[f.name]) not in JSON_TYPES[f.type]:
+            raise SchemaError(
+                f"checkpoint header {key!r}: field {f.name!r} holds {type(stored[f.name]).__name__}, not {f.type}",
+                field=f"{key}.{f.name}",
+            )
     return cls(**stored)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import REFERENCE_METHODS, make_model, make_reference, method_names
 from .checkpoint import load_checkpoint, model_config_from_header, require_hash, restore_model, save_checkpoint
 from .config import RunConfig
-from .dataset import SCENE_SCHEMA, load_dataset, read_scenes, write_dataset
+from .dataset import SCENE_SCHEMA, load_dataset, read_manifest, read_scenes, write_dataset
 from .errors import (
     ConfigError,
     DegenerateConfiguration,
@@ -226,11 +226,12 @@ def cmd_import(args) -> int:
             f"unsupported schema {args.schema!r}; this build reads {SCENE_SCHEMA}", field="schema"
         )
     src = Path(args.input)
-    if src.is_dir():
-        manifest, splits = load_dataset(src, validate=True)
+    if src.is_dir():  # read without the manifest's hashes: this is how an edited dataset is re-admitted
+        manifest = read_manifest(src)
+        splits = {name: read_scenes(src / info["file"]) for name, info in manifest["splits"].items()}
         config_dict = manifest["config"]
     else:
-        splits = {args.split: read_scenes(src, validate=True)}
+        splits = {args.split: read_scenes(src)}
         config_dict = {"imported_from": src.name, "schema": args.schema}
     manifest = write_dataset(args.out, splits, config_dict)
     counts = ", ".join(f"{name}={info['count']}" for name, info in manifest["splits"].items())
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--out", help="write per-scene results as CSV")
     cal.set_defaults(run=cmd_calibrate)
 
-    imp = sub.add_parser("import", help="validate external scenes and rebuild a dataset")
+    imp = sub.add_parser("import", help="check external or edited scenes and rebuild a dataset")
     imp.add_argument("input", help="scene JSONL file or dataset directory")
     imp.add_argument("--out", required=True, help="output dataset directory")
     imp.add_argument("--schema", default=SCENE_SCHEMA, help="expected scene schema name")

@@ -5,23 +5,34 @@ Records are canonical JSON (sorted keys, no whitespace), one scene per
 line, so identical configs and seeds produce byte-identical files and a
 re-serialized import of our own export is the identity. Invisible pixels
 serialize as null; in memory they are NaN.
+
+Every read checks what it reads: a record that breaks the schema raises
+SchemaError naming its line and field (CLI exit 7), and `load_dataset`
+refuses a split file whose sha256 is not its manifest's with HashMismatch
+(exit 4). `blindtrack import` of the directory re-admits an edited split:
+it reads the files through the same checks and writes a fresh manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import HashMismatch, SchemaError
 from .simulator import Scene, SceneAgent
 
 SCENE_SCHEMA = "blindtrack-scene-v1"
 MANIFEST_SCHEMA = "blindtrack-manifest-v1"
 SPLIT_NAMES = ("train", "val", "test")
+# each field of a scene record, and of each agent in it, with its JSON type
+SCENE_FIELDS = {"schema": str, "seed": int, "t_obs": int, "t_pred": int, "image_size": list,
+                "camera": list, "agents": list, "out_of_sight_id": int}
+AGENT_FIELDS = {"agent_id": int, "world": list, "sensor": list, "pixel": list, "visible": list}
 
 
 def canonical_json(obj) -> str:
@@ -61,124 +72,101 @@ def _fail(line: int, field: str, message: str):
     raise SchemaError(f"line {line}, field {field!r}: {message}", line=line, field=field)
 
 
-def _want(record: dict, field: str, kind, line: int):
-    if field not in record:
-        _fail(line, field, "missing")
-    value = record[field]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        _fail(line, field, f"expected integer, got {type(value).__name__}")
-    if kind is list and not isinstance(value, list):
-        _fail(line, field, f"expected list, got {type(value).__name__}")
+def _object(value, kinds: dict, line: int, prefix: str = "") -> dict:
+    """value, which must be an object holding each field of kinds with
+    that JSON type; a bool is not an int."""
+    if type(value) is not dict:
+        _fail(line, prefix.rstrip("."), "not an object")
+    for key, kind in kinds.items():
+        if key not in value:
+            _fail(line, prefix + key, "missing")
+        if type(value[key]) is not kind:
+            _fail(line, prefix + key, f"expected {kind.__name__}, got {type(value[key]).__name__}")
     return value
 
 
-def _numeric_rows(value, width: int, length: int, field: str, line: int):
-    if not isinstance(value, list) or len(value) != length:
-        _fail(line, field, f"expected {length} rows")
-    for row in value:
-        if (
-            not isinstance(row, list)
-            or len(row) != width
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-        ):
-            _fail(line, field, f"rows must be {width} numbers")
-        if not all(np.isfinite(x) for x in row):
-            _fail(line, field, "non-finite value")
+def _runs(lists, length: int, what: str, field: str, line: int) -> list:
+    """The items of lists, each a list of `length` items, in one list."""
+    if not set(map(type, lists)) <= {list} or not set(map(len, lists)) <= {length}:
+        _fail(line, field, f"expected {length} {what}")
+    return list(chain.from_iterable(lists))
 
 
-def validate_record(record: dict, line: int = 0) -> None:
-    """Structural checks for one scene record; raises SchemaError carrying
-    the line number and offending field."""
-    if not isinstance(record, dict):
-        _fail(line, "", "record is not an object")
-    if record.get("schema") != SCENE_SCHEMA:
-        _fail(line, "schema", f"expected {SCENE_SCHEMA!r}, got {record.get('schema')!r}")
-    seed = _want(record, "seed", int, line)
-    t_obs = _want(record, "t_obs", int, line)
-    t_pred = _want(record, "t_pred", int, line)
-    if t_obs < 2:
-        _fail(line, "t_obs", f"must be >= 2, got {t_obs}")
-    if t_pred < 1:
-        _fail(line, "t_pred", f"must be >= 1, got {t_pred}")
-    total = t_obs + t_pred
-    size = _want(record, "image_size", list, line)
-    if len(size) != 2 or not all(isinstance(x, int) and x >= 1 for x in size):
+def _numbers(rows: list, width: int, field: str, line: int) -> np.ndarray:
+    """(len(rows), width) float64 from rows of finite numbers, not bools."""
+    flat = _runs(rows, width, "numbers per row", field, line)
+    if not set(map(type, flat)) <= {int, float}:
+        _fail(line, field, f"expected {width} numbers per row")
+    try:
+        values = np.fromiter(flat, dtype=np.float64, count=len(flat))
+    except OverflowError:  # an integer beyond float64's range
+        _fail(line, field, "non-finite value")
+    if not np.isfinite(values).all():
+        _fail(line, field, "non-finite value")
+    return values.reshape(-1, width)
+
+
+def _stack(runs: list, steps: int, width: int, field: str, line: int) -> np.ndarray:
+    """(len(runs), steps, width) float64 from runs of `steps` rows each."""
+    rows = _runs(runs, steps, "rows", field, line)
+    return _numbers(rows, width, field, line).reshape(len(runs), steps, width)
+
+
+def _agents(entries: list, t_obs: int, total: int, line: int, where: str = "agents"):
+    """Every agent's world (n, total, 3), sensor (n, t_obs, 3), visible
+    (n, total) and pixel (n, total, 2), each checked in one pass over all
+    the agents' rows. A pixel is null exactly where it is not visible."""
+    world = _stack([e["world"] for e in entries], total, 3, f"{where}.world", line)
+    sensor = _stack([e["sensor"] for e in entries], t_obs, 3, f"{where}.sensor", line)
+    flags = _runs([e["visible"] for e in entries], total, "booleans", f"{where}.visible", line)
+    if not set(map(type, flags)) <= {bool}:
+        _fail(line, f"{where}.visible", f"expected {total} booleans")
+    visible = np.array(flags).reshape(len(entries), total)
+    pixels = _runs([e["pixel"] for e in entries], total, "entries", f"{where}.pixel", line)
+    null = np.fromiter(map(is_, pixels, repeat(None)), dtype=bool, count=len(pixels))
+    wrong = np.flatnonzero(null == visible.ravel())
+    if wrong.size:
+        k = wrong[0]
+        _fail(line, f"{where}.pixel", f"visible step {k % total} must hold two numbers" if null[k]
+              else f"invisible step {k % total} must be null")
+    pixel = np.full((len(pixels), 2), np.nan)
+    pixel[~null] = _numbers(list(compress(pixels, flags)), 2, f"{where}.pixel", line)
+    return world, sensor, visible, pixel.reshape(-1, total, 2)
+
+
+def record_to_scene(record: dict, line: int = 0) -> Scene:
+    """The one way from a JSON record to a Scene, checked against the
+    schema as its arrays are built: the first field at fault raises
+    SchemaError naming `line` and the field. Each check is one set or
+    array pass over a field's rows, numbers or flags."""
+    _object(record, SCENE_FIELDS, line)
+    if record["schema"] != SCENE_SCHEMA:
+        _fail(line, "schema", f"expected {SCENE_SCHEMA!r}, got {record['schema']!r}")
+    for key, least in (("seed", 0), ("t_obs", 2), ("t_pred", 1)):
+        if record[key] < least:
+            _fail(line, key, f"must be >= {least}, got {record[key]}")
+    seed, t_obs, t_pred, size = map(record.get, ("seed", "t_obs", "t_pred", "image_size"))
+    if len(size) != 2 or not set(map(type, size)) <= {int} or min(size) < 1:
         _fail(line, "image_size", "expected two positive integers")
-    _numeric_rows(_want(record, "camera", list, line), 12, total, "camera", line)
-    agents = _want(record, "agents", list, line)
-    if not agents:
-        _fail(line, "agents", "empty")
-    ids = []
-    for i, agent in enumerate(agents):
-        prefix = f"agents[{i}]"
-        if not isinstance(agent, dict):
-            _fail(line, prefix, "agent is not an object")
-        aid = _want(agent, "agent_id", int, line)
-        ids.append(aid)
-        _numeric_rows(agent.get("world"), 3, total, f"{prefix}.world", line)
-        _numeric_rows(agent.get("sensor"), 3, t_obs, f"{prefix}.sensor", line)
-        visible = agent.get("visible")
-        if not isinstance(visible, list) or len(visible) != total or not all(
-            isinstance(v, bool) for v in visible
-        ):
-            _fail(line, f"{prefix}.visible", f"expected {total} booleans")
-        pixel = agent.get("pixel")
-        if not isinstance(pixel, list) or len(pixel) != total:
-            _fail(line, f"{prefix}.pixel", f"expected {total} entries")
-        for t, (entry, vis) in enumerate(zip(pixel, visible)):
-            if vis:
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-                ):
-                    _fail(line, f"{prefix}.pixel", f"visible step {t} must hold two numbers")
-            elif entry is not None:
-                _fail(line, f"{prefix}.pixel", f"invisible step {t} must be null")
-    if len(set(ids)) != len(ids):
-        _fail(line, "agents", "duplicate agent_id")
-    hidden = _want(record, "out_of_sight_id", int, line)
+    total = t_obs + t_pred
+    camera = _stack([record["camera"]], total, 12, "camera", line).reshape(-1, 3, 4)
+    entries = [_object(e, AGENT_FIELDS, line, f"agents[{i}].") for i, e in enumerate(record["agents"])]
+    ids = [e["agent_id"] for e in entries]
+    if not ids or len(set(ids)) != len(ids):
+        _fail(line, "agents", "duplicate agent_id" if ids else "empty")
+    hidden = record["out_of_sight_id"]
     if hidden not in ids:
-        _fail(line, "out_of_sight_id", f"{hidden} not among agent ids {sorted(ids)}")
-    hidden_agent = agents[ids.index(hidden)]
-    if not all(hidden_agent["visible"]):
+        _fail(line, "out_of_sight_id", f"scene seed {seed}: out_of_sight_id {hidden} not among ids {sorted(ids)}")
+    try:
+        world, sensor, visible, pixel = _agents(entries, t_obs, total, line)
+    except SchemaError:
+        for i, entry in enumerate(entries):  # name the first agent at fault
+            _agents([entry], t_obs, total, line, f"agents[{i}]")
+        raise
+    if not visible[ids.index(hidden)].all():
         _fail(line, "out_of_sight_id", "hidden agent must have ground-truth pixels everywhere")
-    if seed < 0:
-        _fail(line, "seed", "must be non-negative")
-
-
-def _stacked(rows_per_agent: list, width: int, field: str) -> np.ndarray:
-    """(agents, steps, width) float64 from each agent's list of rows, read
-    as one flat run of numbers: about twice as fast as np.array on the
-    nested lists, with the same values. Ragged rows are refused rather
-    than read out of place."""
-    rows = list(chain.from_iterable(rows_per_agent))
-    if len(set(map(len, rows_per_agent))) > 1 or set(map(len, rows)) - {width}:
-        raise SchemaError(f"field {field!r}: every agent needs the same number of {width}-number rows", field=field)
-    return np.fromiter(chain.from_iterable(rows), dtype=np.float64).reshape(len(rows_per_agent), -1, width)
-
-
-def record_to_scene(record: dict) -> Scene:
-    """One array per stacked field of the scene; each agent holds views of
-    its rows."""
-    entries = record["agents"]
-    world = _stacked([e["world"] for e in entries], 3, "world")
-    sensor = _stacked([e["sensor"] for e in entries], 3, "sensor")
-    pixel = _stacked([[(np.nan, np.nan) if uv is None else uv for uv in e["pixel"]] for e in entries], 2, "pixel")
-    visible = np.array([e["visible"] for e in entries], dtype=bool)
-    agents = [
-        SceneAgent(agent_id=e["agent_id"], world=w, sensor=s, pixel=p, visible=v)
-        for e, w, s, p, v in zip(entries, world, sensor, pixel, visible)
-    ]
-    return Scene(
-        seed=record["seed"],
-        t_obs=record["t_obs"],
-        t_pred=record["t_pred"],
-        image_size=(record["image_size"][0], record["image_size"][1]),
-        camera=_stacked([record["camera"]], 12, "camera").reshape(-1, 3, 4),
-        agents=agents,
-        out_of_sight_id=record["out_of_sight_id"],
-    )
+    agents = [SceneAgent(*fields) for fields in zip(ids, world, sensor, pixel, visible)]
+    return Scene(seed, t_obs, t_pred, tuple(size), camera, agents, out_of_sight_id=hidden)
 
 
 def write_scenes(path, scenes: list[Scene]) -> str:
@@ -193,21 +181,21 @@ def write_scenes(path, scenes: list[Scene]) -> str:
     return digest.hexdigest()
 
 
-def read_scenes(path, validate: bool = True) -> list[Scene]:
+def _parse(data: bytes) -> list[Scene]:
     scenes = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as err:
-                raise SchemaError(f"line {lineno}: invalid JSON ({err})", line=lineno) from err
-            if validate:
-                validate_record(record, lineno)
-            scenes.append(record_to_scene(record))
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise SchemaError(f"line {lineno}: invalid JSON ({err})", line=lineno) from err
+        scenes.append(record_to_scene(record, lineno))
     return scenes
+
+
+def read_scenes(path) -> list[Scene]:
+    return _parse(Path(path).read_bytes())
 
 
 def write_dataset(out_dir, splits: dict[str, list[Scene]], config_dict: dict) -> dict:
@@ -240,15 +228,26 @@ def read_manifest(dataset_dir) -> dict:
     path = Path(dataset_dir) / "manifest.json"
     with open(path) as fh:
         manifest = json.load(fh)
-    if manifest.get("schema") != MANIFEST_SCHEMA:
+    if type(manifest) is not dict or manifest.get("schema") != MANIFEST_SCHEMA:
         raise SchemaError(f"{path}: not a dataset manifest", field="schema")
+    splits = manifest.get("splits")
+    entries = splits.values() if type(splits) is dict else [None]
+    if not all(type(i) is dict and type(i.get("file")) is type(i.get("sha256")) is str for i in entries):
+        raise SchemaError(f"{path}: 'splits' must name each split's file and sha256", field="splits")
     return manifest
 
 
-def load_dataset(dataset_dir, validate: bool = False) -> tuple[dict, dict[str, list[Scene]]]:
+def load_dataset(dataset_dir) -> tuple[dict, dict[str, list[Scene]]]:
+    """The manifest and every split's scenes. Each split file is read
+    once, and its bytes must hash to the manifest's sha256."""
     manifest = read_manifest(dataset_dir)
-    splits = {
-        name: read_scenes(Path(dataset_dir) / info["file"], validate=validate)
-        for name, info in manifest["splits"].items()
-    }
+    splits = {}
+    for name, info in manifest["splits"].items():
+        path = Path(dataset_dir) / info["file"]
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        if digest != info["sha256"]:
+            raise HashMismatch(f"{path}: sha256 {digest[:12]} is not the manifest's {info['sha256'][:12]}; "
+                               "`blindtrack import` re-admits an edited dataset")
+        splits[name] = _parse(data)
     return manifest, splits

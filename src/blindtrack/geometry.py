@@ -103,10 +103,11 @@ def _invalid(index: tuple[int, ...], message: str) -> InvalidPose:
     return InvalidPose(message)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of (..., 3). Taken as a row dot product
-    through matmul, which gives the bits np.linalg.norm gives one vector
-    (its BLAS dot); np.linalg.norm(axis=-1) and einsum round differently."""
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of (..., k). Taken as a row dot product
+    through matmul, which gives the bits np.linalg.norm and ndarray.dot
+    give one vector (a BLAS dot); np.linalg.norm(axis=-1), einsum and
+    sum(v * v) round differently."""
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
@@ -131,13 +132,13 @@ def look_at(position, target, tol: float = 1e-9) -> ExtrinsicPose:
     position = np.asarray(position, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     forward = target - position
-    norm = _row_norms(forward)
+    norm = row_norms(forward)
     bad = _first(norm < tol)
     if bad is not None:
         raise _invalid(bad, "camera position and target coincide")
     forward = forward / norm[..., None]
     right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
-    right_norm = _row_norms(right)
+    right_norm = row_norms(right)
     bad = _first(right_norm < tol)
     if bad is not None:
         raise _invalid(bad, "view axis is vertical; image orientation undefined")

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyTrajectory, LengthMismatch
+from .errors import EmptyInput, EmptyTrajectory, LengthMismatch, SchemaError
 from .simulator import shape_groups
 
 
@@ -111,7 +111,11 @@ def score_scenes(predict, scenes, method: str, split: str, config_hash: str = ""
     return report
 
 
-CSV_FIELDS = ["method", "split", "n_scenes", "mse_d", "mse_p", "mse_sum", "config_hash", "seed"]
+# each CSV column and how it parses; a file without the last two reads "" and 0
+CSV_PARSERS = {"method": str, "split": str, "n_scenes": int, "mse_d": float, "mse_p": float, "mse_sum": float,
+               "config_hash": str, "seed": int}
+CSV_FIELDS = list(CSV_PARSERS)
+CSV_DEFAULTS = {"config_hash": "", "seed": "0"}
 
 
 def reports_to_csv(reports: list[EvalReport]) -> str:
@@ -127,21 +131,30 @@ def reports_to_csv(reports: list[EvalReport]) -> str:
 
 
 def reports_from_csv(text: str) -> list[EvalReport]:
+    """Parse reports_to_csv's output. A missing column, or a value that
+    does not parse, raises SchemaError naming the line and the column."""
     reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None:  # an empty file holds no reports
+        return []
+    missing = [c for c in CSV_FIELDS if c not in reader.fieldnames and c not in CSV_DEFAULTS]
+    if missing:
+        raise SchemaError(f"line 1: report CSV has no {missing[0]!r} column", line=1, field=missing[0])
     out = []
     for row in reader:
-        out.append(
-            EvalReport(
-                method=row["method"],
-                split=row["split"],
-                n_scenes=int(row["n_scenes"]),
-                mse_d=float(row["mse_d"]),
-                mse_p=float(row["mse_p"]),
-                mse_sum=float(row["mse_sum"]),
-                config_hash=row.get("config_hash", ""),
-                seed=int(row.get("seed", 0)),
-            )
-        )
+        values = {}
+        for column, parse in CSV_PARSERS.items():
+            raw = row.get(column, CSV_DEFAULTS.get(column))
+            try:
+                if raw is None:  # a row shorter than the header
+                    raise ValueError
+                values[column] = parse(raw)
+            except ValueError:
+                raise SchemaError(
+                    f"line {reader.line_num}, column {column!r}: {raw!r} is not {parse.__name__}",
+                    line=reader.line_num,
+                    field=column,
+                ) from None
+        out.append(EvalReport(**values))
     return out
 
 

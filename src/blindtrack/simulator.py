@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SceneGenerationFailed, SchemaError
-from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at
+from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at, row_norms
 
 DT = 0.1  # seconds per timestep
 V_MAX = 3.0  # hard cap on agent speed, m/s
@@ -190,13 +190,6 @@ def shape_groups(scenes: list[Scene]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Length of each row of an (n, 2) array. The dot product is taken as a
-    stacked matmul, which carries the bits of `math.sqrt(row.dot(row))`;
-    einsum and `sum(v * v)` round differently."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
 def walk_tracks(rngs: list[np.random.Generator], steps: int, height: float | None = None) -> np.ndarray:
     """Waypoint wanders inside the arena, one per generator, walked in
     lockstep: (len(rngs), steps, 3), z fixed per track.
@@ -225,14 +218,14 @@ def walk_tracks(rngs: list[np.random.Generator], steps: int, height: float | Non
     cur = pos
     for t in range(steps - 1):
         to_go = waypoint - cur
-        dist = _row_norms(to_go)
+        dist = row_norms(to_go)
         # only the tracks that reached their waypoint this step draw new
         # legs, until a leg is longer than one step
         for i in np.flatnonzero(dist < speed * DT):
             while dist[i] < speed[i] * DT:
                 waypoint[i, 0], waypoint[i, 1], speed[i] = rngs[i].uniform(leg_low, leg_high)
                 to_go[i] = waypoint[i] - cur[i]
-                dist[i] = _row_norms(to_go[i : i + 1])[0]
+                dist[i] = row_norms(to_go[i : i + 1])[0]
         velocity[:, t] = to_go / dist[:, None] * speed[:, None]
         cur = cur + velocity[:, t] * DT
     if steps > 1:

@@ -5,9 +5,11 @@ and the return value is the exit code the shell would see.
 """
 
 import copy
+import hashlib
 import json
 import shlex
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,58 @@ def write_config(path: Path, **changes) -> Path:
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def rehash(data: Path, split: str) -> None:
+    """Record the split file's present sha256 in the dataset's manifest."""
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["splits"][split]["sha256"] = hashlib.sha256((data / f"{split}.jsonl").read_bytes()).hexdigest()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edited_dataset(source: Path, out: Path, split: str, edit, rehashed: bool = True) -> Path:
+    """A copy of a dataset whose split has edit applied to the record on
+    line 2; when rehashed, the manifest records the edited file's sha256."""
+    shutil.copytree(source, out)
+    path = out / f"{split}.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    path.write_text("".join(text + "\n" for text in lines))
+    if rehashed:
+        rehash(out, split)
+    return out
+
+
+def hidden_index(record: dict) -> int:
+    return [a["agent_id"] for a in record["agents"]].index(record["out_of_sight_id"])
+
+
+def _set(target, key, value):
+    target[key] = value
+
+
+def _ragged_sensor(record):
+    record["agents"][0]["sensor"].append([0.0, 0.0, 0.0])
+    record["agents"][1]["sensor"].pop()
+
+
+def _null_hidden_pixel(record):
+    record["agents"][hidden_index(record)]["pixel"][3] = None
+
+
+# one-field edits of a scene record, each with the field the refusal names
+EDITS = {
+    "missing_agents": (lambda r: r.pop("agents"), lambda r: "agents"),
+    "string_sensor_value": (lambda r: _set(r["agents"][0]["sensor"][0], 0, "1.5"), lambda r: "agents[0].sensor"),
+    "t_obs_30": (lambda r: _set(r, "t_obs", 30), lambda r: "camera"),
+    "null_world_value": (lambda r: _set(r["agents"][0]["world"][5], 1, None), lambda r: "agents[0].world"),
+    "duplicate_agent_id": (lambda r: _set(r["agents"][1], "agent_id", r["agents"][0]["agent_id"]), lambda r: "agents"),
+    "camera_row_short": (lambda r: r["camera"].pop(), lambda r: "camera"),
+    "null_hidden_pixel": (_null_hidden_pixel, lambda r: f"agents[{hidden_index(r)}].pixel"),
+    "ragged_sensor_rows": (_ragged_sensor, lambda r: "agents[0].sensor"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -178,13 +232,34 @@ class TestEval:
             (lambda header: header["model"].update(use_denoiser=True), "'use_denoiser'"),
             (lambda header: header.pop("train"), "'train'"),
             (lambda header: header["adam"].pop("lr"), "'adam': missing field 'lr'"),
+            (lambda header: header["arrays"][0].pop("rows"), "arrays[0]"),
+            (lambda header: header.update(arrays=5), "'arrays' is not a list"),
+            (lambda header: header["model"].update(width="x"), "field 'width' holds str"),
+            (lambda header: header["arrays"][0].update(rows=-1), "arrays[0]"),
+            (lambda header: header["arrays"][0].update(rows=2**40), "truncated array"),
         ],
-        ids=["extra_model_field", "use_denoiser", "missing_train", "missing_adam_lr"],
+        ids=["extra_model_field", "use_denoiser", "missing_train", "missing_adam_lr", "array_without_rows",
+             "arrays_not_a_list", "width_not_an_int", "negative_rows", "rows_past_the_end"],
     )
     def test_checkpoint_header_of_another_format_exits_7(self, workdir, tmp_path, capsys, edit, named):
         path = tmp_path / "edited.ckpt"
         shutil.copy(workdir / "run" / "checkpoint.ckpt", path)
         rewrite_header(path, edit)
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [(b"\xff\xfe{}", "not JSON"), (None, "truncated header")],
+        ids=["not_utf8", "length_past_the_end"],
+    )
+    def test_checkpoint_header_bytes_exit_7(self, workdir, tmp_path, capsys, header, named):
+        blob = (workdir / "run" / "checkpoint.ckpt").read_bytes()
+        path = tmp_path / "edited.ckpt"
+        if header is None:  # a length far beyond the file
+            path.write_bytes(blob[:8] + struct.pack("<Q", 2**62) + blob[16:])
+        else:
+            path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header)
         assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
         assert named in capsys.readouterr().err
 
@@ -195,10 +270,44 @@ class TestEval:
         for record in records:
             record["out_of_sight_id"] = 99
         (data / "test.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
-                     "--dataset", str(data)]) == 7
+        checkpoint = str(workdir / "run" / "checkpoint.ckpt")
+        # the edited split no longer hashes to its manifest's sha256
+        assert main(["eval", "--checkpoint", checkpoint, "--dataset", str(data)]) == 4
+        assert "test.jsonl: sha256" in capsys.readouterr().err
+        rehash(data, "test")
+        assert main(["eval", "--checkpoint", checkpoint, "--dataset", str(data)]) == 7
         err = capsys.readouterr().err
         assert f"scene seed {records[0]['seed']}" in err and "out_of_sight_id 99" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("name", list(EDITS))
+    def test_edited_scene_exits_7_naming_line_and_field(self, workdir, tmp_path, capsys, command, name):
+        edit, named = EDITS[name]
+        split = "train" if command == "train" else "test"
+        data = edited_dataset(workdir / "data", tmp_path / "data", split, edit)
+        record = json.loads((workdir / "data" / f"{split}.jsonl").read_text().splitlines()[1])
+        if command == "train":
+            argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "run")]
+        else:
+            argv = ["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"), "--dataset", str(data)]
+        assert main(argv) == 7
+        assert f"line 2, field '{named(record)}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_edited_split_exits_4_until_reimported(self, workdir, tmp_path, capsys):
+        def nudge(record):
+            record["agents"][0]["sensor"][0][0] += 0.5
+
+        data = edited_dataset(workdir / "data", tmp_path / "data", "test", nudge, rehashed=False)
+        checkpoint = str(workdir / "run" / "checkpoint.ckpt")
+        assert main(["eval", "--checkpoint", checkpoint, "--dataset", str(data)]) == 4
+        assert "blindtrack import" in capsys.readouterr().err
+        assert main(["import", str(data), "--out", str(tmp_path / "fixed")]) == 0
+        assert main(["eval", "--checkpoint", checkpoint, "--dataset", str(tmp_path / "fixed")]) == 0
+        old, new = read_manifest(workdir / "data"), read_manifest(tmp_path / "fixed")
+        assert new["config_hash"] == old["config_hash"]
+        assert new["splits"]["test"]["sha256"] != old["splits"]["test"]["sha256"]
+        assert new["splits"]["train"] == old["splits"]["train"]
 
     def test_bad_split_exits_2(self, workdir):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
@@ -317,6 +426,20 @@ class TestReport:
         assert text.startswith("# Combined")
         assert "| full |" in text and "| smoother |" in text
         assert "| full |" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("split,n_scenes,mse_d,mse_p,mse_sum\ntest,2,1.0,2.0,3.0\n", "line 1: report CSV has no 'method' column"),
+            ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,x,1.0,2.0,3.0\n", "line 2, column 'n_scenes'"),
+        ],
+        ids=["no_method_column", "n_scenes_not_an_int"],
+    )
+    def test_malformed_csv_exits_7(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 7
+        assert named in capsys.readouterr().err
 
     def test_empty_input_exits_6(self, tmp_path):
         empty = tmp_path / "empty.csv"
