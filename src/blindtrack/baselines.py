@@ -61,8 +61,7 @@ class DirectBaseline(TrajectoryModel):
         self.future_head = Linear(cfg.width, 2 * cfg.t_pred, rng)
 
     def forward(self, scenes: Scene | list[Scene]):
-        scenes = as_batch(scenes)
-        t_obs, _, size = batch_shape(scenes)
+        scenes, t_obs, size = self.batch(scenes)
         feats = self.trunk(hidden_sensor(scenes), t_obs)
         visual = col_scale(self.obs_head(feats), size)
         future_rows = reshape(self.future_head(mean_rows(feats, t_obs)), len(scenes) * self.cfg.t_pred, 2)
@@ -84,8 +83,7 @@ class TwoStageBaseline(TrajectoryModel):
         self.predictor = FuturePixelPredictor(cfg, rng, kind)
 
     def forward(self, scenes: Scene | list[Scene]):
-        scenes = as_batch(scenes)
-        t_obs, _, size = batch_shape(scenes)
+        scenes, t_obs, size = self.batch(scenes)
         visual = col_scale(self.obs_head(self.trunk(hidden_sensor(scenes), t_obs)), size)
         return visual, self.predictor(visual, size, t_obs)
 

@@ -6,8 +6,9 @@ order the header lists them. No timestamps or other ambient state, so the
 same model bytes always produce the same file.
 
 The header's "kind" (the method name) alone names the architecture, and
-"model" holds only the ModelConfig dimensions. A header of another format
-is refused with SchemaError.
+"model" holds only the ModelConfig dimensions (t_pred, width, layers,
+heads and the rig's focal length). A header of another format, or whose
+dimensions ModelConfig.validate refuses, is refused with SchemaError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import HashMismatch, SchemaError
+from .errors import ConfigError, HashMismatch, SchemaError
 from .nn import Adam
 from .pipeline import ModelConfig, TrainConfig
 
@@ -134,7 +135,12 @@ def _section(header: dict, key: str, cls):
 
 
 def model_config_from_header(header: dict) -> ModelConfig:
-    return _section(header, "model", ModelConfig)
+    cfg = _section(header, "model", ModelConfig)
+    try:
+        cfg.validate()
+    except ConfigError as err:
+        raise SchemaError(f"checkpoint header 'model': {err}", field=f"model.{err.field}") from None
+    return cfg
 
 
 def train_config_from_header(header: dict) -> TrainConfig:

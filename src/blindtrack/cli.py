@@ -41,8 +41,8 @@ from .errors import (
 from .experiments import FLAG_THRESHOLD_PX, calibrate_scene, evaluate_model, method_rng, run_ablation
 from .metrics import reports_from_csv, reports_to_csv, reports_to_markdown
 from .nn import Adam
-from .pipeline import history_to_csv, require_standard_rig, train_model
-from .simulator import FOCAL, IMAGE_SIZE, make_dataset
+from .pipeline import history_to_csv, train_model
+from .simulator import make_dataset
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -81,6 +81,12 @@ def _dataset_config(args, manifest: dict) -> tuple[RunConfig, str]:
                 f"--config hashes to {cfg.config_hash()[:12]}, dataset was built "
                 f"from {manifest['config_hash'][:12]}"
             )
+    elif "imported_from" in manifest["config"]:
+        raise ConfigError(
+            f"dataset {args.dataset} was imported from one scene file "
+            f"({manifest['config']['imported_from']}) and carries no run config to train with",
+            field="config",
+        )
     else:
         cfg = RunConfig.from_dict(manifest["config"])
     return cfg, manifest["config_hash"]
@@ -110,7 +116,6 @@ def cmd_train(args) -> int:
     cfg, cfg_hash = _dataset_config(args, manifest)
     seed = cfg.train_seed if args.seed is None else args.seed
     model = make_model(args.method, cfg.model_config(), method_rng(seed, args.method))
-    require_standard_rig(model, cfg.sim.focal, cfg.sim.image_size)
     tcfg = cfg.train_config(seed=seed)
     optimizer = Adam(model.parameters(), lr=tcfg.lr)
     stride = max(1, tcfg.epochs // 10)
@@ -152,7 +157,6 @@ def cmd_eval(args) -> int:
     scenes = splits[args.split]
     model = make_model(header["kind"], model_config_from_header(header), np.random.default_rng(0))
     restore_model(model, header, arrays)
-    sim = manifest["config"].get("sim", {})  # absent for a dataset imported from one file
     names = (
         [s.strip() for s in args.methods.split(",") if s.strip()]
         if args.methods
@@ -161,7 +165,6 @@ def cmd_eval(args) -> int:
     reports = []
     for name in names:
         if name == header["kind"]:
-            require_standard_rig(model, sim.get("focal", FOCAL), sim.get("image_size", IMAGE_SIZE))
             scorer = model
         elif name in REFERENCE_METHODS:
             scorer = make_reference(name)

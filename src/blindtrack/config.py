@@ -27,7 +27,6 @@ class RunConfig:
     width: int = 64
     layers: int = 2
     heads: int = 4
-    n_in_max: int = 8
     epochs: int = 200
     batch_size: int = 16
     lr: float = 1e-3
@@ -39,11 +38,9 @@ class RunConfig:
                 f"split sizes train={self.n_train} val={self.n_val} test={self.n_test} invalid",
                 field="splits",
             )
-        for name in ("width", "layers", "heads", "n_in_max", "epochs", "batch_size"):
+        for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
-        if self.width % self.heads != 0:
-            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}", field="heads")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}", field="lr")
         if self.pred_weight < 0:
@@ -51,6 +48,7 @@ class RunConfig:
         if self.data_seed < 0 or self.train_seed < 0:
             raise ConfigError("seeds must be non-negative", field="data_seed")
         self.sim.validate()
+        self.model_config().validate()
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -58,7 +56,7 @@ class RunConfig:
             width=self.width,
             layers=self.layers,
             heads=self.heads,
-            n_in_max=self.n_in_max,
+            focal=self.sim.focal,
         )
 
     def train_config(self, seed: int | None = None) -> TrainConfig:

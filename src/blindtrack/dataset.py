@@ -225,15 +225,21 @@ def write_dataset(out_dir, splits: dict[str, list[Scene]], config_dict: dict) ->
 
 
 def read_manifest(dataset_dir) -> dict:
+    """The manifest, refused with SchemaError unless it holds an object
+    `config`, a string `config_hash`, and a file and sha256 for each
+    split, SPLIT_NAMES among them, as write_dataset writes them."""
     path = Path(dataset_dir) / "manifest.json"
     with open(path) as fh:
         manifest = json.load(fh)
     if type(manifest) is not dict or manifest.get("schema") != MANIFEST_SCHEMA:
         raise SchemaError(f"{path}: not a dataset manifest", field="schema")
+    for key, kind in (("config", dict), ("config_hash", str)):
+        if type(manifest.get(key)) is not kind:
+            raise SchemaError(f"{path}: manifest needs {kind.__name__} {key!r}", field=key)
     splits = manifest.get("splits")
-    entries = splits.values() if type(splits) is dict else [None]
+    entries = splits.values() if type(splits) is dict and set(SPLIT_NAMES) <= set(splits) else [None]
     if not all(type(i) is dict and type(i.get("file")) is type(i.get("sha256")) is str for i in entries):
-        raise SchemaError(f"{path}: 'splits' must name each split's file and sha256", field="splits")
+        raise SchemaError(f"{path}: 'splits' must name the file and sha256 of each of {SPLIT_NAMES}", field="splits")
     return manifest
 
 

@@ -17,7 +17,7 @@ from .config import RunConfig
 from .errors import InsufficientCorrespondences
 from .geometry import MIN_CORRESPONDENCES, dlt_estimate, project_trajectory
 from .metrics import EvalReport, score_scenes
-from .pipeline import TrainResult, require_standard_rig, train_model
+from .pipeline import train_model
 from .simulator import Scene
 
 # presentation labels for the stage-removal study
@@ -43,10 +43,8 @@ def train_method(
     train_seed: int,
     on_epoch=None,
 ):
-    """Build and train one method; returns (model, TrainResult). A method
-    that fits the camera refuses a non-standard rig (ConfigError)."""
+    """Build and train one method; returns (model, TrainResult)."""
     model = make_model(method, run_cfg.model_config(), method_rng(train_seed, method))
-    require_standard_rig(model, run_cfg.sim.focal, run_cfg.sim.image_size)
     result = train_model(
         model,
         splits["train"],

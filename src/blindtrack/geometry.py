@@ -45,6 +45,11 @@ class CameraIntrinsics:
     cy: float
     skew: float = 0.0
 
+    @classmethod
+    def centered(cls, focal: float, image_size: tuple[int, int]) -> CameraIntrinsics:
+        """Square pixels of one focal length, principal point at the image centre."""
+        return cls(fx=focal, fy=focal, cx=image_size[0] / 2.0, cy=image_size[1] / 2.0)
+
     def matrix(self) -> np.ndarray:
         return np.array(
             [

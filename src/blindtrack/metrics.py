@@ -131,8 +131,9 @@ def reports_to_csv(reports: list[EvalReport]) -> str:
 
 
 def reports_from_csv(text: str) -> list[EvalReport]:
-    """Parse reports_to_csv's output. A missing column, or a value that
-    does not parse, raises SchemaError naming the line and the column."""
+    """Parse reports_to_csv's output. A missing column, a value that does
+    not parse, or a row EvalReport.validate refuses raises SchemaError
+    naming the line (and the column, where one is at fault)."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:  # an empty file holds no reports
         return []
@@ -154,7 +155,12 @@ def reports_from_csv(text: str) -> list[EvalReport]:
                     line=reader.line_num,
                     field=column,
                 ) from None
-        out.append(EvalReport(**values))
+        report = EvalReport(**values)
+        try:
+            report.validate()
+        except ValueError as err:
+            raise SchemaError(f"line {reader.line_num}: {err}", line=reader.line_num) from None
+        out.append(report)
     return out
 
 

@@ -5,21 +5,24 @@ map, and predict future pixels from the projected track. The camera is a
 geometric fit with no learned parameters: one matrix per observation
 window, tiled over the window's steps. It never depends on the weights,
 so a model fits each scene's camera once and reuses it in every later
-epoch, validation pass and prediction (CameraEstimator). The fit assumes
-the standard rig's intrinsics (FOCAL, IMAGE_SIZE): a model that fits the
-camera refuses other rigs with ConfigError (require_standard_rig; exit 2
-from the command line). The denoiser and the predictor are trained end to
-end on the hidden agent's pixels (hidden.pixel, in pixel_losses): the
-denoising loss compares the projected denoised track with them over the
-observation window, the prediction loss the forecast over the prediction
-window. No loss compares against the sensor stream mapped through the
-camera, and positions are never supervised.
+epoch, validation pass and prediction (CameraEstimator). The fit reads the
+rig it is given: the focal length is a model dimension (ModelConfig.focal,
+filled from the run config's sim.focal and kept in the checkpoint header),
+and the principal point is the centre of each scene's image. The denoiser
+and the predictor are trained end to end on the hidden agent's pixels
+(hidden.pixel, in pixel_losses): the denoising loss compares the projected
+denoised track with them over the observation window, the prediction loss
+the forecast over the prediction window. No loss compares against the
+sensor stream mapped through the camera, and positions are never
+supervised.
 
 A forward pass takes a batch of scenes of one shape (t_obs, t_pred, image
 size) and row-stacks them, scene-major, so a training minibatch is one
 autodiff graph (see the tensor module), and a chunk of scenes scored by
 metrics.score_scenes is one forward pass with no graph. Only the camera
-fit runs scene by scene; its rows are stacked like the rest.
+fit runs scene by scene; its rows are stacked like the rest. A scene whose
+horizon is not the model's t_pred is refused with SchemaError
+(TrajectoryModel.batch).
 
 The method name alone is a pipeline's architecture (pipeline_layout);
 ModelConfig holds only its dimensions.
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents
+from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents, SchemaError
 from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at
 from .metrics import score_scenes
 from .nn import SEQUENCE_KINDS, Adam, Linear, Module, SequenceTrunk
@@ -86,7 +89,16 @@ class ModelConfig:
     width: int = 64
     layers: int = 2
     heads: int = 4
-    n_in_max: int = 8  # most visible agents the camera fit reads
+    focal: float = FOCAL  # the rig's focal length in pixels, which the camera fit reads
+
+    def validate(self) -> None:
+        for name in ("t_pred", "width", "layers", "heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
+        if self.width % self.heads != 0:
+            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}", field="heads")
+        if not (np.isfinite(self.focal) and self.focal > 0):
+            raise ConfigError(f"focal must be finite and positive, got {self.focal}", field="focal")
 
 
 # feature conditioning: positions are centered on the arena box and
@@ -99,18 +111,18 @@ ARENA_HALF = np.array(
 )
 
 
-def estimator_features(scene: Scene, n_in_max: int) -> np.ndarray:
+def estimator_features(scene: Scene) -> np.ndarray:
     """The camera fit's input: each visible agent's (pixel, sensor) pair
     averaged over the observation window, (n, 5).
 
-    Rows follow ascending agent_id over the first n_in_max visible agents;
-    an agent never visible inside the window is dropped, so n may be 0.
+    Rows follow ascending agent_id over every visible agent; an agent never
+    visible inside the window is dropped, so n may be 0.
     Each row holds the image-centered pixel [u/W - 1/2, v/H - 1/2] and the
     arena-normalized sensor position. Averaging over the window shrinks
     the sensor noise, which would otherwise bias a fit toward a camera
     that sees the agents closer together than they are.
     """
-    agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)[:n_in_max]
+    agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)
     if not agents:
         raise NoInSightAgents(f"scene seed {scene.seed} has no visible agents")
     t_obs = scene.t_obs
@@ -178,7 +190,18 @@ class TrajectoryModel(Module):
 
     name = "model"
     cfg: ModelConfig
-    fits_camera = False  # whether forward fits the camera (standard rig only)
+
+    def batch(self, scenes: Scene | list[Scene]) -> tuple[list[Scene], int, tuple[int, int]]:
+        """(scenes, t_obs, image_size) of a batch of equal-shape scenes
+        whose horizon is the model's: every forward pass starts here, and a
+        scene of another t_pred is refused with SchemaError."""
+        scenes = as_batch(scenes)
+        t_obs, t_pred, size = batch_shape(scenes)
+        if t_pred != self.cfg.t_pred:
+            raise SchemaError(
+                f"scene seed {scenes[0].seed} predicts {t_pred} steps, the model {self.cfg.t_pred}", field="t_pred"
+            )
+        return scenes, t_obs, size
 
     def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
         """Row-stacked tracks of a batch of equal-shape scenes: observed
@@ -230,10 +253,9 @@ def pixel_losses(scenes: list[Scene], visual: Tensor, future: Tensor) -> tuple[T
 
 
 # the camera prior, shared by nominal_camera() and the camera fit: the
-# standard rig's intrinsics, and the boxes each scene draws its look-at
-# pose from uniformly, as (low, high) rows for mount x, y, z then aim x,
-# y, z, with the mean and standard deviation of those draws
-PRIOR_INTRINSICS = CameraIntrinsics(fx=FOCAL, fy=FOCAL, cx=IMAGE_SIZE[0] / 2.0, cy=IMAGE_SIZE[1] / 2.0)
+# boxes each scene draws its look-at pose from uniformly, as (low, high)
+# rows for mount x, y, z then aim x, y, z, with the mean and standard
+# deviation of those draws
 POSE_BOX = np.array([MOUNT_X, MOUNT_Y, MOUNT_H, AIM_X, AIM_Y, AIM_H])
 POSE_MID = POSE_BOX.mean(axis=1)
 POSE_STD = (POSE_BOX[:, 1] - POSE_BOX[:, 0]) / np.sqrt(12.0)
@@ -246,27 +268,12 @@ ROUNDING_VAR = 1.0 / 12.0
 FIT_ITERATIONS = 3
 
 
-def pose_camera(pose: np.ndarray) -> np.ndarray:
-    """The (3, 4) camera of a look-at pose (mount xyz, aim xyz) on the
-    standard rig."""
-    return compose_matrix(1.0, PRIOR_INTRINSICS, look_at(pose[:3], pose[3:]))
+def pose_camera(pose: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """The (3, 4) camera of a look-at pose (mount xyz, aim xyz)."""
+    return compose_matrix(1.0, intrinsics, look_at(pose[:3], pose[3:]))
 
 
-def require_standard_rig(model, focal: float, image_size: tuple[int, int]) -> None:
-    """Refuse to run a model that fits the camera on a rig other than the
-    standard one: fit_camera assumes FOCAL and IMAGE_SIZE, and on another
-    rig it returns a camera that is silently wrong (a 214 px median miss
-    on a 1280x960, f = 1000 rig)."""
-    if model.fits_camera and (focal != FOCAL or tuple(image_size) != IMAGE_SIZE):
-        raise ConfigError(
-            f"method {model.name!r} fits the camera of the standard rig (focal {FOCAL}, image "
-            f"{IMAGE_SIZE[0]}x{IMAGE_SIZE[1]}); this config has focal {focal}, image "
-            f"{image_size[0]}x{image_size[1]}",
-            field="focal",
-        )
-
-
-def nominal_camera() -> tuple[np.ndarray, np.ndarray]:
+def nominal_camera(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Camera rows of the nominal rig mount, with per-element spreads.
 
     The no-estimator ablation parameterizes its learned camera as a
@@ -275,16 +282,17 @@ def nominal_camera() -> tuple[np.ndarray, np.ndarray]:
     unit raw output span the plausible cameras, so the projection is well
     conditioned from the first optimizer step: denominators start at true
     scene depths, far from the clamp, instead of at random near-zero
-    values. Both arrays are (1, 12), row-major, for the package's standard
-    rig.
+    values. Both arrays are (1, 12), row-major.
     """
-    nominal = pose_camera(POSE_MID)
-    corners = np.array([pose_camera(np.array(corner)) for corner in itertools.product(*POSE_BOX)])
+    nominal = pose_camera(POSE_MID, intrinsics)
+    corners = np.array([pose_camera(np.array(corner), intrinsics) for corner in itertools.product(*POSE_BOX)])
     spread = np.maximum(np.abs(corners - nominal).max(axis=0), 1e-2)
     return nominal.reshape(1, 12), spread.reshape(1, 12)
 
 
-def look_at_residuals(pose: np.ndarray, world: np.ndarray, pixel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def look_at_residuals(
+    pose: np.ndarray, world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
     """Reprojection residuals of a look-at pose, and their Jacobian.
 
     pose is (mount xyz, aim xyz); world is (n, 3) and pixel (n, 2). The
@@ -315,12 +323,11 @@ def look_at_residuals(pose: np.ndarray, world: np.ndarray, pixel: np.ndarray) ->
     d_angles = np.array(
         [[gy / rho2, -gx / rho2, 0.0], [-gz * gx / (rho * norm2), -gz * gy / (rho * norm2), rho / norm2]]
     )
-    k = PRIOR_INTRINSICS
     cam = (world - pose[:3]) @ frames.reshape(9, 3).T  # (n, 9): camera coords, then their angle derivatives
     depth = np.maximum(cam[:, 2], EPS_DEPTH)
-    focal = np.array([k.fx, k.fy])
+    focal = np.array([intrinsics.fx, intrinsics.fy])
     image = cam[:, 0:2] / depth[:, None]  # (n, 2) normalized image coords
-    res = (focal * image + np.array([k.cx, k.cy]) - pixel).ravel()
+    res = (focal * image + np.array([intrinsics.cx, intrinsics.cy]) - pixel).ravel()
     # d(pixel)/d(camera coords), applied to the rotation rows and to their
     # angle derivatives
     gain = focal / depth[:, None]
@@ -333,7 +340,7 @@ def look_at_residuals(pose: np.ndarray, world: np.ndarray, pixel: np.ndarray) ->
 
 
 def _fit_pose(
-    world: np.ndarray, pixel: np.ndarray, start: np.ndarray, prior_weight: float
+    world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics, start: np.ndarray, prior_weight: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton on the squared reprojection error plus prior_weight
     times the squared pose offset from POSE_MID in units of POSE_STD,
@@ -345,13 +352,13 @@ def _fit_pose(
         return float(res @ res + precision @ (pose - POSE_MID) ** 2)
 
     pose = start
-    res, jac = look_at_residuals(pose, world, pixel)
+    res, jac = look_at_residuals(pose, world, pixel, intrinsics)
     current = energy(pose, res)
     for _ in range(FIT_ITERATIONS):
         step = np.linalg.solve(jac.T @ jac + np.diag(precision), jac.T @ res + precision * (pose - POSE_MID))
         for _ in range(4):
             trial = pose - step
-            trial_res, trial_jac = look_at_residuals(trial, world, pixel)
+            trial_res, trial_jac = look_at_residuals(trial, world, pixel, intrinsics)
             trial_energy = energy(trial, trial_res)
             if trial_energy < current:
                 break
@@ -362,9 +369,9 @@ def _fit_pose(
     return pose, res
 
 
-def fit_camera(world: np.ndarray, pixel: np.ndarray) -> np.ndarray:
-    """Look-at camera of the standard rig fitted to (n, 3) world points and
-    their (n, 2) pixels, shrunk toward the pose box; returns (3, 4).
+def fit_camera(world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Look-at camera of the given intrinsics fitted to (n, 3) world points
+    and their (n, 2) pixels, shrunk toward the pose box; returns (3, 4).
 
     A first fit, from the box centre with the weakest prior, gives the
     residual variance per pixel coordinate (never below ROUNDING_VAR); a
@@ -374,11 +381,11 @@ def fit_camera(world: np.ndarray, pixel: np.ndarray) -> np.ndarray:
     or everything when there are fewer pairs than unknowns), so the fit
     returns a finite camera for any number of pairs.
     """
-    pose, res = _fit_pose(world, pixel, POSE_MID, ROUNDING_VAR)
+    pose, res = _fit_pose(world, pixel, intrinsics, POSE_MID, ROUNDING_VAR)
     # five of the six pose coordinates move the image
     variance = max(float(res @ res) / max(len(res) - 5, 1), ROUNDING_VAR)
-    pose, _ = _fit_pose(world, pixel, pose, variance)
-    return pose_camera(pose)
+    pose, _ = _fit_pose(world, pixel, intrinsics, pose, variance)
+    return pose_camera(pose, intrinsics)
 
 
 class SensorDenoiser(Module):
@@ -406,7 +413,8 @@ class CameraEstimator:
     the observation window: (n, 5) pairs from estimator_features -> (steps,
     12).
 
-    It fits one look-at camera (fit_camera) to the pairs. It has no
+    It fits one look-at camera (fit_camera) to the pairs, with the rig's
+    focal length and the principal point at the image centre. It has no
     parameters and passes no gradient: the camera is a pure function of
     the visible agents' inputs. So each estimator fits a scene's camera
     once and keeps it in `fits`, keyed by the fit's exact input (the pairs'
@@ -415,7 +423,8 @@ class CameraEstimator:
     agents change gets a fit of its own.
     """
 
-    def __init__(self):
+    def __init__(self, focal: float):
+        self.focal = focal
         self.fits: dict[tuple[bytes, tuple[int, int]], np.ndarray] = {}
 
     def __call__(self, pairs: np.ndarray, image_size: tuple[int, int], steps: int) -> Tensor:
@@ -424,7 +433,8 @@ class CameraEstimator:
         if rows is None:
             pixel = (pairs[:, :2] + 0.5) * np.asarray(image_size, dtype=np.float64)
             world = pairs[:, 2:] * ARENA_HALF + ARENA_MID
-            rows = self.fits[key] = fit_camera(world, pixel).reshape(1, 12)
+            intrinsics = CameraIntrinsics.centered(self.focal, image_size)
+            rows = self.fits[key] = fit_camera(world, pixel, intrinsics).reshape(1, 12)
         return Tensor(np.repeat(rows, steps, axis=0))
 
 
@@ -488,11 +498,11 @@ class VisionPipeline(TrajectoryModel):
             self.denoiser = SensorDenoiser(cfg, rng)
         if drop != "projection":
             if drop != "estimator":
-                self.estimator = CameraEstimator()
+                self.estimator = CameraEstimator(cfg.focal)
             else:
                 # scene-independent camera: a learned correction to the
-                # nominal mount, starting exactly at the nominal
-                nominal, spread = nominal_camera()
+                # nominal mount at the standard image centre, starting there
+                nominal, spread = nominal_camera(CameraIntrinsics.centered(cfg.focal, IMAGE_SIZE))
                 self.static_rows = Tensor(np.zeros((1, 12)), requires_grad=True)
                 self.static_nominal = Tensor(nominal)
                 self.static_spread = spread.ravel()
@@ -501,33 +511,18 @@ class VisionPipeline(TrajectoryModel):
         if drop != "predictor":
             self.predictor = FuturePixelPredictor(cfg, rng, kind)
 
-    @property
-    def fits_camera(self) -> bool:
-        return hasattr(self, "estimator")
-
     def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
         """Returns (denoised pixel tracks (B*t_obs, 2), future tracks
-        (B*t_pred, 2)), row-stacked in batch order. With the camera fit,
-        scenes must have the standard rig's image size (ConfigError)."""
-        cfg, drop = self.cfg, self.drop
-        scenes = as_batch(scenes)
-        t_obs, t_pred, size = batch_shape(scenes)
-        if t_pred != cfg.t_pred:
-            raise LengthMismatch(f"scene predicts {t_pred} steps, model expects {cfg.t_pred}")
+        (B*t_pred, 2)), row-stacked in batch order."""
+        drop = self.drop
+        scenes, t_obs, size = self.batch(scenes)
         sensor = hidden_sensor(scenes)
 
         denoised = self.denoiser(sensor, t_obs) if drop != "denoiser" else sensor
 
         if drop != "projection":
             if drop != "estimator":
-                if size != IMAGE_SIZE:
-                    raise ConfigError(
-                        f"image size {size} is not the standard rig's {IMAGE_SIZE}, which the camera fit assumes",
-                        field="image_size",
-                    )
-                rows = concat_rows(
-                    [self.estimator(estimator_features(s, cfg.n_in_max), size, t_obs) for s in scenes]
-                )
+                rows = concat_rows([self.estimator(estimator_features(s), size, t_obs) for s in scenes])
             else:
                 static = add(col_scale(self.static_rows, self.static_spread), self.static_nominal)
                 rows = tile_rows(static, len(scenes) * t_obs)
@@ -538,7 +533,7 @@ class VisionPipeline(TrajectoryModel):
         if drop != "predictor":
             future = self.predictor(visual, size, t_obs)
         else:
-            future = tile_rows(strided_rows(visual, t_obs - 1, t_obs), t_pred)
+            future = tile_rows(strided_rows(visual, t_obs - 1, t_obs), self.cfg.t_pred)
         return visual, future
 
 

@@ -135,8 +135,7 @@ class SimulatorConfig:
         return self.t_obs + self.t_pred
 
     def intrinsics(self) -> CameraIntrinsics:
-        w, h = self.image_size
-        return CameraIntrinsics(fx=self.focal, fy=self.focal, cx=w / 2.0, cy=h / 2.0)
+        return CameraIntrinsics.centered(self.focal, self.image_size)
 
 
 @dataclass

@@ -131,7 +131,7 @@ class TestCriterion01Gradients:
             worst_prim = max(worst_prim, check_gradients(bound, params, tol=1e-4))
 
         # end to end: every stage of a tiny pipeline in one loss
-        cfg = ModelConfig(t_pred=2, width=8, layers=1, heads=2, n_in_max=2)
+        cfg = ModelConfig(t_pred=2, width=8, layers=1, heads=2)
         scfg = SimulatorConfig(
             n_agents=3, t_obs=4, t_pred=2, noise=NoiseModel(kind="gps", gps_sigma=1.0)
         )
@@ -228,7 +228,7 @@ class TestCriterion04ScaleInvariance:
 
 class TestCriterion05Blindness:
     def test_outputs_ignore_hidden_ground_truth(self):
-        cfg = ModelConfig(t_pred=4, width=16, layers=1, heads=2, n_in_max=4)
+        cfg = ModelConfig(t_pred=4, width=16, layers=1, heads=2)
         scfg = SimulatorConfig(n_agents=4, t_obs=8, t_pred=4, noise=NoiseModel.preset("default"))
         scenes = make_split(scfg, base_seed=400, count=20)
         methods = ["full", "direct:gru", "two_stage:lstm", "plus_vpd:rnn"]
@@ -281,7 +281,6 @@ BENCH = RunConfig(
     width=32,
     layers=1,
     heads=4,
-    n_in_max=8,
     epochs=40,
     batch_size=8,
 )
@@ -395,7 +394,6 @@ class TestCriterion10Reproducibility:
             "width": 16,
             "layers": 1,
             "heads": 2,
-            "n_in_max": 4,
             "epochs": 4,
             "batch_size": 4,
             "lr": 1e-3,

@@ -77,7 +77,7 @@ class TestLearnedBaselines:
             assert np.allclose(got_f, batch_f[i], rtol=1e-12, atol=1e-9)
 
     def test_direct_baseline_gradients(self):
-        cfg = pl.ModelConfig(t_pred=2, width=6, layers=1, heads=1, n_in_max=2)
+        cfg = pl.ModelConfig(t_pred=2, width=6, layers=1, heads=1)
         model = bl.make_model("direct:rnn", cfg, np.random.default_rng(3))
         scene = tiny_scenes(1, t_obs=4, t_pred=2)[0]
 

@@ -49,7 +49,6 @@ TINY = {
     "width": 16,
     "layers": 1,
     "heads": 2,
-    "n_in_max": 4,
     "epochs": 3,
     "batch_size": 4,
     "lr": 1e-3,
@@ -106,6 +105,12 @@ def _set(target, key, value):
 def _ragged_sensor(record):
     record["agents"][0]["sensor"].append([0.0, 0.0, 0.0])
     record["agents"][1]["sensor"].pop()
+
+
+def _model_with_n_in_max(header):
+    """A header written while "model" held n_in_max and no focal."""
+    del header["model"]["focal"]
+    header["model"]["n_in_max"] = 8
 
 
 def _null_hidden_pixel(record):
@@ -237,9 +242,18 @@ class TestEval:
             (lambda header: header["model"].update(width="x"), "field 'width' holds str"),
             (lambda header: header["arrays"][0].update(rows=-1), "arrays[0]"),
             (lambda header: header["arrays"][0].update(rows=2**40), "truncated array"),
+            (_model_with_n_in_max, "missing field 'focal'"),
+            (lambda header: header["model"].update(heads=0), "'model': heads must be >= 1, got 0"),
+            (lambda header: header["model"].update(heads=3), "'model': width 16 not divisible by heads 3"),
+            (lambda header: header["model"].update(width=0), "'model': width must be >= 1, got 0"),
+            (lambda header: header["model"].update(width=-8), "'model': width must be >= 1, got -8"),
+            (lambda header: header["model"].update(focal=0.0), "'model': focal must be finite and positive"),
+            (lambda header: header["model"].update(focal=-1.0), "'model': focal must be finite and positive"),
+            (lambda header: header["model"].update(focal=float("nan")), "'model': focal must be finite and positive"),
         ],
         ids=["extra_model_field", "use_denoiser", "missing_train", "missing_adam_lr", "array_without_rows",
-             "arrays_not_a_list", "width_not_an_int", "negative_rows", "rows_past_the_end"],
+             "arrays_not_a_list", "width_not_an_int", "negative_rows", "rows_past_the_end", "n_in_max_no_focal",
+             "heads_0", "heads_3_width_16", "width_0", "width_negative", "focal_0", "focal_negative", "focal_nan"],
     )
     def test_checkpoint_header_of_another_format_exits_7(self, workdir, tmp_path, capsys, edit, named):
         path = tmp_path / "edited.ckpt"
@@ -309,6 +323,50 @@ class TestEval:
         assert new["splits"]["test"]["sha256"] != old["splits"]["test"]["sha256"]
         assert new["splits"]["train"] == old["splits"]["train"]
 
+    @pytest.mark.parametrize("argv", [["train", "--method", "full"], ["train", "--method", "two_stage:gru"], ["eval"]],
+                             ids=["train_full", "train_two_stage_gru", "eval"])
+    def test_scene_of_another_horizon_exits_7(self, workdir, tmp_path, capsys, argv):
+        def shorten(record):  # one step less to predict, every row kept consistent
+            record["t_pred"] -= 1
+            record["camera"].pop()
+            for agent in record["agents"]:
+                for key in ("world", "pixel", "visible"):
+                    agent[key].pop()
+
+        split = "train" if argv[0] == "train" else "test"
+        data = edited_dataset(workdir / "data", tmp_path / "data", split, shorten)
+        seed = json.loads((data / f"{split}.jsonl").read_text().splitlines()[1])["seed"]
+        if argv[0] == "train":
+            argv = [*argv, "--dataset", str(data), "--out", str(tmp_path / "run")]
+        else:
+            argv = [*argv, "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"), "--dataset", str(data)]
+        assert main(argv) == 7
+        assert f"scene seed {seed} predicts 3 steps, the model 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda manifest: manifest.pop("config_hash"), "manifest needs str 'config_hash'"),
+            (lambda manifest: manifest.update(config=5), "manifest needs dict 'config'"),
+            (lambda manifest: manifest["splits"].pop("train"), "'splits' must name the file and sha256"),
+            (lambda manifest: manifest["splits"].pop("test"), "'splits' must name the file and sha256"),
+        ],
+        ids=["no_config_hash", "config_not_an_object", "no_train_split", "no_test_split"],
+    )
+    def test_broken_manifest_exits_7(self, workdir, tmp_path, capsys, command, edit, named):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        if command == "train":
+            argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "run")]
+        else:
+            argv = ["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"), "--dataset", str(data)]
+        assert main(argv) == 7
+        assert named in capsys.readouterr().err
+
     def test_bad_split_exits_2(self, workdir):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
                      "--dataset", str(workdir / "data"), "--split", "holdout"]) == 2
@@ -335,7 +393,6 @@ class TestCalibrate:
     def test_clean_moving_camera_with_enough_agents(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "arc.json", **{
             "sim.noise.gps_sigma": 0.0, "sim.camera_motion": "arc", "sim.n_agents": 10,
-            "n_in_max": 16,
         })
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
         assert main(["calibrate", "--dataset", str(tmp_path / "data")]) == 0
@@ -350,29 +407,21 @@ class TestCalibrate:
 
 
 class TestRig:
-    def test_camera_fit_on_another_rig_exits_2(self, workdir, tmp_path, capsys):
-        cfg = write_config(tmp_path / "wide.json", **{"sim.image_size": [1280, 960], "sim.focal": 1000.0})
+    def test_another_rig_trains_evaluates_and_ablates(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "wide.json", **{
+            "sim.image_size": [1280, 960], "sim.focal": 1000.0, "sim.noise.gps_sigma": 0.0,
+        })
         data = tmp_path / "data"
         assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
-        capsys.readouterr()
-        assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "run")]) == 2
-        assert "focal 1000.0" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-        assert main(["ablate", "--dataset", str(data)]) == 2
-        assert "focal 1000.0" in capsys.readouterr().err
-        # a trained full checkpoint, pinned to this dataset
-        header, arrays = load_checkpoint(workdir / "run" / "checkpoint.ckpt")
-        model = make_model(header["kind"], model_config_from_header(header), np.random.default_rng(0))
-        restore_model(model, header, arrays)
-        path = tmp_path / "wide.ckpt"
-        save_checkpoint(path, model, Adam(model.parameters()), train_config_from_header(header),
-                        config_hash=read_manifest(data)["config_hash"])
-        assert main(["eval", "--checkpoint", str(path), "--dataset", str(data)]) == 2
-        assert "focal 1000.0" in capsys.readouterr().err
-        # methods that do not fit the camera still run on this rig
-        assert main(["eval", "--checkpoint", str(path), "--dataset", str(data), "--methods", "smoother"]) == 0
-        assert main(["train", "--dataset", str(data), "--method", "two_stage:gru",
-                     "--out", str(tmp_path / "gru")]) == 0
+        for method in ("full", "plus_vpd:gru", "no_estimator"):
+            run = tmp_path / method.replace(":", "_")
+            assert main(["train", "--dataset", str(data), "--method", method, "--out", str(run)]) == 0
+            header, _ = load_checkpoint(run / "checkpoint.ckpt")
+            assert header["model"]["focal"] == 1000.0
+            assert main(["eval", "--checkpoint", str(run / "checkpoint.ckpt"), "--dataset", str(data)]) == 0
+            assert f"| {method} |" in capsys.readouterr().out
+        assert main(["ablate", "--dataset", str(data)]) == 0
+        assert "w/o CPE" in capsys.readouterr().out
 
 
 class TestImport:
@@ -389,6 +438,16 @@ class TestImport:
         assert (tmp_path / "ds" / "test.jsonl").read_bytes() == (
             workdir / "data" / "test.jsonl"
         ).read_bytes()
+
+    def test_single_file_import_can_be_neither_trained_nor_evaluated(self, workdir, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["import", str(workdir / "data" / "test.jsonl"), "--out", str(ds)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "run")]) == 2
+        assert "imported from one scene file (test.jsonl) and carries no run config" in capsys.readouterr().err
+        assert main(["ablate", "--dataset", str(ds)]) == 2
+        # the checkpoint was trained on a dataset of another config hash
+        assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"), "--dataset", str(ds)]) == 4
 
     def test_invalid_record_exits_7_with_line(self, workdir, tmp_path, capsys):
         lines = (workdir / "data" / "test.jsonl").read_text().splitlines()
@@ -432,8 +491,10 @@ class TestReport:
         [
             ("split,n_scenes,mse_d,mse_p,mse_sum\ntest,2,1.0,2.0,3.0\n", "line 1: report CSV has no 'method' column"),
             ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,x,1.0,2.0,3.0\n", "line 2, column 'n_scenes'"),
+            ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,2,1.0,2.0,99.0\n", "line 2: sum 99.0 != 1.0 + 2.0"),
+            ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,2,-1.0,2.0,1.0\n", "line 2: negative error"),
         ],
-        ids=["no_method_column", "n_scenes_not_an_int"],
+        ids=["no_method_column", "n_scenes_not_an_int", "sum_not_the_sum", "negative_error"],
     )
     def test_malformed_csv_exits_7(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.csv"

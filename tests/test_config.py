@@ -1,11 +1,13 @@
 """Run-config profiles, JSON round trips, and content hashing."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from blindtrack.config import RunConfig
 from blindtrack.errors import ConfigError
+from blindtrack.pipeline import ModelConfig
 from blindtrack.simulator import NoiseModel, SimulatorConfig
 
 
@@ -65,6 +67,10 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"profile": "desk", "wheels": 4})
 
+    def test_a_config_naming_n_in_max_is_refused(self):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({**RunConfig().to_dict(), "n_in_max": 8})
+
 
 class TestValidation:
     def test_width_must_divide_by_heads(self):
@@ -83,12 +89,34 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig().override(epochs=0)
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [({"t_pred": 0}, "t_pred"), ({"width": 0}, "width"), ({"width": -8}, "width"), ({"layers": 0}, "layers"),
+         ({"heads": 0}, "heads"), ({"width": 8, "heads": 3}, "heads"), ({"focal": 0.0}, "focal"),
+         ({"focal": -1.0}, "focal"), ({"focal": float("nan")}, "focal"), ({"focal": float("inf")}, "focal")],
+    )
+    def test_model_dimensions_checked_in_one_place(self, changes, field):
+        with pytest.raises(ConfigError) as err:
+            replace(ModelConfig(), **changes).validate()
+        assert err.value.field == field
+        ModelConfig().validate()
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [({"width": 0}, "width"), ({"layers": 0}, "layers"), ({"heads": 0}, "heads"),
+         ({"sim": SimulatorConfig(focal=float("nan"))}, "focal")],
+    )
+    def test_run_config_checks_the_model_config(self, changes, field):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(**changes).validate()
+        assert err.value.field == field
+
 
 class TestDerivedConfigs:
     def test_model_config_carries_dimensions(self):
-        cfg = RunConfig(width=32, layers=3, heads=2, n_in_max=6)
+        cfg = RunConfig(width=32, layers=3, heads=2, sim=SimulatorConfig(focal=800.0))
         mcfg = cfg.model_config()
-        assert (mcfg.t_pred, mcfg.width, mcfg.layers, mcfg.heads, mcfg.n_in_max) == (cfg.sim.t_pred, 32, 3, 2, 6)
+        assert (mcfg.t_pred, mcfg.width, mcfg.layers, mcfg.heads, mcfg.focal) == (cfg.sim.t_pred, 32, 3, 2, 800.0)
 
     def test_train_config_seed_override(self):
         cfg = RunConfig(train_seed=5, epochs=13, lr=2e-3)

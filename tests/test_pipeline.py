@@ -10,14 +10,14 @@ import pytest
 from blindtrack import geometry as geo
 from blindtrack import pipeline as pl
 from blindtrack import simulator as sim
-from blindtrack.errors import ConfigError, LengthMismatch, NoInSightAgents, NonFiniteLoss
+from blindtrack.errors import ConfigError, LengthMismatch, NoInSightAgents, NonFiniteLoss, SchemaError
 from blindtrack.nn import Adam
 from blindtrack.tensor import Tensor, add, scale
 
 from test_simulator import small_config
 from util_grad import check_gradients
 
-TINY = pl.ModelConfig(t_pred=3, width=8, layers=1, heads=2, n_in_max=4)
+TINY = pl.ModelConfig(t_pred=3, width=8, layers=1, heads=2)
 
 
 def tiny_scenes(count, seed0=0, noise="clean", t_obs=6, t_pred=3):
@@ -110,11 +110,11 @@ class TestProjectRows:
             pl.project_rows(Tensor(np.zeros((3, 11))), Tensor(np.zeros((3, 3))))
 
 
-def loop_estimator_features(scene, n_in_max):
+def loop_estimator_features(scene):
     """estimator_features as a loop over agents, each averaged over its
     visible steps alone: the reference the vectorized form must match bit
     for bit, since its bytes key the camera memo."""
-    agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)[:n_in_max]
+    agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)
     size = np.asarray(scene.image_size)
     pairs = []
     for agent in agents:
@@ -139,14 +139,13 @@ class TestFeatures:
                 for agent in edited.in_sight():
                     agent.visible[:t] &= rng.random(t) < rng.random()
                     agent.pixel[:t][~agent.visible[:t]] = np.nan
-                for n_in_max in (8, 2):
-                    want = loop_estimator_features(edited, n_in_max)
-                    got = pl.estimator_features(edited, n_in_max)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                want = loop_estimator_features(edited)
+                got = pl.estimator_features(edited)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_slots_filled_in_agent_order(self):
         scene = tiny_scenes(1)[0]
-        pairs = pl.estimator_features(scene, 4)
+        pairs = pl.estimator_features(scene)
         in_sight = sorted(scene.in_sight(), key=lambda a: a.agent_id)
         w, h = scene.image_size
         t = scene.t_obs
@@ -162,20 +161,16 @@ class TestFeatures:
         assert np.all(np.abs(pairs[:, :2]) < 0.5)
         assert np.all(np.abs(pairs[:, 2:]) <= 1.0)
 
-    def test_surplus_agents_are_dropped(self):
-        scene = tiny_scenes(1)[0]
-        assert np.array_equal(pl.estimator_features(scene, 2), pl.estimator_features(scene, 4)[:2])
-
     def test_only_visible_steps_are_averaged(self):
         scene = tiny_scenes(1)[0]
-        base = pl.estimator_features(scene, 4)
+        base = pl.estimator_features(scene)
         edited = copy.deepcopy(scene)
         first, second = sorted(edited.in_sight(), key=lambda a: a.agent_id)[:2]
         first.visible[:2] = False
         first.pixel[:2] = np.nan
         second.visible[: scene.t_obs] = False
         second.pixel[: scene.t_obs] = np.nan
-        pairs = pl.estimator_features(edited, 4)
+        pairs = pl.estimator_features(edited)
         # the agent never visible in the window is dropped; the other two
         # keep their slot order
         assert pairs.shape == (2, 5)
@@ -191,9 +186,9 @@ class TestFeatures:
         blind = copy.deepcopy(scene)
         for agent in blind.in_sight():
             agent.visible[: scene.t_obs] = False
-        pairs = pl.estimator_features(blind, 4)
+        pairs = pl.estimator_features(blind)
         assert pairs.shape == (0, 5)
-        rows = pl.CameraEstimator()(pairs, blind.image_size, blind.t_obs).data
+        rows = pl.CameraEstimator(sim.FOCAL)(pairs, blind.image_size, blind.t_obs).data
         assert np.all(np.isfinite(rows))
 
     def test_no_visible_agents_rejected(self):
@@ -201,15 +196,15 @@ class TestFeatures:
         lone = copy.deepcopy(scene)
         lone.agents = [scene.out_of_sight()]
         with pytest.raises(NoInSightAgents):
-            pl.estimator_features(lone, 4)
+            pl.estimator_features(lone)
 
 
-def fit_rows(estimator, scene, n_in_max=8):
-    return estimator(pl.estimator_features(scene, n_in_max), scene.image_size, scene.t_obs).data
+def fit_rows(estimator, scene):
+    return estimator(pl.estimator_features(scene), scene.image_size, scene.t_obs).data
 
 
-def fitted_camera(scene):
-    rows = fit_rows(pl.CameraEstimator(), scene)
+def fitted_camera(scene, focal=sim.FOCAL):
+    rows = fit_rows(pl.CameraEstimator(focal), scene)
     assert rows.shape == (scene.t_obs, 12)
     assert np.all(rows == rows[0])  # one matrix for the whole window
     return geo.rows_to_camera(rows[0])
@@ -230,10 +225,15 @@ class TestCameraFit:
         errors = [hidden_track_error(s, fitted_camera(s)) for s in sim.make_split(cfg, 600, 12)]
         assert np.mean(errors) < 1.0
 
+    def test_clean_scenes_of_another_rig_recover_the_camera(self):
+        cfg = sim.SimulatorConfig(noise=sim.NoiseModel.preset("clean"), image_size=(1280, 960), focal=1000.0)
+        errors = [hidden_track_error(s, fitted_camera(s, cfg.focal)) for s in sim.make_split(cfg, 650, 20)]
+        assert np.mean(errors) < 1.0
+
     def test_beats_the_nominal_camera_at_default_noise(self):
         cfg = sim.SimulatorConfig(noise=sim.NoiseModel.preset("default"))
         scenes = sim.make_split(cfg, 700, 12)
-        nominal = geo.rows_to_camera(pl.nominal_camera()[0].ravel())
+        nominal = geo.rows_to_camera(pl.nominal_camera(cfg.intrinsics())[0].ravel())
         fitted = np.mean([hidden_track_error(s, fitted_camera(s)) for s in scenes])
         assert fitted < np.mean([hidden_track_error(s, nominal) for s in scenes])
 
@@ -259,15 +259,16 @@ class TestCameraFit:
         world = rng.uniform([-4.0, 10.0, 0.8], [4.0, 22.0, 1.9], (7, 3))
         pixel = rng.uniform(0.0, 480.0, (7, 2))
         pose = rng.uniform(pl.POSE_BOX[:, 0], pl.POSE_BOX[:, 1])
-        res, jac = pl.look_at_residuals(pose, world, pixel)
-        want = geo.project_trajectory(pl.pose_camera(pose), world) - pixel
+        k = geo.CameraIntrinsics.centered(700.0, (800, 600))
+        res, jac = pl.look_at_residuals(pose, world, pixel, k)
+        want = geo.project_trajectory(pl.pose_camera(pose, k), world) - pixel
         assert np.allclose(res, want.ravel(), atol=1e-9)
         numeric = np.empty_like(jac)
         for i in range(6):
             step = np.zeros(6)
             step[i] = 1e-6
-            up = pl.look_at_residuals(pose + step, world, pixel)[0]
-            down = pl.look_at_residuals(pose - step, world, pixel)[0]
+            up = pl.look_at_residuals(pose + step, world, pixel, k)[0]
+            down = pl.look_at_residuals(pose - step, world, pixel, k)[0]
             numeric[:, i] = (up - down) / 2e-6
         assert np.abs(jac - numeric).max() < 1e-6 * np.abs(numeric).max()
 
@@ -277,9 +278,9 @@ class TestCameraMemo:
         fitted = []
         fit = pl.fit_camera
 
-        def counting(world, pixel):
+        def counting(world, pixel, intrinsics):
             fitted.append(world.tobytes())
-            return fit(world, pixel)
+            return fit(world, pixel, intrinsics)
 
         monkeypatch.setattr(pl, "fit_camera", counting)
         scenes = tiny_scenes(6, noise="default")
@@ -305,7 +306,7 @@ class TestCameraMemo:
 
     def test_moved_agents_get_their_own_fit(self):
         scene = tiny_scenes(1, noise="default")[0]
-        estimator = pl.CameraEstimator()
+        estimator = pl.CameraEstimator(sim.FOCAL)
         original = fit_rows(estimator, scene)
         moved = copy.deepcopy(scene)
         for agent in moved.in_sight():
@@ -313,35 +314,9 @@ class TestCameraMemo:
             agent.pixel[:] = agent.pixel + 7.0
         got = fit_rows(estimator, moved)
         assert len(estimator.fits) == 2
-        assert np.array_equal(got, fit_rows(pl.CameraEstimator(), moved))
+        assert np.array_equal(got, fit_rows(pl.CameraEstimator(sim.FOCAL), moved))
         assert not np.allclose(got, original)
         assert np.array_equal(fit_rows(estimator, scene), original)
-
-
-class TestStandardRig:
-    def test_forward_refuses_another_image_size(self):
-        scene = copy.deepcopy(tiny_scenes(1)[0])
-        scene.image_size = (1280, 960)
-        with pytest.raises(ConfigError) as err:
-            pl.VisionPipeline(TINY, np.random.default_rng(0)).forward(scene)
-        assert err.value.field == "image_size"
-        # without the camera fit the image size is only a scale
-        for drop in ("estimator", "projection"):
-            visual, _ = without(drop, 0).forward(scene)
-            assert np.all(np.isfinite(visual.data))
-
-    @pytest.mark.parametrize("drop", [None, "denoiser", "estimator", "projection", "predictor"])
-    def test_only_models_that_fit_the_camera_refuse_another_rig(self, drop):
-        model = without(drop, 0)
-        assert model.fits_camera == (drop not in ("estimator", "projection"))
-        pl.require_standard_rig(model, sim.FOCAL, sim.IMAGE_SIZE)
-        for focal, size in ((1000.0, sim.IMAGE_SIZE), (sim.FOCAL, (1280, 960))):
-            if model.fits_camera:
-                with pytest.raises(ConfigError) as err:
-                    pl.require_standard_rig(model, focal, size)
-                assert err.value.field == "focal"
-            else:
-                pl.require_standard_rig(model, focal, size)
 
 
 class TestMethodName:
@@ -388,8 +363,10 @@ class TestForward:
     def test_scene_horizon_must_match(self):
         model = pl.VisionPipeline(TINY, np.random.default_rng(2))
         scene = tiny_scenes(1, t_pred=4)[0]
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(SchemaError) as err:
             model.forward(scene)
+        assert err.value.field == "t_pred"
+        assert f"scene seed {scene.seed} predicts 4 steps, the model 3" in str(err.value)
 
     def test_loss_matches_manual_computation(self):
         model = pl.VisionPipeline(TINY, np.random.default_rng(3))
@@ -482,15 +459,15 @@ class TestBlindness:
 
     def test_features_ignore_hidden_agent(self):
         scene = tiny_scenes(1)[0]
-        base = pl.estimator_features(scene, 4)
+        base = pl.estimator_features(scene)
         tampered = copy.deepcopy(scene)
         tampered.out_of_sight().pixel[:] = -1.0
-        assert np.array_equal(base, pl.estimator_features(tampered, 4))
+        assert np.array_equal(base, pl.estimator_features(tampered))
 
 
 class TestEndToEndGradients:
     def test_full_pipeline_against_finite_differences(self):
-        cfg = pl.ModelConfig(t_pred=2, width=8, layers=1, heads=2, n_in_max=2)
+        cfg = pl.ModelConfig(t_pred=2, width=8, layers=1, heads=2)
         model = pl.VisionPipeline(cfg, np.random.default_rng(5))
         scene = tiny_scenes(1, t_obs=4, t_pred=2)[0]
 
