@@ -220,15 +220,11 @@ class SmootherOracle:
 
     name = "smoother"
 
-    def __init__(self, process_var: float = 0.5, meas_var: float = 4.0):
-        self.process_var = process_var
-        self.meas_var = meas_var
-
     def predict(self, scenes: Scene | list[Scene]) -> tuple[np.ndarray, np.ndarray]:
         return _reference_predict(scenes, self._world_tracks)
 
     def _world_tracks(self, sensor: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        positions, velocities = rts_smooth(sensor, process_var=self.process_var, meas_var=self.meas_var)
+        positions, velocities = rts_smooth(sensor)
         horizon = np.arange(1, steps + 1)[:, None] * DT
         return positions, positions[-1] + horizon * velocities[-1]
 

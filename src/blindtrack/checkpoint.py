@@ -20,6 +20,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
+from .config import JSON_TYPES
 from .errors import ConfigError, HashMismatch, SchemaError
 from .nn import Adam
 from .pipeline import ModelConfig, TrainConfig
@@ -112,10 +113,6 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-# the JSON values a config field of each annotated type accepts; a bool is neither
-JSON_TYPES = {"int": {int}, "float": {int, float}}
-
-
 def _section(header: dict, key: str, cls):
     """Build cls from header[key], which must name exactly cls's fields,
     each holding a value of its type: a header written by another version
@@ -150,8 +147,9 @@ def train_config_from_header(header: dict) -> TrainConfig:
 def restore_model(model, header: dict, arrays: dict[str, np.ndarray]) -> Adam:
     """Copy parameters into a freshly built model and rebuild its
     optimizer, including moment estimates and step count. Every stored
-    array must have a place in the model: a checkpoint written by another
-    version of the architecture is refused, not silently trimmed."""
+    array must have a place in the model, and hold finite values only: a
+    checkpoint written by another version of the architecture is refused,
+    not silently trimmed, and so is one holding NaN or inf."""
     names = [name for name, _ in model.named_parameters()]
     expected = {key for name in names for key in (name, ADAM_M + name, ADAM_V + name)}
     unknown = sorted({key.removeprefix(ADAM_M).removeprefix(ADAM_V) for key in set(arrays) - expected})
@@ -177,6 +175,8 @@ def restore_model(model, header: dict, arrays: dict[str, np.ndarray]) -> Adam:
                     f"array {key!r} has shape {arrays[key].shape}, model needs {dest.shape}",
                     field=key,
                 )
+            if not np.isfinite(arrays[key]).all():
+                raise SchemaError(f"array {key!r} holds a non-finite value", field=key)
             dest[...] = arrays[key]
     return optimizer
 

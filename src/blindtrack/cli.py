@@ -6,8 +6,8 @@ table, sanity-check scenes with a classical calibration pass, import
 external scene files, and merge result CSVs into a report.
 
 Exit codes: 0 success, 2 bad config or usage, 3 I/O failure,
-4 config-hash mismatch, 5 non-finite training loss, 6 not enough data,
-7 schema violation.
+4 config-hash mismatch, 5 non-finite training loss or prediction,
+6 not enough data, 7 schema violation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import REFERENCE_METHODS, make_model, make_reference, method_names
-from .checkpoint import load_checkpoint, model_config_from_header, require_hash, restore_model, save_checkpoint
+from .checkpoint import (
+    load_checkpoint,
+    model_config_from_header,
+    require_hash,
+    restore_model,
+    save_checkpoint,
+    train_config_from_header,
+)
 from .config import RunConfig
 from .dataset import SCENE_SCHEMA, load_dataset, read_manifest, read_scenes, write_dataset
 from .errors import (
@@ -92,6 +99,13 @@ def _dataset_config(args, manifest: dict) -> tuple[RunConfig, str]:
     return cfg, manifest["config_hash"]
 
 
+def _split(splits: dict, name: str) -> list:
+    """The scenes of split `name`, which the dataset must hold."""
+    if name not in splits:
+        raise ConfigError(f"split {name!r} not in dataset", field="split")
+    return splits[name]
+
+
 def _write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -152,10 +166,9 @@ def cmd_eval(args) -> int:
     header, arrays = load_checkpoint(args.checkpoint)
     manifest, splits = load_dataset(args.dataset)
     require_hash(header, manifest["config_hash"], "eval dataset")
-    if args.split not in splits:
-        raise ConfigError(f"split {args.split!r} not in dataset", field="split")
-    scenes = splits[args.split]
+    scenes = _split(splits, args.split)
     model = make_model(header["kind"], model_config_from_header(header), np.random.default_rng(0))
+    seed = train_config_from_header(header).seed
     restore_model(model, header, arrays)
     names = (
         [s.strip() for s in args.methods.split(",") if s.strip()]
@@ -172,7 +185,7 @@ def cmd_eval(args) -> int:
             valid = ", ".join([header["kind"], *REFERENCE_METHODS])
             raise ConfigError(f"method {name!r} not available here; valid: {valid}", field="methods")
         reports.append(
-            evaluate_model(scorer, scenes, args.split, manifest["config_hash"], header["train"]["seed"])
+            evaluate_model(scorer, scenes, args.split, manifest["config_hash"], seed)
         )
     _say(reports_to_markdown(reports, title=f"Evaluation on {args.split}"))
     if args.out:
@@ -185,6 +198,7 @@ def cmd_ablate(args) -> int:
     manifest, splits = load_dataset(args.dataset)
     cfg, cfg_hash = _dataset_config(args, manifest)
     seed = cfg.train_seed if args.seed is None else args.seed
+    _split(splits, args.split)  # before any training
 
     def progress(report):
         _say(f"{report.method}: MSE-D={report.mse_d:.2f} MSE-P={report.mse_p:.2f} SUM={report.mse_sum:.2f}")
@@ -202,10 +216,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    manifest, splits = load_dataset(args.dataset)
-    if args.split not in splits:
-        raise ConfigError(f"split {args.split!r} not in dataset", field="split")
-    scenes = splits[args.split]
+    _, splits = load_dataset(args.dataset)
+    scenes = _split(splits, args.split)
     if not scenes:
         raise EmptyInput(f"split {args.split!r} has no scenes")
     lines = ["scene,mode,n_points,mean_px,max_px,flagged"]
@@ -224,10 +236,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_import(args) -> int:
-    if args.schema != SCENE_SCHEMA:
-        raise ConfigError(
-            f"unsupported schema {args.schema!r}; this build reads {SCENE_SCHEMA}", field="schema"
-        )
     src = Path(args.input)
     if src.is_dir():  # read without the manifest's hashes: this is how an edited dataset is re-admitted
         manifest = read_manifest(src)
@@ -235,7 +243,7 @@ def cmd_import(args) -> int:
         config_dict = manifest["config"]
     else:
         splits = {args.split: read_scenes(src)}
-        config_dict = {"imported_from": src.name, "schema": args.schema}
+        config_dict = {"imported_from": src.name, "schema": SCENE_SCHEMA}
     manifest = write_dataset(args.out, splits, config_dict)
     counts = ", ".join(f"{name}={info['count']}" for name, info in manifest["splits"].items())
     _say(f"imported into {args.out} ({counts})")
@@ -306,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     imp = sub.add_parser("import", help="check external or edited scenes and rebuild a dataset")
     imp.add_argument("input", help="scene JSONL file or dataset directory")
     imp.add_argument("--out", required=True, help="output dataset directory")
-    imp.add_argument("--schema", default=SCENE_SCHEMA, help="expected scene schema name")
     imp.add_argument("--split", default="test", help="split for a single-file import")
     imp.set_defaults(run=cmd_import)
 

@@ -5,7 +5,8 @@ hash that pairs datasets with the configs that produced them."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dataset import hash_of
 from .errors import ConfigError
@@ -13,6 +14,37 @@ from .pipeline import ModelConfig, TrainConfig
 from .simulator import NoiseModel, SimulatorConfig
 
 PROFILES = ("desk", "paper")
+# the JSON values a config field of each annotated type accepts: a bool is
+# no number, and an int is accepted as a float. RunConfig.from_dict and
+# the checkpoint header's "model" and "train" sections both read it
+JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}}
+# the fields that hold a config of their own, read from an object
+NESTED = {"SimulatorConfig": SimulatorConfig, "NoiseModel": NoiseModel}
+
+
+def _from_json(cls, raw, where: str = ""):
+    """cls from raw, a JSON object naming any of cls's fields. Each value
+    must be of its field's JSON type (JSON_TYPES), an image size a list of
+    ints and a nested config an object. Values are passed on as read, so
+    to_dict() writes back the same JSON. The first field at fault raises
+    ConfigError naming its dotted path."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{where or 'config'} must be an object, got {type(raw).__name__}", field=where)
+    kinds = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for key, value in raw.items():
+        name = f"{where}.{key}" if where else key
+        kind = kinds.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown config field {name!r}", field=name)
+        if kind in NESTED:
+            value = _from_json(NESTED[kind], value, name)
+        elif kind == "tuple[int, int]" and type(value) is list and set(map(type, value)) <= JSON_TYPES["int"]:
+            value = tuple(value)
+        elif type(value) not in JSON_TYPES.get(kind, ()):
+            raise ConfigError(f"config field {name!r} holds {type(value).__name__}, not {kind}", field=name)
+        values[key] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -41,10 +73,10 @@ class RunConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}", field="lr")
-        if self.pred_weight < 0:
-            raise ConfigError(f"pred_weight must be >= 0, got {self.pred_weight}", field="pred_weight")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}", field="lr")
+        if not (math.isfinite(self.pred_weight) and self.pred_weight >= 0):
+            raise ConfigError(f"pred_weight must be finite and >= 0, got {self.pred_weight}", field="pred_weight")
         if self.data_seed < 0 or self.train_seed < 0:
             raise ConfigError("seeds must be non-negative", field="data_seed")
         self.sim.validate()
@@ -78,30 +110,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be an object, got {type(raw).__name__}")
-        data = dict(raw)
-        sim_raw = data.pop("sim", {})
-        if not isinstance(sim_raw, dict):
-            raise ConfigError("sim must be an object", field="sim")
-        sim_data = dict(sim_raw)
-        noise_raw = sim_data.pop("noise", {})
-        if not isinstance(noise_raw, dict):
-            raise ConfigError("sim.noise must be an object", field="sim.noise")
-        try:
-            noise = NoiseModel(**noise_raw)
-        except TypeError as err:
-            raise ConfigError(f"bad noise field: {err}", field="sim.noise") from err
-        if "image_size" in sim_data:
-            sim_data["image_size"] = tuple(sim_data["image_size"])
-        try:
-            sim_cfg = SimulatorConfig(noise=noise, **sim_data)
-        except TypeError as err:
-            raise ConfigError(f"bad simulator field: {err}", field="sim") from err
-        try:
-            cfg = cls(sim=sim_cfg, **data)
-        except TypeError as err:
-            raise ConfigError(f"bad config field: {err}") from err
+        cfg = _from_json(cls, raw)
         cfg.validate()
         return cfg
 

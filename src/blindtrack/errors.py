@@ -67,7 +67,8 @@ class NoInSightAgents(BlindtrackError):
 
 
 class NonFiniteLoss(BlindtrackError):
-    """Training produced NaN or Inf; carries the epoch and batch index."""
+    """Training produced NaN or Inf, or a model predicted it; carries the
+    epoch and batch index of a training loss."""
 
     def __init__(self, message: str, epoch: int = -1, batch: int = -1):
         super().__init__(message)

@@ -43,7 +43,6 @@ class CameraIntrinsics:
     fy: float
     cx: float
     cy: float
-    skew: float = 0.0
 
     @classmethod
     def centered(cls, focal: float, image_size: tuple[int, int]) -> CameraIntrinsics:
@@ -53,7 +52,7 @@ class CameraIntrinsics:
     def matrix(self) -> np.ndarray:
         return np.array(
             [
-                [self.fx, self.skew, self.cx],
+                [self.fx, 0.0, self.cx],
                 [0.0, self.fy, self.cy],
                 [0.0, 0.0, 1.0],
             ]
@@ -170,14 +169,6 @@ def homogeneous_apply(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.einsum("tij,tj->ti", matrices, hom)
 
 
-def project_point(matrix: np.ndarray, point) -> np.ndarray:
-    """Project one world point to pixel coordinates (2,)."""
-    row = homogeneous_apply(matrix, np.asarray(point, dtype=np.float64).reshape(1, 3))[0]
-    if row[2] <= EPS_DEPTH:
-        raise DepthNonPositive(f"point depth {row[2]:.3e} <= {EPS_DEPTH}")
-    return row[:2] / row[2]
-
-
 def project_trajectory(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Project a (T, 3) trajectory to (T, 2) pixels by the homogeneous
     division; raises DepthNonPositive (with the offending timestep) for
@@ -189,21 +180,6 @@ def project_trajectory(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
     if bad.size:
         raise DepthNonPositive(f"depth {depths[bad[0]]:.3e} <= {EPS_DEPTH} at timestep {bad[0]}")
     return rows[:, :2] / depths[:, None]
-
-
-def camera_to_rows(matrix: np.ndarray) -> np.ndarray:
-    """Flatten (3, 4) to (12,), row-major."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (3, 4):
-        raise LengthMismatch(f"camera matrix must be (3, 4), got {matrix.shape}")
-    return matrix.reshape(12).copy()
-
-
-def rows_to_camera(rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape != (12,):
-        raise LengthMismatch(f"expected 12 entries, got {rows.shape}")
-    return rows.reshape(3, 4).copy()
 
 
 def _normalizing_transform(points: np.ndarray, target_scale: float) -> np.ndarray:

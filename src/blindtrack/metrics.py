@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyTrajectory, LengthMismatch, SchemaError
+from .errors import EmptyInput, EmptyTrajectory, LengthMismatch, NonFiniteLoss, SchemaError
 from .simulator import shape_groups
 
 
@@ -45,6 +45,10 @@ class EvalReport:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.n_scenes < 1:
+            raise ValueError(f"{self.n_scenes} scenes in report for {self.method}")
+        if not np.isfinite([self.mse_d, self.mse_p, self.mse_sum]).all():
+            raise ValueError(f"non-finite error in report for {self.method}")
         if abs(self.mse_sum - (self.mse_d + self.mse_p)) > 1e-9:
             raise ValueError(
                 f"sum {self.mse_sum} != {self.mse_d} + {self.mse_p} for {self.method}"
@@ -75,7 +79,9 @@ def score_scenes(predict, scenes, method: str, split: str, config_hash: str = ""
     group is cut into chunks of at most SCORE_ROWS observed rows, one
     predict call each, so a learned model scores a chunk as one
     row-stacked forward pass. Each scene's errors keep its place in seed
-    order, so reports do not depend on input ordering.
+    order, so reports do not depend on input ordering. A scene whose
+    error is NaN or inf (its prediction is, or overflows) raises
+    NonFiniteLoss naming its seed.
     """
     if not scenes:
         raise EmptyInput(f"no scenes in split {split!r}")
@@ -95,6 +101,9 @@ def score_scenes(predict, scenes, method: str, split: str, config_hash: str = ""
                 pixel = scene.out_of_sight().pixel
                 d_errors[i] = mse_t(denoised, pixel[: scene.t_obs])
                 p_errors[i] = mse_t(ahead, pixel[scene.t_obs:])
+    bad = np.flatnonzero(~np.isfinite(d_errors + p_errors))
+    if bad.size:
+        raise NonFiniteLoss(f"{method}: non-finite pixel error on scene seed {ordered[bad[0]].seed}")
     mse_d = float(np.mean(d_errors))
     mse_p = float(np.mean(p_errors))
     report = EvalReport(

@@ -42,8 +42,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(f"{prefix}{name}.{i}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{prefix}{name}.{i}", item
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -96,10 +94,10 @@ class MultiHeadSelfAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, x: Tensor, steps: int | None = None) -> Tensor:
-        """x is a row-stacked batch of sequences of `steps` rows each (one
-        sequence of all rows by default); attention stays within each."""
-        mixed = attention_block(self.wq(x), self.wk(x), self.wv(x), heads=self.heads, segment=steps)
+    def __call__(self, x: Tensor, steps: int) -> Tensor:
+        """x is a row-stacked batch of sequences of `steps` rows each;
+        attention stays within each."""
+        mixed = attention_block(self.wq(x), self.wk(x), self.wv(x), steps, heads=self.heads)
         return self.wo(mixed)
 
 
@@ -113,7 +111,7 @@ class TransformerBlock(Module):
         self.ff_in = Linear(dim, ff_mult * dim, rng)
         self.ff_out = Linear(ff_mult * dim, dim, rng)
 
-    def __call__(self, x: Tensor, steps: int | None = None) -> Tensor:
+    def __call__(self, x: Tensor, steps: int) -> Tensor:
         x = add(x, self.attn(self.norm_attn(x), steps))
         return add(x, self.ff_out(relu(self.ff_in(self.norm_ff(x)))))
 
@@ -122,7 +120,7 @@ class TransformerEncoder(Module):
     def __init__(self, dim: int, layers: int, heads: int, rng: np.random.Generator):
         self.blocks = [TransformerBlock(dim, heads, rng) for _ in range(layers)]
 
-    def __call__(self, x: Tensor, steps: int | None = None) -> Tensor:
+    def __call__(self, x: Tensor, steps: int) -> Tensor:
         for block in self.blocks:
             x = block(x, steps)
         return x
@@ -207,7 +205,7 @@ def make_cell(kind: str, in_dim: int, dim: int, rng: np.random.Generator) -> Mod
 class SequenceTrunk(Module):
     """Map sequences of in_dim rows to dim-wide feature rows with a chosen
     backbone: (B*T, in_dim) -> (B*T, dim) for a row-stacked batch of B
-    sequences of T = steps rows (one sequence of all rows by default).
+    sequences of T = steps rows.
 
     kind "transformer" embeds, adds the fixed position table to every
     sequence, and runs the encoder; recurrent kinds embed and run one
@@ -228,9 +226,8 @@ class SequenceTrunk(Module):
         else:
             self.cell = make_cell(kind, dim, dim, rng)
 
-    def __call__(self, x: Tensor, steps: int | None = None) -> Tensor:
+    def __call__(self, x: Tensor, steps: int) -> Tensor:
         rows = x.data.shape[0]
-        steps = steps or rows
         h = self.embed(x)
         if self.kind == "transformer":
             positions = np.tile(sinusoidal_encoding(steps, self.dim), (rows // steps, 1))

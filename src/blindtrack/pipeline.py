@@ -390,7 +390,7 @@ def fit_camera(world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsic
 
 class SensorDenoiser(Module):
     """Residual correction of the noisy sensor track, (B*T, 3) -> (B*T, 3)
-    for B row-stacked tracks of T = steps rows (one track by default).
+    for B row-stacked tracks of T = steps rows.
 
     The trunk reads the track normalized like the features (ARENA_MID,
     ARENA_HALF), and its residual is scaled back to metres by ARENA_HALF.
@@ -403,7 +403,7 @@ class SensorDenoiser(Module):
         self.head.weight.data[...] = 0.0
         self.shift = Tensor(-ARENA_MID[None, :])
 
-    def __call__(self, sensor: Tensor, steps: int | None = None) -> Tensor:
+    def __call__(self, sensor: Tensor, steps: int) -> Tensor:
         normalized = col_scale(add(sensor, self.shift), 1.0 / ARENA_HALF)
         return add(sensor, col_scale(self.head(self.trunk(normalized, steps)), ARENA_HALF))
 
@@ -440,8 +440,7 @@ class CameraEstimator:
 
 class FuturePixelPredictor(Module):
     """Forecast the prediction window from an observed pixel track,
-    (B*T, 2) -> (B*t_pred, 2) for B row-stacked tracks of T = steps rows
-    (one track by default).
+    (B*T, 2) -> (B*t_pred, 2) for B row-stacked tracks of T = steps rows.
 
     Input and output are raw pixels; coordinates are normalized by the
     image size internally and denormalized on the way out.
@@ -452,7 +451,7 @@ class FuturePixelPredictor(Module):
         self.trunk = SequenceTrunk(kind, 2, cfg.width, cfg.layers, cfg.heads, rng)
         self.head = Linear(cfg.width, 2 * cfg.t_pred, rng)
 
-    def __call__(self, pixels: Tensor, image_size: tuple[int, int], steps: int | None = None) -> Tensor:
+    def __call__(self, pixels: Tensor, image_size: tuple[int, int], steps: int) -> Tensor:
         w, h = image_size
         normalized = col_scale(pixels, (1.0 / w, 1.0 / h))
         pooled = mean_rows(self.trunk(normalized, steps), steps)

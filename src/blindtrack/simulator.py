@@ -189,7 +189,7 @@ def shape_groups(scenes: list[Scene]) -> list[list[int]]:
     return list(groups.values())
 
 
-def walk_tracks(rngs: list[np.random.Generator], steps: int, height: float | None = None) -> np.ndarray:
+def walk_tracks(rngs: list[np.random.Generator], steps: int) -> np.ndarray:
     """Waypoint wanders inside the arena, one per generator, walked in
     lockstep: (len(rngs), steps, 3), z fixed per track.
 
@@ -197,7 +197,7 @@ def walk_tracks(rngs: list[np.random.Generator], steps: int, height: float | Non
     box-smoothed and re-integrated, which keeps per-step displacement at or
     under the raw maximum. Positions are clipped to the arena (projection
     onto a box never increases step length). Each track carries its sensor
-    at a constant height, drawn from HEIGHT_RANGE when not given.
+    at a constant height drawn from HEIGHT_RANGE.
 
     A track's draws come from its own generator alone, in a fixed order:
     height, start, first waypoint and leg speed, then one waypoint and
@@ -207,11 +207,10 @@ def walk_tracks(rngs: list[np.random.Generator], steps: int, height: float | Non
     if steps < 1:
         raise ConfigError(f"track needs at least 1 step, got {steps}", field="t_obs")
     n = len(rngs)
-    # [height,] start x, y, then the first leg: waypoint x, y and speed
-    boxes = ([HEIGHT_RANGE] if height is None else []) + [ARENA_X, ARENA_Y, ARENA_X, ARENA_Y, WALK_SPEED]
+    # height, start x, y, then the first leg: waypoint x, y and speed
+    boxes = [HEIGHT_RANGE, ARENA_X, ARENA_Y, ARENA_X, ARENA_Y, WALK_SPEED]
     first = np.array([rng.uniform(*zip(*boxes)) for rng in rngs]).reshape(n, len(boxes))
-    heights = first[:, 0] if height is None else np.full(n, float(height))
-    pos, waypoint, speed = first[:, -5:-3], first[:, -3:-1].copy(), first[:, -1].copy()
+    heights, pos, waypoint, speed = first[:, 0], first[:, 1:3], first[:, 3:5].copy(), first[:, 5].copy()
     leg_low, leg_high = zip(ARENA_X, ARENA_Y, WALK_SPEED)
     velocity = np.zeros((n, max(steps - 1, 1), 2))
     cur = pos
@@ -245,9 +244,9 @@ def walk_tracks(rngs: list[np.random.Generator], steps: int, height: float | Non
     return np.concatenate([xy, np.broadcast_to(heights[:, None, None], (n, steps, 1))], axis=2)
 
 
-def gen_track(rng: np.random.Generator, steps: int, height: float | None = None) -> np.ndarray:
+def gen_track(rng: np.random.Generator, steps: int) -> np.ndarray:
     """One waypoint wander, (steps, 3): `walk_tracks` of one generator."""
-    return walk_tracks([rng], steps, height)[0]
+    return walk_tracks([rng], steps)[0]
 
 
 def camera_sequence(cfg: SimulatorConfig, rng: np.random.Generator, steps: int) -> np.ndarray:

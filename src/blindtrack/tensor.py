@@ -335,19 +335,17 @@ def row_sum(a: Tensor) -> Tensor:
     return _node(a.data.sum(axis=1, keepdims=True), (a,), lambda g: (np.repeat(g, n, axis=1),))
 
 
-def _segment_rows(a: Tensor, segment: int | None, op: str) -> int:
-    """Rows per segment of a row-stacked batch; None means one segment."""
+def _segment_rows(a: Tensor, segment: int, op: str) -> int:
+    """Rows per segment of a row-stacked batch, checked to split its rows."""
     m = a.data.shape[0]
-    if segment is None:
-        return m
     if segment < 1 or m % segment:
         raise ShapeMismatch(f"{op}: {m} rows do not split into segments of {segment}")
     return segment
 
 
-def mean_rows(a: Tensor, segment: int | None = None) -> Tensor:
-    """(B*T, n) -> (B, n), averaging each segment of T = segment rows (one
-    segment of all rows by default). Used for sequence pooling."""
+def mean_rows(a: Tensor, segment: int) -> Tensor:
+    """(B*T, n) -> (B, n), averaging each segment of T = segment rows.
+    Used for sequence pooling."""
     m, n = a.data.shape
     steps = _segment_rows(a, segment, "mean_rows")
     out = a.data.reshape(m // steps, steps, n).mean(axis=1)
@@ -485,57 +483,51 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return _node(out, (pred, target), back)
 
 
-def attention_block(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, segment: int | None = None) -> Tensor:
+def attention_block(q: Tensor, k: Tensor, v: Tensor, segment: int, heads: int = 1) -> Tensor:
     """Scaled dot-product attention, fused over heads and segments.
 
-    q and k are (m, d), v is (m_k, e). Their columns split into `heads`
-    equal groups, one per head. With `segment` = T the rows split into
-    segments of T rows and each row attends only within its own segment,
-    the sequences of a row-stacked batch. By default there is one head and
-    one segment, and q may then have a different number of rows than k.
-    Scores are scaled by 1/sqrt(d / heads) before the row-wise softmax, so
-    each head's output rows are convex combinations of its v rows. Forward
-    and backward are batched (B, heads, T, T) numpy products.
+    q, k and v are (m, d), (m, d) and (m, e). Their columns split into
+    `heads` equal groups, one per head, and their rows into segments of
+    T = segment rows: each row attends only within its own segment, the
+    sequences of a row-stacked batch. Scores are scaled by
+    1/sqrt(d / heads) before the row-wise softmax, so each head's output
+    rows are convex combinations of its v rows. Forward and backward are
+    batched (B, heads, T, T) numpy products.
     """
-    (mq, d), (mk, dk), (mv, e) = q.data.shape, k.data.shape, v.data.shape
+    (m, d), (mk, dk), (mv, e) = q.data.shape, k.data.shape, v.data.shape
     if d != dk:
         raise ShapeMismatch(f"attention: query dim {q.data.shape} vs key dim {k.data.shape}")
-    if mk != mv:
-        raise ShapeMismatch(f"attention: {mk} keys vs {mv} values")
+    if not m == mk == mv:
+        raise ShapeMismatch(f"attention: {m} queries, {mk} keys and {mv} values")
     if heads < 1 or d % heads or e % heads:
         raise ShapeMismatch(f"attention: widths {d} and {e} do not split into {heads} heads")
-    if segment is None:
-        batch, tq, tk = 1, mq, mk
-    elif mq != mk:
-        raise ShapeMismatch(f"attention: segments need as many queries as keys, got {mq} and {mk}")
-    else:
-        tq = tk = _segment_rows(q, segment, "attention")
-        batch = mq // tq
+    steps = _segment_rows(q, segment, "attention")
+    batch = m // steps
     dh, eh = d // heads, e // heads
     factor = 1.0 / np.sqrt(dh)
 
-    def split(x, steps, width):  # (batch*steps, heads*width) -> (batch, heads, steps, width)
+    def split(x, width):  # (batch*steps, heads*width) -> (batch, heads, steps, width)
         return x.reshape(batch, steps, heads, width).transpose(0, 2, 1, 3)
 
-    def merge(x, rows):  # inverse of split
-        return x.transpose(0, 2, 1, 3).reshape(rows, -1)
+    def merge(x):  # inverse of split
+        return x.transpose(0, 2, 1, 3).reshape(m, -1)
 
-    qh, kh, vh = split(q.data, tq, dh), split(k.data, tk, dh), split(v.data, tk, eh)
+    qh, kh, vh = split(q.data, dh), split(k.data, dh), split(v.data, eh)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * factor
     e_scores = np.exp(scores - scores.max(axis=3, keepdims=True))
     weights = e_scores / e_scores.sum(axis=3, keepdims=True)
 
     def back(g):
-        gh = split(g, tq, eh)
+        gh = split(g, eh)
         d_weights = gh @ vh.transpose(0, 1, 3, 2)
         d_scores = weights * (d_weights - (d_weights * weights).sum(axis=3, keepdims=True)) * factor
         return (
-            merge(d_scores @ kh, mq),
-            merge(d_scores.transpose(0, 1, 3, 2) @ qh, mk),
-            merge(weights.transpose(0, 1, 3, 2) @ gh, mk),
+            merge(d_scores @ kh),
+            merge(d_scores.transpose(0, 1, 3, 2) @ qh),
+            merge(weights.transpose(0, 1, 3, 2) @ gh),
         )
 
-    return _node(merge(weights @ vh, mq), (q, k, v), back)
+    return _node(merge(weights @ vh), (q, k, v), back)
 
 
 def _previous(hidden: list[np.ndarray]) -> np.ndarray:
@@ -658,16 +650,16 @@ def _lstm_scan(xs, weights, h, keep):
 _SCANS = {"rnn": (_rnn_scan, 1, 1), "gru": (_gru_scan, 3, 1), "lstm": (_lstm_scan, 1, 4)}
 
 
-def recurrent_scan(kind: str, x: Tensor, params, segment: int | None = None) -> Tensor:
+def recurrent_scan(kind: str, x: Tensor, params, segment: int) -> Tensor:
     """A recurrent cell unrolled over a row-stacked batch, as one node.
 
-    x is (B*T, n): B sequences of T = segment rows (one sequence of all
-    rows by default). From a zero state the cell steps over t = 0 .. T-1
-    with one (B, d) state for all B sequences, and the hidden rows come
-    back stacked sequence-major, (B*T, d). params are the cell's weights
-    as (wx, wh, b) groups, in nn's order: rnn one group; gru the update,
-    reset and candidate groups; lstm one group of 4*d columns holding the
-    input, forget, candidate and output gates.
+    x is (B*T, n): B sequences of T = segment rows. From a zero state
+    the cell steps over t = 0 .. T-1 with one (B, d) state for all B
+    sequences, and the hidden rows come back stacked sequence-major,
+    (B*T, d). params are the cell's weights as (wx, wh, b) groups, in
+    nn's order: rnn one group; gru the update, reset and candidate groups;
+    lstm one group of 4*d columns holding the input, forget, candidate
+    and output gates.
 
     Each step forms (x_t @ wx + h @ wh) + b from a contiguous (B, n) block
     x_t, the same products in the same order as the cells' single step, so

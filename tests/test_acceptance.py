@@ -113,13 +113,13 @@ class TestCriterion01Gradients:
             (lambda p: sum_all(square(concat_cols([p[0], p[1]]))), [mat(3, 2), mat(3, 3)]),
             (lambda p: mean_all(p[0]), [mat(5, 2)]),
             (lambda p: sum_all(square(row_sum(p[0]))), [mat(4, 3)]),
-            (lambda p: sum_all(square(mean_rows(p[0]))), [mat(4, 3)]),
+            (lambda p: sum_all(square(mean_rows(p[0], 4))), [mat(4, 3)]),
             (lambda p: sum_all(square(tile_rows(p[0], 5))), [mat(1, 4)]),
             (lambda p: sum_all(square(softmax_rows(p[0]))), [mat(3, 5)]),
             (lambda p: sum_all(layer_norm(p[0], p[1], p[2])), [mat(4, 6), mat(1, 6), mat(1, 6)]),
             (lambda p: sum_all(col_scale(p[0], np.array([0.5, -2.0, 3.0]))), [mat(4, 3)]),
             (lambda p: mse_loss(p[0], target), [mat(4, 3)]),
-            (lambda p: sum_all(attention_block(p[0], p[1], p[2])), [mat(4, 6), mat(4, 6), mat(4, 6)]),
+            (lambda p: sum_all(attention_block(p[0], p[1], p[2], 4)), [mat(4, 6), mat(4, 6), mat(4, 6)]),
         ]
         # one fused recurrent unroll per cell kind: 3 sequences of 2 steps,
         # a 2-wide state, (wx, wh, b) per gate group
@@ -254,6 +254,7 @@ class TestCriterion05Blindness:
         )
 
 
+@pytest.mark.slow
 class TestCriterion06CleanConvergence:
     def test_zero_noise_end_to_end(self):
         t0 = time.time()
@@ -292,6 +293,7 @@ def bench_splits():
     return make_dataset(BENCH.sim, BENCH.data_seed, BENCH.n_train, BENCH.n_val, BENCH.n_test)
 
 
+@pytest.mark.slow
 class TestCriterion07Benchmark:
     def test_pipeline_beats_sensor_only_baselines(self, bench_splits):
         t0 = time.time()
@@ -317,6 +319,7 @@ class TestCriterion07Benchmark:
         )
 
 
+@pytest.mark.slow
 class TestCriterion08Ablation:
     def test_every_stage_earns_its_place(self, bench_splits):
         t0 = time.time()

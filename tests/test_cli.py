@@ -94,6 +94,22 @@ def edited_dataset(source: Path, out: Path, split: str, edit, rehashed: bool = T
     return out
 
 
+def fill_array(source: Path, dest: Path, value: float, name: str | None = None) -> str:
+    """Copy a checkpoint with every entry of array `name` (by default the
+    first array) set to value; returns the array's name."""
+    blob = bytearray(source.read_bytes())
+    (length,) = struct.unpack("<Q", blob[8:16])
+    offset = 16 + length
+    for entry in json.loads(blob[16 : 16 + length])["arrays"]:
+        size = entry["rows"] * entry["cols"]
+        if name in (None, entry["name"]):
+            blob[offset : offset + 8 * size] = struct.pack(f"<{size}d", *[value] * size)
+            dest.write_bytes(bytes(blob))
+            return entry["name"]
+        offset += 8 * size
+    raise KeyError(name)
+
+
 def hidden_index(record: dict) -> int:
     return [a["agent_id"] for a in record["agents"]].index(record["out_of_sight_id"])
 
@@ -166,6 +182,24 @@ class TestSimulate:
     def test_bad_config_value_is_usage_error(self, workdir, tmp_path):
         cfg = write_config(tmp_path / "bad.json", **{"sim.noise.gps_sigma": 50.0})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({"epochs": "10"}, "'epochs' holds str"),
+            ({"sim": {"t_obs": "4"}}, "'sim.t_obs' holds str"),
+            ({"lr": None}, "'lr' holds NoneType"),
+            ({"sim": {"noise": {"gps_sigma": "x"}}}, "'sim.noise.gps_sigma' holds str"),
+            ({"sim": {"image_size": 5}}, "'sim.image_size' holds int"),
+        ],
+        ids=["epochs_a_string", "t_obs_a_string", "lr_null", "gps_sigma_a_string", "image_size_an_int"],
+    )
+    def test_config_value_of_the_wrong_json_type_exits_2(self, tmp_path, capsys, raw, named):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -250,10 +284,14 @@ class TestEval:
             (lambda header: header["model"].update(focal=0.0), "'model': focal must be finite and positive"),
             (lambda header: header["model"].update(focal=-1.0), "'model': focal must be finite and positive"),
             (lambda header: header["model"].update(focal=float("nan")), "'model': focal must be finite and positive"),
+            (lambda header: header.update(train={}), "'train': missing field 'batch_size'"),
+            (lambda header: header.update(train=[1]), "'train': missing field 'batch_size'"),
+            (lambda header: header["train"].update(seed="abc"), "'train': field 'seed' holds str"),
         ],
         ids=["extra_model_field", "use_denoiser", "missing_train", "missing_adam_lr", "array_without_rows",
              "arrays_not_a_list", "width_not_an_int", "negative_rows", "rows_past_the_end", "n_in_max_no_focal",
-             "heads_0", "heads_3_width_16", "width_0", "width_negative", "focal_0", "focal_negative", "focal_nan"],
+             "heads_0", "heads_3_width_16", "width_0", "width_negative", "focal_0", "focal_negative", "focal_nan",
+             "train_empty", "train_a_list", "seed_a_string"],
     )
     def test_checkpoint_header_of_another_format_exits_7(self, workdir, tmp_path, capsys, edit, named):
         path = tmp_path / "edited.ckpt"
@@ -367,6 +405,25 @@ class TestEval:
         assert main(argv) == 7
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_checkpoint_array_holding_a_non_finite_value_exits_7(self, workdir, tmp_path, capsys, value):
+        path = tmp_path / "edited.ckpt"
+        first = fill_array(workdir / "run" / "checkpoint.ckpt", path, value)
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data"), "--out", str(out)]) == 7
+        assert f"array {first!r} holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_model_predicting_non_finite_pixels_exits_5(self, workdir, tmp_path, capsys):
+        # finite weights so large that the forecast overflows
+        path = tmp_path / "huge.ckpt"
+        fill_array(workdir / "run" / "checkpoint.ckpt", path, 1e300, "predictor.head.weight")
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data"), "--out", str(out)]) == 5
+        assert "full: non-finite pixel error on scene seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_split_exits_2(self, workdir):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
                      "--dataset", str(workdir / "data"), "--split", "holdout"]) == 2
@@ -463,10 +520,6 @@ class TestImport:
         bad.write_text("this is not json\n")
         assert main(["import", str(bad), "--out", str(tmp_path / "ds")]) == 7
 
-    def test_unknown_schema_exits_2(self, workdir, tmp_path):
-        assert main(["import", str(workdir / "data"), "--schema", "scene-v99",
-                     "--out", str(tmp_path / "ds")]) == 2
-
 
 class TestReport:
     def test_merges_csv_files(self, workdir, tmp_path, capsys):
@@ -493,8 +546,11 @@ class TestReport:
             ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,x,1.0,2.0,3.0\n", "line 2, column 'n_scenes'"),
             ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,2,1.0,2.0,99.0\n", "line 2: sum 99.0 != 1.0 + 2.0"),
             ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,2,-1.0,2.0,1.0\n", "line 2: negative error"),
+            ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,2,nan,nan,nan\n", "line 2: non-finite error"),
+            ("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,-3,1.0,2.0,3.0\n", "line 2: -3 scenes"),
         ],
-        ids=["no_method_column", "n_scenes_not_an_int", "sum_not_the_sum", "negative_error"],
+        ids=["no_method_column", "n_scenes_not_an_int", "sum_not_the_sum", "negative_error", "nan_errors",
+             "negative_n_scenes"],
     )
     def test_malformed_csv_exits_7(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.csv"
@@ -527,6 +583,13 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["ablate", "calibrate"])
+    def test_missing_split_exits_2_before_any_work(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(workdir / "data"), "--split", "holdout", "--out", str(out)]) == 2
+        assert "split 'holdout' not in dataset" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_readme_cli_block_parses(self):
         # every command line of README's CLI section, continuation lines

@@ -67,6 +67,18 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"profile": "desk", "wheels": 4})
 
+    @pytest.mark.parametrize("raw, field", [({"epochs": True}, "epochs"), ({"sim": {"focal": False}}, "sim.focal")])
+    def test_a_bool_is_no_number(self, raw, field):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw)
+        assert err.value.field == field
+
+    def test_an_int_for_a_float_field_is_kept_as_read(self):
+        raw = {"lr": 1, "sim": {"focal": 500, "image_size": [640, 480]}}
+        cfg = RunConfig.from_dict(raw)
+        assert type(cfg.lr) is int and type(cfg.sim.focal) is int
+        assert cfg.to_dict()["lr"] == 1 and cfg.to_dict()["sim"]["image_size"] == [640, 480]
+
     def test_a_config_naming_n_in_max_is_refused(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({**RunConfig().to_dict(), "n_in_max": 8})
@@ -80,6 +92,14 @@ class TestValidation:
     def test_positive_lr(self):
         with pytest.raises(ConfigError):
             RunConfig(lr=0.0).validate()
+
+    @pytest.mark.parametrize("name", ["lr", "pred_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_learning_rate_and_weight_must_be_finite(self, name, value):
+        # a canonical-JSON config hash cannot hold them
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({name: value})
+        assert err.value.field == name
 
     def test_split_sizes(self):
         with pytest.raises(ConfigError):

@@ -39,7 +39,7 @@ class TestProjection:
         pose = geo.ExtrinsicPose(rotation=np.eye(3), translation=np.zeros(3))
         matrix = geo.compose_matrix(1.0, INTRINSICS, pose)
         # u = (500*1 + 320*5)/5, v = (500*(-2) + 240*5)/5
-        uv = geo.project_point(matrix, [1.0, -2.0, 5.0])
+        uv = geo.project_trajectory(matrix, np.array([[1.0, -2.0, 5.0]]))[0]
         assert uv == pytest.approx([420.0, 40.0], abs=1e-12)
 
     def test_point_on_axis_hits_principal_point(self):
@@ -47,7 +47,7 @@ class TestProjection:
         position = np.array([0.5, -0.5, 2.0])
         target = np.array([1.0, 12.0, 1.0])
         matrix = geo.compose_matrix(1.0, INTRINSICS, geo.look_at(position, target))
-        uv = geo.project_point(matrix, target)
+        uv = geo.project_trajectory(matrix, target[None])[0]
         assert uv == pytest.approx([INTRINSICS.cx, INTRINSICS.cy], abs=1e-9)
 
     def test_compose_equals_direct_evaluation(self):
@@ -92,11 +92,6 @@ class TestProjection:
         stack = np.stack([random_camera(rng) for _ in range(3)])
         with pytest.raises(LengthMismatch):
             geo.project_trajectory(stack, random_points(rng, 4))
-
-    def test_row_flattening_round_trip(self):
-        rng = np.random.default_rng(5)
-        matrix = random_camera(rng)
-        assert np.array_equal(geo.rows_to_camera(geo.camera_to_rows(matrix)), matrix)
 
 
 class TestPose:

@@ -64,12 +64,12 @@ class TestBlocks:
         block = nn.TransformerBlock(4, 2, rng)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         params = [x] + block.parameters()
-        check_gradients(lambda: tz.mean_all(tz.square(block(x))), params, tol=1e-4)
+        check_gradients(lambda: tz.mean_all(tz.square(block(x, 3))), params, tol=1e-4)
 
     def test_encoder_shape_preserved(self):
         rng = np.random.default_rng(4)
         enc = nn.TransformerEncoder(8, 2, 2, rng)
-        out = enc(Tensor(rng.normal(size=(5, 8))))
+        out = enc(Tensor(rng.normal(size=(5, 8))), 5)
         assert out.data.shape == (5, 8)
 
 
@@ -119,9 +119,9 @@ class TestSequenceTrunk:
         rng = np.random.default_rng(8)
         trunk = nn.SequenceTrunk(kind, 3, 4, 1, 2, rng)
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        out = trunk(x)
+        out = trunk(x, 5)
         assert out.data.shape == (5, 4)
-        check_gradients(lambda: tz.mean_all(tz.square(trunk(x))), [x] + trunk.parameters(), tol=1e-4)
+        check_gradients(lambda: tz.mean_all(tz.square(trunk(x, 5))), [x] + trunk.parameters(), tol=1e-4)
 
 
 def composite_unroll(cell, x: Tensor, steps: int) -> Tensor:

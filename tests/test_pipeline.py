@@ -69,7 +69,7 @@ class TestProjectRows:
         for seed in range(20):
             scene = sim.make_scene(small_config(t_obs=8, t_pred=2), seed)
             hidden = scene.out_of_sight()
-            rows = np.stack([geo.camera_to_rows(m) for m in scene.camera[: scene.t_obs]])
+            rows = scene.camera[: scene.t_obs].reshape(-1, 12)
             got = pl.project_rows(Tensor(rows), Tensor(hidden.sensor)).data
             want = geo.project_trajectory(scene.camera[: scene.t_obs], hidden.sensor)
             assert np.allclose(got, want, atol=1e-10)
@@ -78,7 +78,7 @@ class TestProjectRows:
         rng = np.random.default_rng(1)
         scene = sim.make_scene(small_config(t_obs=8, t_pred=2), 3)
         hidden = scene.out_of_sight()
-        rows = np.stack([geo.camera_to_rows(m) for m in scene.camera[: scene.t_obs]])
+        rows = scene.camera[: scene.t_obs].reshape(-1, 12)
         base = pl.project_rows(Tensor(rows), Tensor(hidden.sensor)).data
         for _ in range(20):
             lam = 10.0 ** rng.uniform(-3, 3)
@@ -207,7 +207,7 @@ def fitted_camera(scene, focal=sim.FOCAL):
     rows = fit_rows(pl.CameraEstimator(focal), scene)
     assert rows.shape == (scene.t_obs, 12)
     assert np.all(rows == rows[0])  # one matrix for the whole window
-    return geo.rows_to_camera(rows[0])
+    return rows[0].reshape(3, 4)
 
 
 def hidden_track_error(scene, camera):
@@ -233,7 +233,7 @@ class TestCameraFit:
     def test_beats_the_nominal_camera_at_default_noise(self):
         cfg = sim.SimulatorConfig(noise=sim.NoiseModel.preset("default"))
         scenes = sim.make_split(cfg, 700, 12)
-        nominal = geo.rows_to_camera(pl.nominal_camera(cfg.intrinsics())[0].ravel())
+        nominal = pl.nominal_camera(cfg.intrinsics())[0].reshape(3, 4)
         fitted = np.mean([hidden_track_error(s, fitted_camera(s)) for s in scenes])
         assert fitted < np.mean([hidden_track_error(s, nominal) for s in scenes])
 

@@ -197,10 +197,6 @@ class TestTracks:
         assert np.all(track[:, 2] == track[0, 2])
         assert sim.HEIGHT_RANGE[0] <= track[0, 2] <= sim.HEIGHT_RANGE[1]
 
-    def test_explicit_height_is_respected(self):
-        track = sim.gen_track(np.random.default_rng(5), 12, height=1.3)
-        assert np.all(track[:, 2] == 1.3)
-
     def test_agents_in_one_scene_have_distinct_heights(self):
         scene = sim.make_scene(small_config(), seed=11)
         heights = sorted(a.world[0, 2] for a in scene.agents)

@@ -159,8 +159,8 @@ class TestBackward:
                 (lambda: tz.sum_all(tz.square(tz.concat_rows([a, b]))), [a, b]),
                 (lambda: tz.sum_all(tz.square(tz.concat_cols([a, b]))), [a, b]),
                 (lambda: tz.sum_all(tz.square(tz.row_sum(a))), [a]),
-                (lambda: tz.sum_all(tz.square(tz.mean_rows(a))), [a]),
-                (lambda: tz.mean_all(tz.square(tz.tile_rows(tz.mean_rows(a), 5))), [a]),
+                (lambda: tz.sum_all(tz.square(tz.mean_rows(a, 3))), [a]),
+                (lambda: tz.mean_all(tz.square(tz.tile_rows(tz.mean_rows(a, 3), 5))), [a]),
                 (lambda: tz.mse_loss(a, b), [a, b]),
                 (lambda: tz.sum_all(tz.col_scale(a, [1.0, -2.0, 0.5, 3.0])), [a]),
             ]
@@ -194,7 +194,7 @@ class TestBackward:
         k = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         v = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         check_gradients(
-            lambda: tz.sum_all(tz.square(tz.attention_block(q, k, v))),
+            lambda: tz.sum_all(tz.square(tz.attention_block(q, k, v, 4))),
             [q, k, v],
             tol=1e-4,
         )
@@ -272,8 +272,8 @@ class TestRowStackedOps:
 
     def test_one_head_one_segment_is_the_composite_exactly(self):
         rng = np.random.default_rng(21)
-        q, k, v = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
-        got = tz.attention_block(Tensor(q), Tensor(k), Tensor(v)).data
+        q, k, v = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+        got = tz.attention_block(Tensor(q), Tensor(k), Tensor(v), 4).data
         assert np.array_equal(got, composite_attention(q, k, v))
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -333,7 +333,9 @@ class TestRowStackedOps:
         with pytest.raises(ShapeMismatch):
             tz.attention_block(x, x, x, segment=4)
         with pytest.raises(ShapeMismatch):
-            tz.attention_block(x, x, x, heads=3)
+            tz.attention_block(x, x, x, segment=6, heads=3)
+        with pytest.raises(ShapeMismatch):
+            tz.attention_block(Tensor(np.zeros((4, 2))), x, x, segment=2)
         with pytest.raises(ShapeMismatch):
             tz.recurrent_scan("rnn", x, scan_params(np.random.default_rng(0), "rnn", 2, 3), 4)
 
