@@ -19,10 +19,10 @@ supervised.
 A forward pass takes a batch of scenes of one shape (t_obs, t_pred, image
 size) and row-stacks them, scene-major, so a training minibatch is one
 autodiff graph (see the tensor module), and a chunk of scenes scored by
-metrics.score_scenes is one forward pass with no graph. Only the camera
-fit runs scene by scene; its rows are stacked like the rest. A scene whose
-horizon is not the model's t_pred is refused with SchemaError
-(TrajectoryModel.batch).
+metrics.score_scenes is one forward pass with no graph. The camera fit
+stacks a batch's new scenes by pair count (fit_cameras), bit for bit the
+per-scene fit. A scene whose horizon is not the model's t_pred is refused
+with SchemaError (TrajectoryModel.batch).
 
 The method name alone is a pipeline's architecture (pipeline_layout);
 ModelConfig holds only its dimensions.
@@ -65,7 +65,6 @@ from .tensor import (
     clamp_away_from_zero,
     col_scale,
     concat_cols,
-    concat_rows,
     div,
     mean_rows,
     mse_loss,
@@ -269,8 +268,8 @@ FIT_ITERATIONS = 3
 
 
 def pose_camera(pose: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """The (3, 4) camera of a look-at pose (mount xyz, aim xyz)."""
-    return compose_matrix(1.0, intrinsics, look_at(pose[:3], pose[3:]))
+    """The (..., 3, 4) cameras of look-at poses (..., 6): mount xyz, aim xyz."""
+    return compose_matrix(1.0, intrinsics, look_at(pose[..., :3], pose[..., 3:]))
 
 
 def nominal_camera(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -285,93 +284,123 @@ def nominal_camera(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray
     values. Both arrays are (1, 12), row-major.
     """
     nominal = pose_camera(POSE_MID, intrinsics)
-    corners = np.array([pose_camera(np.array(corner), intrinsics) for corner in itertools.product(*POSE_BOX)])
+    corners = pose_camera(np.array(list(itertools.product(*POSE_BOX))), intrinsics)
     spread = np.maximum(np.abs(corners - nominal).max(axis=0), 1e-2)
     return nominal.reshape(1, 12), spread.reshape(1, 12)
+
+
+def _roots(values: np.ndarray) -> np.ndarray:
+    """Square roots as Python's float ** 0.5 (libm pow) takes them; np.sqrt
+    rounds some differently, which moves the fitted cameras' bits."""
+    return np.array([value**0.5 for value in values.tolist()])
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of (B, k) arrays, as BLAS dots (see geometry.row_norms)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def look_at_residuals(
     pose: np.ndarray, world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reprojection residuals of a look-at pose, and their Jacobian.
+    """Reprojection residuals of a stack of look-at poses, and their Jacobians.
 
-    pose is (mount xyz, aim xyz); world is (n, 3) and pixel (n, 2). The
-    residuals are (2n,), projected minus observed pixels, u and v
-    interleaved. The Jacobian, (2n, 6), is analytic: the rotation depends
-    on the pose only through the heading and elevation of the view axis
-    aim - mount, so it is differentiated through those two angles. Depths
-    are clamped at EPS_DEPTH, which keeps both finite for a point behind
-    the camera.
+    pose is (B, 6), rows of mount xyz, aim xyz; world is (B, n, 3) and
+    pixel (B, n, 2). The residuals are (B, 2n), projected minus observed
+    pixels, u and v interleaved. The Jacobian, (B, 2n, 6), is analytic:
+    the rotation depends on the pose only through the heading and
+    elevation of the view axis aim - mount, so it is differentiated
+    through those two angles. Depths are clamped at EPS_DEPTH, which keeps
+    both finite for a point behind the camera.
     """
-    gx, gy, gz = (pose[3:] - pose[:3]).tolist()
+    gx, gy, gz = (pose[:, 3:] - pose[:, :3]).T
     rho2 = gx * gx + gy * gy
-    rho = rho2**0.5
+    rho = _roots(rho2)
     norm2 = rho2 + gz * gz
-    norm = norm2**0.5
+    norm = _roots(norm2)
     sin_h, cos_h = gx / rho, gy / rho  # heading
     sin_e, cos_e = gz / norm, rho / norm  # elevation
-    # rows: right, down, forward, as in geometry.look_at; then the rows'
-    # derivatives by heading and by elevation
+    zero = np.zeros_like(gx)
+    # per scene, rows: right, down, forward, as in geometry.look_at; then
+    # the rows' derivatives by heading and by elevation. Contiguous, so the
+    # matmul below runs in BLAS as one scene's does: numpy's strided loop
+    # rounds differently
     frames = np.array(
         [
-            [[cos_h, -sin_h, 0.0], [sin_e * sin_h, sin_e * cos_h, -cos_e], [cos_e * sin_h, cos_e * cos_h, sin_e]],
-            [[-sin_h, -cos_h, 0.0], [sin_e * cos_h, -sin_e * sin_h, 0.0], [cos_e * cos_h, -cos_e * sin_h, 0.0]],
-            [[0.0, 0.0, 0.0], [cos_e * sin_h, cos_e * cos_h, sin_e], [-sin_e * sin_h, -sin_e * cos_h, cos_e]],
+            [[cos_h, -sin_h, zero], [sin_e * sin_h, sin_e * cos_h, -cos_e], [cos_e * sin_h, cos_e * cos_h, sin_e]],
+            [[-sin_h, -cos_h, zero], [sin_e * cos_h, -sin_e * sin_h, zero], [cos_e * cos_h, -cos_e * sin_h, zero]],
+            [[zero, zero, zero], [cos_e * sin_h, cos_e * cos_h, sin_e], [-sin_e * sin_h, -sin_e * cos_h, cos_e]],
         ]
-    )
-    # (heading, elevation) by the view axis
+    ).transpose(3, 0, 1, 2).copy()
+    # per scene, (heading, elevation) by the view axis
     d_angles = np.array(
-        [[gy / rho2, -gx / rho2, 0.0], [-gz * gx / (rho * norm2), -gz * gy / (rho * norm2), rho / norm2]]
-    )
-    cam = (world - pose[:3]) @ frames.reshape(9, 3).T  # (n, 9): camera coords, then their angle derivatives
-    depth = np.maximum(cam[:, 2], EPS_DEPTH)
+        [[gy / rho2, -gx / rho2, zero], [-gz * gx / (rho * norm2), -gz * gy / (rho * norm2), rho / norm2]]
+    ).transpose(2, 0, 1)
+    # (B, n, 9): camera coords, then their angle derivatives
+    cam = (world - pose[:, None, :3]) @ np.swapaxes(frames.reshape(-1, 9, 3), 1, 2)
+    depth = np.maximum(cam[..., 2], EPS_DEPTH)
     focal = np.array([intrinsics.fx, intrinsics.fy])
-    image = cam[:, 0:2] / depth[:, None]  # (n, 2) normalized image coords
-    res = (focal * image + np.array([intrinsics.cx, intrinsics.cy]) - pixel).ravel()
+    image = cam[..., 0:2] / depth[..., None]  # (B, n, 2) normalized image coords
+    res = (focal * image + np.array([intrinsics.cx, intrinsics.cy]) - pixel).reshape(len(pose), -1)
     # d(pixel)/d(camera coords), applied to the rotation rows and to their
     # angle derivatives
-    gain = focal / depth[:, None]
-    d_world = gain[:, :, None] * (frames[0][None, 0:2, :] - image[:, :, None] * frames[0][None, 2:3, :])
-    d_heading = gain * (cam[:, 3:5] - image * cam[:, 5:6])
-    d_elevation = gain * (cam[:, 6:8] - image * cam[:, 8:9])
-    d_aim = d_heading[:, :, None] * d_angles[0] + d_elevation[:, :, None] * d_angles[1]
-    jac = np.concatenate([-d_world - d_aim, d_aim], axis=2)
-    return res, jac.reshape(-1, 6)
+    gain = focal / depth[..., None]
+    d_world = gain[..., None] * (frames[:, None, 0, 0:2] - image[..., None] * frames[:, None, 0, 2:3])
+    d_heading = gain * (cam[..., 3:5] - image * cam[..., 5:6])
+    d_elevation = gain * (cam[..., 6:8] - image * cam[..., 8:9])
+    d_aim = d_heading[..., None] * d_angles[:, None, None, 0] + d_elevation[..., None] * d_angles[:, None, None, 1]
+    jac = np.concatenate([-d_world - d_aim, d_aim], axis=3)
+    return res, jac.reshape(len(pose), -1, 6)
 
 
 def _fit_pose(
-    world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics, start: np.ndarray, prior_weight: float
+    world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics, start: np.ndarray, prior_weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton on the squared reprojection error plus prior_weight
-    times the squared pose offset from POSE_MID in units of POSE_STD,
-    from `start`; a step that does not lower that energy is halved.
-    Returns the pose and its residuals."""
-    precision = prior_weight / POSE_STD**2
+    """Gauss-Newton per scene of a (B, n, ·) stack, from the (B, 6) poses
+    `start`, on the squared reprojection error plus prior_weight (B,) times
+    the squared pose offset from POSE_MID in units of POSE_STD. A step that
+    does not lower a scene's energy is halved; a scene whose four trials
+    all fail stops. Returns the poses and their residuals."""
+    precision = prior_weight[:, None] / POSE_STD**2
 
-    def energy(pose, res):
-        return float(res @ res + precision @ (pose - POSE_MID) ** 2)
+    def energy(pose, res, precision):
+        return _dot_rows(res, res) + _dot_rows(precision, (pose - POSE_MID) ** 2)
 
-    pose = start
+    pose = start.copy()
     res, jac = look_at_residuals(pose, world, pixel, intrinsics)
-    current = energy(pose, res)
+    current = energy(pose, res, precision)
+    active = np.ones(len(pose), dtype=bool)
     for _ in range(FIT_ITERATIONS):
-        step = np.linalg.solve(jac.T @ jac + np.diag(precision), jac.T @ res + precision * (pose - POSE_MID))
+        fit = np.flatnonzero(active)
+        jac_fit = jac[fit]
+        jac_t = np.swapaxes(jac_fit, 1, 2)  # one array on both sides, as in a single scene's jac.T @ jac
+        normal = jac_t @ jac_fit + precision[fit, :, None] * np.eye(6)
+        gradient = (jac_t @ res[fit, :, None])[..., 0] + precision[fit] * (pose[fit] - POSE_MID)
+        step = np.linalg.solve(normal, gradient[..., None])[..., 0]  # rows follow `trying`
+        trying = fit
         for _ in range(4):
-            trial = pose - step
-            trial_res, trial_jac = look_at_residuals(trial, world, pixel, intrinsics)
-            trial_energy = energy(trial, trial_res)
-            if trial_energy < current:
+            trial = pose[trying] - step
+            trial_res, trial_jac = look_at_residuals(trial, world[trying], pixel[trying], intrinsics)
+            trial_energy = energy(trial, trial_res, precision[trying])
+            lower = trial_energy < current[trying]
+            moved = trying[lower]
+            pose[moved], res[moved], jac[moved], current[moved] = (
+                trial[lower], trial_res[lower], trial_jac[lower], trial_energy[lower]
+            )
+            trying, step = trying[~lower], step[~lower] / 2.0
+            if not len(trying):
                 break
-            step = step / 2.0
-        else:
+        active[trying] = False
+        if not active.any():
             break
-        pose, res, jac, current = trial, trial_res, trial_jac, trial_energy
     return pose, res
 
 
-def fit_camera(world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Look-at camera of the given intrinsics fitted to (n, 3) world points
-    and their (n, 2) pixels, shrunk toward the pose box; returns (3, 4).
+def fit_cameras(world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Look-at cameras of the given intrinsics, one per scene, fitted to
+    (B, n, 3) world points and their (B, n, 2) pixels and shrunk toward
+    the pose box; returns (B, 3, 4). Scenes share the pair count n, and
+    each scene's camera has the bits it would get fitted alone.
 
     A first fit, from the box centre with the weakest prior, gives the
     residual variance per pixel coordinate (never below ROUNDING_VAR); a
@@ -381,9 +410,10 @@ def fit_camera(world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsic
     or everything when there are fewer pairs than unknowns), so the fit
     returns a finite camera for any number of pairs.
     """
-    pose, res = _fit_pose(world, pixel, intrinsics, POSE_MID, ROUNDING_VAR)
+    count = len(world)
+    pose, res = _fit_pose(world, pixel, intrinsics, np.tile(POSE_MID, (count, 1)), np.full(count, ROUNDING_VAR))
     # five of the six pose coordinates move the image
-    variance = max(float(res @ res) / max(len(res) - 5, 1), ROUNDING_VAR)
+    variance = np.maximum(_dot_rows(res, res) / max(res.shape[1] - 5, 1), ROUNDING_VAR)
     pose, _ = _fit_pose(world, pixel, intrinsics, pose, variance)
     return pose_camera(pose, intrinsics)
 
@@ -409,33 +439,38 @@ class SensorDenoiser(Module):
 
 
 class CameraEstimator:
-    """The camera fitted to the visible agents, as matrix rows tiled over
-    the observation window: (n, 5) pairs from estimator_features -> (steps,
-    12).
+    """The camera fitted to each scene's visible agents, as matrix rows
+    tiled over the observation window: a batch's (n, 5) pairs from
+    estimator_features -> (B*steps, 12), scene-major.
 
-    It fits one look-at camera (fit_camera) to the pairs, with the rig's
-    focal length and the principal point at the image centre. It has no
-    parameters and passes no gradient: the camera is a pure function of
-    the visible agents' inputs. So each estimator fits a scene's camera
-    once and keeps it in `fits`, keyed by the fit's exact input (the pairs'
-    bytes and the image size): later epochs, validation passes and
-    predictions reuse the same float64 rows, and a scene whose visible
-    agents change gets a fit of its own.
+    It fits one look-at camera per scene to the pairs, with the rig's focal
+    length and the principal point at the image centre, in one fit_cameras
+    call per distinct pair count n. It has no parameters
+    and passes no gradient: the camera is a pure function of the visible
+    agents' inputs. So each estimator fits a scene's camera once and keeps
+    it in `fits`, keyed by the fit's exact input (the pairs' bytes and the
+    image size): later epochs, validation passes and predictions reuse the
+    same float64 rows, and a scene whose visible agents change gets a fit
+    of its own.
     """
 
     def __init__(self, focal: float):
         self.focal = focal
         self.fits: dict[tuple[bytes, tuple[int, int]], np.ndarray] = {}
 
-    def __call__(self, pairs: np.ndarray, image_size: tuple[int, int], steps: int) -> Tensor:
-        key = (pairs.tobytes(), tuple(image_size))
-        rows = self.fits.get(key)
-        if rows is None:
-            pixel = (pairs[:, :2] + 0.5) * np.asarray(image_size, dtype=np.float64)
-            world = pairs[:, 2:] * ARENA_HALF + ARENA_MID
-            intrinsics = CameraIntrinsics.centered(self.focal, image_size)
-            rows = self.fits[key] = fit_camera(world, pixel, intrinsics).reshape(1, 12)
-        return Tensor(np.repeat(rows, steps, axis=0))
+    def __call__(self, features: list[np.ndarray], image_size: tuple[int, int], steps: int) -> Tensor:
+        keys = [(pairs.tobytes(), tuple(image_size)) for pairs in features]
+        new: dict[int, dict] = {}  # the unfitted scenes' pairs by key, grouped by pair count
+        for key, pairs in zip(keys, features):
+            if key not in self.fits:
+                new.setdefault(len(pairs), {})[key] = pairs
+        intrinsics = CameraIntrinsics.centered(self.focal, image_size)
+        for group in new.values():
+            pairs = np.stack(list(group.values()))
+            pixel = (pairs[..., :2] + 0.5) * np.asarray(image_size, dtype=np.float64)
+            world = pairs[..., 2:] * ARENA_HALF + ARENA_MID
+            self.fits.update(zip(group, fit_cameras(world, pixel, intrinsics).reshape(-1, 1, 12)))
+        return Tensor(np.repeat(np.concatenate([self.fits[key] for key in keys]), steps, axis=0))
 
 
 class FuturePixelPredictor(Module):
@@ -521,7 +556,7 @@ class VisionPipeline(TrajectoryModel):
 
         if drop != "projection":
             if drop != "estimator":
-                rows = concat_rows([self.estimator(estimator_features(s), size, t_obs) for s in scenes])
+                rows = self.estimator([estimator_features(s) for s in scenes], size, t_obs)
             else:
                 static = add(col_scale(self.static_rows, self.static_spread), self.static_nominal)
                 rows = tile_rows(static, len(scenes) * t_obs)

@@ -3,9 +3,12 @@ hidden agent's labels, end-to-end differentiability, and trainer
 determinism."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindtrack import geometry as geo
 from blindtrack import pipeline as pl
@@ -188,7 +191,7 @@ class TestFeatures:
             agent.visible[: scene.t_obs] = False
         pairs = pl.estimator_features(blind)
         assert pairs.shape == (0, 5)
-        rows = pl.CameraEstimator(sim.FOCAL)(pairs, blind.image_size, blind.t_obs).data
+        rows = pl.CameraEstimator(sim.FOCAL)([pairs], blind.image_size, blind.t_obs).data
         assert np.all(np.isfinite(rows))
 
     def test_no_visible_agents_rejected(self):
@@ -200,7 +203,7 @@ class TestFeatures:
 
 
 def fit_rows(estimator, scene):
-    return estimator(pl.estimator_features(scene), scene.image_size, scene.t_obs).data
+    return estimator([pl.estimator_features(scene)], scene.image_size, scene.t_obs).data
 
 
 def fitted_camera(scene, focal=sim.FOCAL):
@@ -219,7 +222,138 @@ def hidden_track_error(scene, camera):
     return float(np.linalg.norm(geo.project_trajectory(camera, hidden.world[:t]) - true, axis=1).mean())
 
 
+def loop_look_at_residuals(pose, world, pixel, intrinsics):
+    """look_at_residuals of one (6,) pose, (n, 3) world points and (n, 2)
+    pixels, as the fit computed it scene by scene: the reference the
+    stacked form must match bit for bit."""
+    gx, gy, gz = (pose[3:] - pose[:3]).tolist()
+    rho2 = gx * gx + gy * gy
+    rho = rho2**0.5
+    norm2 = rho2 + gz * gz
+    norm = norm2**0.5
+    sin_h, cos_h = gx / rho, gy / rho
+    sin_e, cos_e = gz / norm, rho / norm
+    frames = np.array(
+        [
+            [[cos_h, -sin_h, 0.0], [sin_e * sin_h, sin_e * cos_h, -cos_e], [cos_e * sin_h, cos_e * cos_h, sin_e]],
+            [[-sin_h, -cos_h, 0.0], [sin_e * cos_h, -sin_e * sin_h, 0.0], [cos_e * cos_h, -cos_e * sin_h, 0.0]],
+            [[0.0, 0.0, 0.0], [cos_e * sin_h, cos_e * cos_h, sin_e], [-sin_e * sin_h, -sin_e * cos_h, cos_e]],
+        ]
+    )
+    d_angles = np.array(
+        [[gy / rho2, -gx / rho2, 0.0], [-gz * gx / (rho * norm2), -gz * gy / (rho * norm2), rho / norm2]]
+    )
+    cam = (world - pose[:3]) @ frames.reshape(9, 3).T
+    depth = np.maximum(cam[:, 2], geo.EPS_DEPTH)
+    focal = np.array([intrinsics.fx, intrinsics.fy])
+    image = cam[:, 0:2] / depth[:, None]
+    res = (focal * image + np.array([intrinsics.cx, intrinsics.cy]) - pixel).ravel()
+    gain = focal / depth[:, None]
+    d_world = gain[:, :, None] * (frames[0][None, 0:2, :] - image[:, :, None] * frames[0][None, 2:3, :])
+    d_heading = gain * (cam[:, 3:5] - image * cam[:, 5:6])
+    d_elevation = gain * (cam[:, 6:8] - image * cam[:, 8:9])
+    d_aim = d_heading[:, :, None] * d_angles[0] + d_elevation[:, :, None] * d_angles[1]
+    jac = np.concatenate([-d_world - d_aim, d_aim], axis=2)
+    return res, jac.reshape(-1, 6)
+
+
+def loop_fit_pose(world, pixel, intrinsics, start, prior_weight):
+    """One scene's Gauss-Newton with its step-halving line search, as a
+    loop: the reference for the stacked fit's masks."""
+    precision = prior_weight / pl.POSE_STD**2
+
+    def energy(pose, res):
+        return float(res @ res + precision @ (pose - pl.POSE_MID) ** 2)
+
+    pose = start
+    res, jac = loop_look_at_residuals(pose, world, pixel, intrinsics)
+    current = energy(pose, res)
+    for _ in range(pl.FIT_ITERATIONS):
+        step = np.linalg.solve(jac.T @ jac + np.diag(precision), jac.T @ res + precision * (pose - pl.POSE_MID))
+        for _ in range(4):
+            trial = pose - step
+            trial_res, trial_jac = loop_look_at_residuals(trial, world, pixel, intrinsics)
+            trial_energy = energy(trial, trial_res)
+            if trial_energy < current:
+                break
+            step = step / 2.0
+        else:
+            break
+        pose, res, jac, current = trial, trial_res, trial_jac, trial_energy
+    return pose, res
+
+
+def loop_fit_camera(world, pixel, intrinsics):
+    """One scene's (3, 4) camera, fitted alone: the reference fit_cameras
+    must match bit for bit, since criterion 6 amplifies a one-ulp change
+    of a camera into a visible move of its error."""
+    pose, res = loop_fit_pose(world, pixel, intrinsics, pl.POSE_MID, pl.ROUNDING_VAR)
+    variance = max(float(res @ res) / max(len(res) - 5, 1), pl.ROUNDING_VAR)
+    pose, _ = loop_fit_pose(world, pixel, intrinsics, pose, variance)
+    return pl.pose_camera(pose, intrinsics)
+
+
+FIT_RIGS = {
+    "desk": sim.SimulatorConfig(),
+    "desk_hard": sim.SimulatorConfig(noise=sim.NoiseModel.preset("hard")),
+    "1280x960": sim.SimulatorConfig(image_size=(1280, 960), focal=1000.0),
+    "arc_hard": sim.SimulatorConfig(t_obs=100, camera_motion="arc", noise=sim.NoiseModel.preset("hard")),
+}
+
+
+def fit_points(cfg, pairs):
+    """(world, pixel) of estimator_features pairs, (..., n, 5), as the
+    estimator hands them to the fit."""
+    return pairs[..., 2:] * pl.ARENA_HALF + pl.ARENA_MID, (pairs[..., :2] + 0.5) * np.asarray(cfg.image_size, float)
+
+
+def assert_fits_equal_the_loop(cfg, features):
+    """One estimator call on a batch's pairs gives each scene the camera
+    loop_fit_camera fits it alone, bit for bit, tiled over its steps."""
+    steps = 2
+    rows = pl.CameraEstimator(cfg.focal)(features, cfg.image_size, steps).data
+    for pairs, got in zip(features, rows.reshape(len(features), steps, 12)):
+        want = loop_fit_camera(*fit_points(cfg, pairs), cfg.intrinsics()).reshape(12)
+        assert all(np.array_equal(step, want) for step in got)
+
+
 class TestCameraFit:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rig=st.sampled_from(sorted(FIT_RIGS)),
+        batch=st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 7)), min_size=1, max_size=6),
+    )
+    def test_batched_fit_equals_each_scene_fitted_alone(self, rig, batch):
+        cfg = FIT_RIGS[rig]
+        features = []
+        for seed, count in batch:
+            pairs = pl.estimator_features(sim.make_scene(cfg, seed))
+            features.append(pairs[np.arange(count) % len(pairs)])  # repeat rows to reach the count
+        assert_fits_equal_the_loop(cfg, features)
+
+    @pytest.mark.parametrize("rig", sorted(FIT_RIGS))
+    def test_a_split_fitted_in_one_batch_keeps_every_cameras_bits(self, rig):
+        # 48 scenes per rig: enough that a one-ulp change of the fit's
+        # arithmetic (np.sqrt for pow, say) moves at least one camera
+        cfg = FIT_RIGS[rig]
+        rng = np.random.default_rng(5)
+        features = [pl.estimator_features(scene) for scene in sim.make_split(cfg, 4242, 48)]
+        features = [pairs[: rng.integers(1, len(pairs) + 1)] for pairs in features]
+        assert_fits_equal_the_loop(cfg, features)
+        # and fit_cameras itself, on the stack of every scene's first pair
+        world, pixel = fit_points(cfg, np.stack([pairs[:1] for pairs in features]))
+        got = pl.fit_cameras(world, pixel, cfg.intrinsics())
+        assert all(np.array_equal(g, loop_fit_camera(w, p, cfg.intrinsics())) for g, w, p in zip(got, world, pixel))
+
+    def test_nominal_rows_and_spreads_equal_the_per_corner_loop(self):
+        for cfg in FIT_RIGS.values():
+            intrinsics = cfg.intrinsics()
+            nominal, spread = pl.nominal_camera(intrinsics)
+            want = pl.pose_camera(pl.POSE_MID, intrinsics)
+            corners = np.array([pl.pose_camera(np.array(c), intrinsics) for c in itertools.product(*pl.POSE_BOX)])
+            assert np.array_equal(nominal, want.reshape(1, 12))
+            assert np.array_equal(spread, np.maximum(np.abs(corners - want).max(axis=0), 1e-2).reshape(1, 12))
+
     def test_clean_scenes_recover_the_camera(self):
         cfg = sim.SimulatorConfig(noise=sim.NoiseModel.preset("clean"))
         errors = [hidden_track_error(s, fitted_camera(s)) for s in sim.make_split(cfg, 600, 12)]
@@ -256,41 +390,67 @@ class TestCameraFit:
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        world = rng.uniform([-4.0, 10.0, 0.8], [4.0, 22.0, 1.9], (7, 3))
-        pixel = rng.uniform(0.0, 480.0, (7, 2))
-        pose = rng.uniform(pl.POSE_BOX[:, 0], pl.POSE_BOX[:, 1])
+        world = rng.uniform([-4.0, 10.0, 0.8], [4.0, 22.0, 1.9], (3, 7, 3))
+        pixel = rng.uniform(0.0, 480.0, (3, 7, 2))
+        pose = rng.uniform(pl.POSE_BOX[:, 0], pl.POSE_BOX[:, 1], (3, 6))
         k = geo.CameraIntrinsics.centered(700.0, (800, 600))
         res, jac = pl.look_at_residuals(pose, world, pixel, k)
-        want = geo.project_trajectory(pl.pose_camera(pose, k), world) - pixel
-        assert np.allclose(res, want.ravel(), atol=1e-9)
         numeric = np.empty_like(jac)
         for i in range(6):
             step = np.zeros(6)
             step[i] = 1e-6
             up = pl.look_at_residuals(pose + step, world, pixel, k)[0]
             down = pl.look_at_residuals(pose - step, world, pixel, k)[0]
-            numeric[:, i] = (up - down) / 2e-6
-        assert np.abs(jac - numeric).max() < 1e-6 * np.abs(numeric).max()
+            numeric[:, :, i] = (up - down) / 2e-6
+        for b in range(3):
+            want = geo.project_trajectory(pl.pose_camera(pose[b], k), world[b]) - pixel[b]
+            assert np.allclose(res[b], want.ravel(), atol=1e-9)
+            assert np.abs(jac[b] - numeric[b]).max() < 1e-6 * np.abs(numeric[b]).max()
+            alone_res, alone_jac = pl.look_at_residuals(pose[b : b + 1], world[b : b + 1], pixel[b : b + 1], k)
+            assert np.array_equal(alone_res[0], res[b]) and np.array_equal(alone_jac[0], jac[b])
+            loop_res, loop_jac = loop_look_at_residuals(pose[b], world[b], pixel[b], k)
+            assert np.array_equal(loop_res, res[b]) and np.array_equal(loop_jac, jac[b])
 
 
 class TestCameraMemo:
-    def test_one_fit_per_scene_across_epochs_and_validation(self, monkeypatch):
-        fitted = []
-        fit = pl.fit_camera
+    @staticmethod
+    def count_fits(monkeypatch):
+        """The scenes each fit_cameras call is given, one list per call."""
+        calls = []
+        fit = pl.fit_cameras
 
         def counting(world, pixel, intrinsics):
-            fitted.append(world.tobytes())
+            calls.append([scene.tobytes() for scene in world])
             return fit(world, pixel, intrinsics)
 
-        monkeypatch.setattr(pl, "fit_camera", counting)
+        monkeypatch.setattr(pl, "fit_cameras", counting)
+        return calls
+
+    def test_one_fit_per_scene_across_epochs_and_validation(self, monkeypatch):
+        calls = self.count_fits(monkeypatch)
         scenes = tiny_scenes(6, noise="default")
         model = pl.VisionPipeline(TINY, np.random.default_rng(20))
         result = pl.train_model(model, scenes[:4], scenes[4:], pl.TrainConfig(epochs=2, batch_size=2, seed=0))
         assert len(result.history) == 2 and result.history[-1].val_sum is not None
+        fitted = [scene for call in calls for scene in call]
         assert len(fitted) == len(set(fitted)) == 6
         for scene in scenes:
             model.predict(scene)
-        assert len(fitted) == 6
+        assert sum(len(call) for call in calls) == 6
+
+    def test_one_fit_call_per_pair_count_of_a_batch(self, monkeypatch):
+        calls = self.count_fits(monkeypatch)
+        scenes = tiny_scenes(4, seed0=40, noise="default")
+        for scene in scenes[1::2]:  # two of the four scenes lose a visible agent
+            gone = sorted(scene.in_sight(), key=lambda a: a.agent_id)[0]
+            gone.visible[: scene.t_obs] = False
+            gone.pixel[: scene.t_obs] = np.nan
+        assert [len(pl.estimator_features(s)) for s in scenes] == [3, 2, 3, 2]
+        model = pl.VisionPipeline(TINY, np.random.default_rng(22))
+        model.forward(scenes)
+        assert sorted(len(call) for call in calls) == [2, 2]
+        model.forward(scenes)
+        assert len(calls) == 2
 
     def test_memoized_predictions_equal_a_fresh_models(self):
         scenes = tiny_scenes(5, noise="default")
