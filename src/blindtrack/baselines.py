@@ -20,6 +20,8 @@ can do.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, TooShort
@@ -125,6 +127,36 @@ def const_velocity_extrapolate(
     return positions[-1] + horizon * velocity
 
 
+@functools.lru_cache(maxsize=16)
+def _smoother_gains(steps: int, dt: float, process_var: float, meas_var: float):
+    """The covariance half of rts_smooth, which no measurement enters: the
+    transition F, the Kalman gains (steps, 2) and the smoother gains
+    C_t = P_t F^T P_pred(t+1)^-1, (steps - 1, 2, 2). Computed once per
+    (steps, dt, process_var, meas_var) and returned read-only."""
+    f = np.array([[1.0, dt], [0.0, 1.0]])
+    q = process_var * np.array(
+        [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
+    )
+    p = np.diag([max(meas_var, 1e-9), 25.0])
+    gains = np.zeros((steps, 2))
+    filtered_p = np.zeros((steps, 2, 2))
+    predicted_p = np.zeros((steps, 2, 2))
+    predicted_p[0] = p
+    for t in range(steps):
+        if t > 0:
+            p = f @ p @ f.T + q
+            predicted_p[t] = p
+        s = p[0, 0] + meas_var
+        gain = p[:, 0] / max(s, 1e-12)
+        p = p - np.outer(gain, p[0, :])
+        gains[t] = gain
+        filtered_p[t] = p
+    smoother = np.stack([filtered_p[t] @ f.T @ np.linalg.inv(predicted_p[t + 1]) for t in range(steps - 1)])
+    for arr in (f, gains, smoother):
+        arr.setflags(write=False)
+    return f, gains, smoother
+
+
 def rts_smooth(
     measurements: np.ndarray,
     dt: float = DT,
@@ -134,47 +166,34 @@ def rts_smooth(
     """Constant-velocity Kalman filter plus backward smoothing pass.
 
     Each axis runs the same 2-state [position, velocity] model, so the
-    covariance recursion is shared across axes. Returns (positions,
-    velocities), both (T, d). With meas_var 0 and clean input the smoothed
-    positions equal the measurements.
+    covariance recursion is shared across axes, and since no measurement
+    enters it, its gains come from _smoother_gains once per horizon; a
+    call runs only the state recursion. Returns (positions, velocities),
+    both (T, d). With meas_var 0 and clean input the smoothed positions
+    equal the measurements.
     """
     z = np.asarray(measurements, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
         raise TooShort(f"smoother needs a (T>=2, d) array, got {z.shape}")
     steps, dims = z.shape
-    f = np.array([[1.0, dt], [0.0, 1.0]])
-    q = process_var * np.array(
-        [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
-    )
+    f, gains, smoother = _smoother_gains(steps, dt, process_var, meas_var)
     x = np.zeros((2, dims))
     x[0] = z[0]
-    p = np.diag([max(meas_var, 1e-9), 25.0])
 
     filtered_x = np.zeros((steps, 2, dims))
-    filtered_p = np.zeros((steps, 2, 2))
     predicted_x = np.zeros((steps, 2, dims))
-    predicted_p = np.zeros((steps, 2, 2))
     predicted_x[0] = x
-    predicted_p[0] = p
     for t in range(steps):
         if t > 0:
             x = f @ x
-            p = f @ p @ f.T + q
             predicted_x[t] = x
-            predicted_p[t] = p
         innovation = z[t] - x[0]
-        s = p[0, 0] + meas_var
-        gain = p[:, 0] / max(s, 1e-12)
-        x = x + gain[:, None] * innovation[None, :]
-        p = p - np.outer(gain, p[0, :])
+        x = x + gains[t][:, None] * innovation[None, :]
         filtered_x[t] = x
-        filtered_p[t] = p
 
     smooth_x = filtered_x.copy()
     for t in range(steps - 2, -1, -1):
-        # gain C = P_t F^T P_pred(t+1)^-1
-        c = filtered_p[t] @ f.T @ np.linalg.inv(predicted_p[t + 1])
-        smooth_x[t] = filtered_x[t] + c @ (smooth_x[t + 1] - predicted_x[t + 1])
+        smooth_x[t] = filtered_x[t] + smoother[t] @ (smooth_x[t + 1] - predicted_x[t + 1])
     return smooth_x[:, 0, :], smooth_x[:, 1, :]
 
 

@@ -18,17 +18,30 @@ from .errors import EmptyInput, EmptyTrajectory, LengthMismatch, NonFiniteLoss, 
 from .simulator import shape_groups
 
 
-def mse_t(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean Euclidean distance between two (T, 2) pixel tracks."""
+def track_errors(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Mean Euclidean distance per track between two (B, T, 2) stacks of
+    pixel tracks, (B,). Each entry is the bits mse_t gives its track."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if pred.ndim != 2 or pred.shape[1] != 2 or truth.ndim != 2 or truth.shape[1] != 2:
-        raise LengthMismatch(f"pixel tracks must be (T, 2), got {pred.shape} and {truth.shape}")
+    if pred.ndim != 3 or pred.shape[2] != 2 or truth.ndim != 3 or truth.shape[2] != 2:
+        raise LengthMismatch(f"pixel track stacks must be (B, T, 2), got {pred.shape} and {truth.shape}")
     if pred.shape[0] != truth.shape[0]:
-        raise LengthMismatch(f"{pred.shape[0]} predicted steps vs {truth.shape[0]} true steps")
-    if pred.shape[0] == 0:
+        raise LengthMismatch(f"{pred.shape[0]} predicted tracks vs {truth.shape[0]} true tracks")
+    if pred.shape[1] != truth.shape[1]:
+        raise LengthMismatch(f"{pred.shape[1]} predicted steps vs {truth.shape[1]} true steps")
+    if pred.shape[1] == 0:
         raise EmptyTrajectory("cannot score an empty trajectory")
-    return float(np.linalg.norm(pred - truth, axis=1).mean())
+    return np.linalg.norm(pred - truth, axis=2).mean(axis=1)
+
+
+def mse_t(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Mean Euclidean distance between two (T, 2) pixel tracks: track_errors
+    of one track."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.ndim != 2 or truth.ndim != 2:
+        raise LengthMismatch(f"pixel tracks must be (T, 2), got {pred.shape} and {truth.shape}")
+    return float(track_errors(pred[None], truth[None])[0])
 
 
 @dataclass(frozen=True)
@@ -58,20 +71,25 @@ class EvalReport:
 
 
 # observed rows (scenes x t_obs) per predict call when scoring (see
-# score_scenes). Swept over the benchmark's three workloads on a 2-core
-# x86-64 box (numpy 2.4, OpenBLAS 0.3.31), ms per scene with the camera
-# memo warm: `full` at T = 20 is fastest at 320 rows, 16 scenes (0.83, vs
-# 0.96 at 160 rows and 1.07 at 480); `full` at T = 100 at 320 rows, 3
-# scenes (4.9, vs 5.2 at 200 and 6.6 at 400); two_stage:gru, which has no
-# attention and runs each recurrent trunk as one fused scan, gains little
-# past it (0.21 at 320, 0.20 at 640).
+# score_scenes). Swept with the in-place attention and layer-norm kernels
+# on a 2-core x86-64 box (numpy 2.4, OpenBLAS 0.3.31), ms per scene, best
+# of 9 after a warm-up pass, range over two sweeps: `full` at T = 20
+# (96 desk scenes) takes 0.41-0.44 at 320 rows, 16 scenes, against
+# 0.42-0.44 at 160 and 0.36-0.40 at 480; `full` at T = 100 (24 arc
+# scenes) takes 2.26-2.35 at 320 rows, 3 scenes, against 2.37-2.45 at 200
+# and 2.27-2.29 at 400; two_stage:gru, which has no attention and runs
+# each recurrent trunk as one fused scan, takes 0.12-0.20 at 320 and
+# 0.10-0.14 at 640. Larger chunks now gain up to a tenth at T = 20;
+# the value stays 320, which keeps every chunk, and so every report bit,
+# as it was.
 SCORE_ROWS = 320
 
 
 def score_scenes(predict, scenes, method: str, split: str, config_hash: str = "", seed: int = 0) -> EvalReport:
     """Score a method on a split: the mean over scenes of each scene's
     mse_t over the observed window (MSE-D) and the prediction window
-    (MSE-P). This is the one scorer; every report comes from it.
+    (MSE-P), taken by one track_errors pass per chunk and window. This
+    is the one scorer; every report comes from it.
 
     predict(batch) takes a list of B scenes of one shape (Scene.shape)
     and returns their observed and future pixel tracks, (B, t_obs, 2) and
@@ -96,11 +114,10 @@ def score_scenes(predict, scenes, method: str, split: str, config_hash: str = ""
                 raise LengthMismatch(
                     f"{method}: predicted {len(visual)} and {len(future)} tracks for {len(chunk)} scenes"
                 )
-            for i, denoised, ahead in zip(chunk, visual, future):
-                scene = ordered[i]
-                pixel = scene.out_of_sight().pixel
-                d_errors[i] = mse_t(denoised, pixel[: scene.t_obs])
-                p_errors[i] = mse_t(ahead, pixel[scene.t_obs:])
+            pixel = np.stack([ordered[i].out_of_sight().pixel for i in chunk])
+            t_obs = ordered[chunk[0]].t_obs
+            d_errors[chunk] = track_errors(visual, pixel[:, :t_obs])
+            p_errors[chunk] = track_errors(future, pixel[:, t_obs:])
     bad = np.flatnonzero(~np.isfinite(d_errors + p_errors))
     if bad.size:
         raise NonFiniteLoss(f"{method}: non-finite pixel error on scene seed {ordered[bad[0]].seed}")

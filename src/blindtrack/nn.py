@@ -7,6 +7,8 @@ uniform in +-1/sqrt(fan_in); biases and affine shifts start at zero.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import MissingGradient, ShapeMismatch, UnknownCellKind
@@ -73,14 +75,17 @@ class LayerNorm(Module):
         return layer_norm(x, self.gain, self.shift)
 
 
+@functools.lru_cache(maxsize=16)
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
-    """Fixed sin/cos position table, (length, dim). Not learned."""
+    """Fixed sin/cos position table, (length, dim). Not learned. Built once
+    per (length, dim) and returned read-only."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)
     table = np.empty((length, dim))
     table[:, 0::2] = np.sin(angle[:, 0::2])
     table[:, 1::2] = np.cos(angle[:, 1::2])
+    table.setflags(write=False)
     return table
 
 

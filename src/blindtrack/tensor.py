@@ -19,6 +19,13 @@ graph per sequence.
 Inside `with no_grad():` ops compute their values but record no parents and
 no backward closures, so inference builds no graph.
 
+Arrays are shared, not copied: a backward may hand its cotangent (or a view
+of it) on to a parent, and an intermediate node's .grad is its cotangent
+array itself; only a leaf's .grad is a copy of its own. This is safe
+because an op overwrites only arrays it allocated itself, and only before
+it hands them out: it never writes into an input's data, a cotangent it
+received, or an array it saved for its backward.
+
 There is no silent broadcasting. The single allowed broadcast is adding a
 (1, n) bias row to an (m, n) matrix. Everything else must match shapes
 exactly or raises ShapeMismatch.
@@ -148,7 +155,10 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                if node.grad is not None:
+                    node.grad = node.grad + g
+                else:  # a leaf's gradient is its own array; the others share g
+                    node.grad = g.copy() if node._backward is None else g
             if node._backward is None:
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
@@ -399,8 +409,11 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    # fmax maps NaN and -inf to 0.0 as `x > 0 ? x : 0.0` does; += 0.0 turns
+    # the -0.0 it may keep into +0.0
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    return _node(out, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -423,23 +436,23 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeMismatch(
             f"layer_norm: affine rows must be (1, {n}), got {gain.data.shape} and {shift.data.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gain.data + shift.data
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv_std = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gain.data, out=out)
+    out += shift.data
 
     def back(g):
-        dxhat = g * gain.data
         # standard layer-norm backward: remove the mean and the xhat-aligned
-        # component before rescaling
-        dx = inv_std * (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        )
-        dgain = (g * xhat).sum(axis=0, keepdims=True)
+        # component of dxhat = g * gain before rescaling
+        dx = g * gain.data
+        part = dx * xhat
+        aligned = part.mean(axis=1, keepdims=True)
+        dx -= dx.mean(axis=1, keepdims=True)
+        dx -= np.multiply(xhat, aligned, out=part)
+        dx *= inv_std
+        dgain = np.multiply(g, xhat, out=part).sum(axis=0, keepdims=True)
         dshift = g.sum(axis=0, keepdims=True)
         return (dx, dgain, dshift)
 
@@ -513,14 +526,19 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, segment: int, heads: int = 
         return x.transpose(0, 2, 1, 3).reshape(m, -1)
 
     qh, kh, vh = split(q.data, dh), split(k.data, dh), split(v.data, eh)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * factor
-    e_scores = np.exp(scores - scores.max(axis=3, keepdims=True))
-    weights = e_scores / e_scores.sum(axis=3, keepdims=True)
+    # the softmax runs in place on the one (batch, heads, steps, steps) array
+    weights = qh @ kh.transpose(0, 1, 3, 2)
+    weights *= factor
+    weights -= weights.max(axis=3, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=3, keepdims=True)
 
     def back(g):
         gh = split(g, eh)
-        d_weights = gh @ vh.transpose(0, 1, 3, 2)
-        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=3, keepdims=True)) * factor
+        d_scores = gh @ vh.transpose(0, 1, 3, 2)  # d_weights, turned into d_scores in place
+        d_scores -= (d_scores * weights).sum(axis=3, keepdims=True)
+        d_scores *= weights
+        d_scores *= factor
         return (
             merge(d_scores @ kh),
             merge(d_scores.transpose(0, 1, 3, 2) @ qh),

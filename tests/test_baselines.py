@@ -159,6 +159,60 @@ class TestSmoother:
         with pytest.raises(TooShort):
             bl.rts_smooth(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("meas_var", [0.0, 4.0])
+    @pytest.mark.parametrize("steps", [2, 20, 100])
+    def test_cached_gains_give_the_per_call_recursion_bit_for_bit(self, steps, meas_var):
+        rng = np.random.default_rng(steps)
+        t = np.arange(steps)[:, None] * sim.DT
+        for columns in range(1, 49):
+            z = 3.0 * t * rng.normal(size=columns) + rng.normal(scale=2.0, size=(steps, columns))
+            got = bl.rts_smooth(z, meas_var=meas_var)
+            want = reference_rts_smooth(z, meas_var=meas_var)
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b), columns
+
+    def test_cached_gains_are_read_only(self):
+        bl.rts_smooth(np.zeros((5, 2)))
+        for arr in bl._smoother_gains(5, sim.DT, 0.5, 4.0):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def reference_rts_smooth(z, dt=sim.DT, process_var=0.5, meas_var=4.0):
+    """rts_smooth with the covariance recursion run on every call, as first
+    written."""
+    steps, dims = z.shape
+    f = np.array([[1.0, dt], [0.0, 1.0]])
+    q = process_var * np.array([[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]])
+    x = np.zeros((2, dims))
+    x[0] = z[0]
+    p = np.diag([max(meas_var, 1e-9), 25.0])
+    filtered_x = np.zeros((steps, 2, dims))
+    filtered_p = np.zeros((steps, 2, 2))
+    predicted_x = np.zeros((steps, 2, dims))
+    predicted_p = np.zeros((steps, 2, 2))
+    predicted_x[0] = x
+    predicted_p[0] = p
+    for t in range(steps):
+        if t > 0:
+            x = f @ x
+            p = f @ p @ f.T + q
+            predicted_x[t] = x
+            predicted_p[t] = p
+        innovation = z[t] - x[0]
+        s = p[0, 0] + meas_var
+        gain = p[:, 0] / max(s, 1e-12)
+        x = x + gain[:, None] * innovation[None, :]
+        p = p - np.outer(gain, p[0, :])
+        filtered_x[t] = x
+        filtered_p[t] = p
+    smooth_x = filtered_x.copy()
+    for t in range(steps - 2, -1, -1):
+        c = filtered_p[t] @ f.T @ np.linalg.inv(predicted_p[t + 1])
+        smooth_x[t] = filtered_x[t] + c @ (smooth_x[t + 1] - predicted_x[t + 1])
+    return smooth_x[:, 0, :], smooth_x[:, 1, :]
+
 
 class TestOracles:
     def test_clamped_project_matches_reference_when_safe(self):

@@ -45,6 +45,32 @@ class TestMseT:
             mt.mse_t(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
+class TestTrackErrors:
+    def test_each_entry_is_its_tracks_mse_t(self):
+        rng = np.random.default_rng(3)
+        for batch, steps in [(1, 1), (3, 20), (16, 20), (3, 100)]:
+            pred = rng.normal(scale=50.0, size=(batch, steps, 2))
+            truth = rng.normal(scale=50.0, size=(batch, steps, 2))
+            got = mt.track_errors(pred, truth)
+            assert got.shape == (batch,)
+            for b in range(batch):
+                # the per-track formula mse_t had before it became track_errors' one-track case
+                assert got[b] == float(np.linalg.norm(pred[b] - truth[b], axis=1).mean())
+                assert got[b] == mt.mse_t(pred[b], truth[b])
+
+    def test_shape_contracts(self):
+        with pytest.raises(LengthMismatch):  # B differs
+            mt.track_errors(np.zeros((2, 3, 2)), np.zeros((3, 3, 2)))
+        with pytest.raises(LengthMismatch):  # T differs
+            mt.track_errors(np.zeros((2, 3, 2)), np.zeros((2, 4, 2)))
+        with pytest.raises(LengthMismatch):  # last axis is not 2
+            mt.track_errors(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+        with pytest.raises(LengthMismatch):  # not a stack
+            mt.track_errors(np.zeros((3, 2)), np.zeros((3, 2)))
+        with pytest.raises(EmptyTrajectory):
+            mt.track_errors(np.zeros((2, 0, 2)), np.zeros((2, 0, 2)))
+
+
 class FixedOffsetMethod:
     """Predicts ground truth shifted by a constant; exact known scores."""
 

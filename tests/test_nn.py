@@ -53,6 +53,18 @@ class TestPositionalEncoding:
         assert table[2, 2] == pytest.approx(np.sin(2.0 / 100.0), abs=1e-12)
         assert np.all(np.abs(table) <= 1.0)
 
+    def test_cached_table_is_read_only_and_keeps_its_bits(self):
+        length, dim = 100, 64
+        pos = np.arange(length, dtype=np.float64)[:, None]
+        idx = np.arange(dim, dtype=np.float64)[None, :]
+        angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)
+        want = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
+        table = nn.sinusoidal_encoding(length, dim)
+        assert np.array_equal(table, want)
+        assert nn.sinusoidal_encoding(length, dim) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
 
 class TestBlocks:
     def test_attention_heads_must_divide_width(self):

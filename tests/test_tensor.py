@@ -236,11 +236,137 @@ class TestBackward:
         assert mid.grad is not None
         assert np.array_equal(mid.grad, np.ones((1, 2)))
 
+    def test_each_leaf_grad_is_its_own_array(self):
+        # add hands the same cotangent to both parents; each leaf must
+        # still own its gradient
+        a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+        tz.sum_all(tz.add(a, b)).backward()
+        a.grad[0, 0] = 7.0
+        assert np.array_equal(b.grad, np.ones((1, 2)))
+
 
 def composite_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One head of attention from the unfused primitives."""
     scores = tz.scale(tz.matmul(Tensor(q), tz.transpose(Tensor(k))), 1.0 / np.sqrt(q.shape[1]))
     return tz.matmul(tz.softmax_rows(scores), Tensor(v)).data
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bit patterns: unlike np.array_equal, -0.0 and
+    +0.0 differ, and NaN equals a NaN of the same payload."""
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# The kernels below as first written, one fresh array per step. The
+# in-place kernels in tensor must give their bits exactly.
+
+
+def reference_attention(q, k, v, segment, heads):
+    """attention_block's forward value and backward, (out, back)."""
+    m, d = q.shape
+    e = v.shape[1]
+    batch, dh, eh = m // segment, d // heads, e // heads
+    factor = 1.0 / np.sqrt(dh)
+
+    def split(x, width):
+        return x.reshape(batch, segment, heads, width).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(m, -1)
+
+    qh, kh, vh = split(q, dh), split(k, dh), split(v, eh)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * factor
+    e_scores = np.exp(scores - scores.max(axis=3, keepdims=True))
+    weights = e_scores / e_scores.sum(axis=3, keepdims=True)
+
+    def back(g):
+        gh = split(g, eh)
+        d_weights = gh @ vh.transpose(0, 1, 3, 2)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=3, keepdims=True)) * factor
+        return (
+            merge(d_scores @ kh),
+            merge(d_scores.transpose(0, 1, 3, 2) @ qh),
+            merge(weights.transpose(0, 1, 3, 2) @ gh),
+        )
+
+    return merge(weights @ vh), back
+
+
+def reference_layer_norm(x, gain, shift, eps=1e-5):
+    mu = x.mean(axis=1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    out = xhat * gain + shift
+
+    def back(g):
+        dxhat = g * gain
+        dx = inv_std * (
+            dxhat
+            - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        )
+        return (dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
+
+    return out, back
+
+
+def reference_relu(x):
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), lambda g: (g * mask,)
+
+
+class TestKernelBits:
+    """attention_block, layer_norm and relu against their reference
+    formulas: forward values and every backward cotangent bit for bit; a
+    second backward call gives the same arrays; inputs and the cotangent
+    are left as they were."""
+
+    @staticmethod
+    def check(node, inputs, want, want_back, g):
+        before = [x.data.copy() for x in inputs]
+        g_before = g.copy()
+        assert same_bits(node.data, want)
+        first = node._backward(g)
+        second = node._backward(g)
+        for got, again, expected in zip(first, second, want_back(g), strict=True):
+            assert same_bits(got, expected)
+            assert same_bits(again, expected)
+        assert same_bits(g, g_before)
+        for x, b in zip(inputs, before):
+            assert same_bits(x.data, b)
+
+    @pytest.mark.parametrize("batch, heads, steps", [(1, 1, 4), (3, 2, 5), (2, 4, 20), (2, 2, 100)])
+    def test_attention(self, batch, heads, steps):
+        rng = np.random.default_rng(steps * 10 + heads)
+        width = 3 * heads  # 1/sqrt(3) is inexact, so the order of the scalings shows
+        q, k, v = (Tensor(rng.normal(scale=3.0, size=(batch * steps, width)), requires_grad=True) for _ in range(3))
+        out = tz.attention_block(q, k, v, steps, heads=heads)
+        want, back = reference_attention(q.data, k.data, v.data, steps, heads)
+        self.check(out, (q, k, v), want, back, rng.normal(size=out.shape))
+
+    @pytest.mark.parametrize("rows, width", [(1, 2), (5, 8), (320, 64)])
+    def test_layer_norm(self, rows, width):
+        rng = np.random.default_rng(rows + width)
+        x = Tensor(rng.normal(loc=2.0, scale=3.0, size=(rows, width)), requires_grad=True)
+        gain = Tensor(rng.normal(size=(1, width)), requires_grad=True)
+        shift = Tensor(rng.normal(size=(1, width)), requires_grad=True)
+        out = tz.layer_norm(x, gain, shift)
+        want, back = reference_layer_norm(x.data, gain.data, shift.data)
+        self.check(out, (x, gain, shift), want, back, rng.normal(size=out.shape))
+
+    def test_relu_on_special_values(self):
+        specials = [np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0, 2.5e-308, -1e300]
+        rng = np.random.default_rng(30)
+        x = Tensor(np.concatenate([np.array([specials]), rng.normal(size=(4, len(specials)))]), requires_grad=True)
+        out = tz.relu(x)
+        want, back = reference_relu(x.data)
+        # a negative cotangent makes masked entries -0.0
+        self.check(out, (x,), want, back, rng.normal(size=out.shape))
+        assert np.signbit(out.data).sum() == 0
 
 
 def scan_params(rng, kind: str, n: int, d: int) -> list[Tensor]:
