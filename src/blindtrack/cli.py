@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 bad config or usage, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -253,7 +252,11 @@ def cmd_import(args) -> int:
 def cmd_report(args) -> int:
     reports = []
     for path in args.inputs:
-        reports.extend(reports_from_csv(Path(path).read_text()))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise SchemaError(f"{path}: report CSV is not UTF-8 ({err})") from err
+        reports.extend(reports_from_csv(text))
     if not reports:
         raise EmptyInput("no report rows in the given files")
     text = reports_to_markdown(reports, title=args.title)
@@ -345,7 +348,7 @@ def main(argv=None) -> int:
     except DATA_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (SchemaError, json.JSONDecodeError) as err:
+    except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as err:

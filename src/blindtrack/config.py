@@ -116,10 +116,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # not UTF-8, or not JSON
                 raise ConfigError(f"{path}: invalid JSON ({err})") from err
         return cls.from_dict(raw)
 

@@ -3,8 +3,11 @@ import schema.
 
 Records are canonical JSON (sorted keys, no whitespace), one scene per
 line, so identical configs and seeds produce byte-identical files and a
-re-serialized import of our own export is the identity. Invisible pixels
-serialize as null; in memory they are NaN.
+re-serialized import of our own export is the identity. Each numeric
+array (`camera`, `world`, `sensor`, `pixel`) is one base64 string of its
+little-endian float64 bytes in C order, so a round trip keeps every bit.
+A pixel is NaN in both coordinates exactly where its agent is out of
+frame; `visible` is not stored but read back as "pixel is not NaN".
 
 Every read checks what it reads: a record that breaks the schema raises
 SchemaError naming its line and field (CLI exit 7), and `load_dataset`
@@ -15,10 +18,10 @@ it reads the files through the same checks and writes a fresh manifest.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-from itertools import chain, compress, repeat
-from operator import is_
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +29,13 @@ import numpy as np
 from .errors import HashMismatch, SchemaError
 from .simulator import Scene, SceneAgent
 
-SCENE_SCHEMA = "blindtrack-scene-v1"
+SCENE_SCHEMA = "blindtrack-scene-v2"
 MANIFEST_SCHEMA = "blindtrack-manifest-v1"
 SPLIT_NAMES = ("train", "val", "test")
-# each field of a scene record, and of each agent in it, with its JSON type
+# each field of a scene record with its JSON type; the four arrays are packed strings
 SCENE_FIELDS = {"schema": str, "seed": int, "t_obs": int, "t_pred": int, "image_size": list,
-                "camera": list, "agents": list, "out_of_sight_id": int}
-AGENT_FIELDS = {"agent_id": int, "world": list, "sensor": list, "pixel": list, "visible": list}
+                "agent_ids": list, "out_of_sight_id": int,
+                "camera": str, "world": str, "sensor": str, "pixel": str}
 
 
 def canonical_json(obj) -> str:
@@ -43,28 +46,36 @@ def hash_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
+def pack(array) -> str:
+    """The base64 text of array's little-endian float64 bytes in C order."""
+    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
 def scene_to_record(scene: Scene) -> dict:
-    agents = []
-    for agent in scene.agents:
-        visible = np.asarray(agent.visible, dtype=bool).tolist()
-        agents.append(
-            {
-                "agent_id": int(agent.agent_id),
-                "world": agent.world.tolist(),
-                "sensor": agent.sensor.tolist(),
-                "pixel": [uv if vis else None for uv, vis in zip(agent.pixel.tolist(), visible)],
-                "visible": visible,
-            }
-        )
+    """The scene as one record: camera (T, 3, 4), world (n, T, 3), sensor
+    (n, t_obs, 3) and pixel (n, T, 2), each packed, with pixels NaN
+    wherever their agent is not visible. A non-finite camera, world or
+    sensor value, or pixel at a visible step, raises SchemaError."""
+    visible = np.array([agent.visible for agent in scene.agents], dtype=bool)
+    arrays = {
+        "camera": np.asarray(scene.camera, dtype=np.float64),
+        "world": np.array([agent.world for agent in scene.agents], dtype=np.float64),
+        "sensor": np.array([agent.sensor for agent in scene.agents], dtype=np.float64),
+        "pixel": np.array([agent.pixel for agent in scene.agents], dtype=np.float64),
+    }
+    for key, values in arrays.items():
+        if not np.isfinite(values[visible] if key == "pixel" else values).all():
+            raise SchemaError(f"scene seed {scene.seed}: non-finite {key} value", field=key)
+    arrays["pixel"][~visible] = np.nan
     return {
         "schema": SCENE_SCHEMA,
         "seed": int(scene.seed),
         "t_obs": int(scene.t_obs),
         "t_pred": int(scene.t_pred),
         "image_size": [int(scene.image_size[0]), int(scene.image_size[1])],
-        "camera": scene.camera.reshape(-1, 12).tolist(),
-        "agents": agents,
+        "agent_ids": [int(agent.agent_id) for agent in scene.agents],
         "out_of_sight_id": int(scene.out_of_sight_id),
+        **{key: pack(values) for key, values in arrays.items()},
     }
 
 
@@ -72,100 +83,69 @@ def _fail(line: int, field: str, message: str):
     raise SchemaError(f"line {line}, field {field!r}: {message}", line=line, field=field)
 
 
-def _object(value, kinds: dict, line: int, prefix: str = "") -> dict:
-    """value, which must be an object holding each field of kinds with
-    that JSON type; a bool is not an int."""
-    if type(value) is not dict:
-        _fail(line, prefix.rstrip("."), "not an object")
-    for key, kind in kinds.items():
-        if key not in value:
-            _fail(line, prefix + key, "missing")
-        if type(value[key]) is not kind:
-            _fail(line, prefix + key, f"expected {kind.__name__}, got {type(value[key]).__name__}")
-    return value
-
-
-def _runs(lists, length: int, what: str, field: str, line: int) -> list:
-    """The items of lists, each a list of `length` items, in one list."""
-    if not set(map(type, lists)) <= {list} or not set(map(len, lists)) <= {length}:
-        _fail(line, field, f"expected {length} {what}")
-    return list(chain.from_iterable(lists))
-
-
-def _numbers(rows: list, width: int, field: str, line: int) -> np.ndarray:
-    """(len(rows), width) float64 from rows of finite numbers, not bools."""
-    flat = _runs(rows, width, "numbers per row", field, line)
-    if not set(map(type, flat)) <= {int, float}:
-        _fail(line, field, f"expected {width} numbers per row")
+def _unpack(record: dict, key: str, shape: tuple, line: int) -> np.ndarray:
+    """The float64 array of shape packed in record[key]."""
     try:
-        values = np.fromiter(flat, dtype=np.float64, count=len(flat))
-    except OverflowError:  # an integer beyond float64's range
-        _fail(line, field, "non-finite value")
-    if not np.isfinite(values).all():
-        _fail(line, field, "non-finite value")
-    return values.reshape(-1, width)
+        raw = base64.b64decode(record[key], validate=True)
+    except ValueError:  # a character outside the alphabet, or bad padding
+        _fail(line, key, "not base64")
+    short = 8 * math.prod(shape) - len(raw)
+    if short:
+        _fail(line, key, f"{abs(short)} bytes {'short' if short > 0 else 'too long'} for {shape} float64")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _stack(runs: list, steps: int, width: int, field: str, line: int) -> np.ndarray:
-    """(len(runs), steps, width) float64 from runs of `steps` rows each."""
-    rows = _runs(runs, steps, "rows", field, line)
-    return _numbers(rows, width, field, line).reshape(len(runs), steps, width)
-
-
-def _agents(entries: list, t_obs: int, total: int, line: int, where: str = "agents"):
-    """Every agent's world (n, total, 3), sensor (n, t_obs, 3), visible
-    (n, total) and pixel (n, total, 2), each checked in one pass over all
-    the agents' rows. A pixel is null exactly where it is not visible."""
-    world = _stack([e["world"] for e in entries], total, 3, f"{where}.world", line)
-    sensor = _stack([e["sensor"] for e in entries], t_obs, 3, f"{where}.sensor", line)
-    flags = _runs([e["visible"] for e in entries], total, "booleans", f"{where}.visible", line)
-    if not set(map(type, flags)) <= {bool}:
-        _fail(line, f"{where}.visible", f"expected {total} booleans")
-    visible = np.array(flags).reshape(len(entries), total)
-    pixels = _runs([e["pixel"] for e in entries], total, "entries", f"{where}.pixel", line)
-    null = np.fromiter(map(is_, pixels, repeat(None)), dtype=bool, count=len(pixels))
-    wrong = np.flatnonzero(null == visible.ravel())
-    if wrong.size:
-        k = wrong[0]
-        _fail(line, f"{where}.pixel", f"visible step {k % total} must hold two numbers" if null[k]
-              else f"invisible step {k % total} must be null")
-    pixel = np.full((len(pixels), 2), np.nan)
-    pixel[~null] = _numbers(list(compress(pixels, flags)), 2, f"{where}.pixel", line)
-    return world, sensor, visible, pixel.reshape(-1, total, 2)
+def _refuse_first(bad: np.ndarray, line: int, field: str, message: str, ids=None) -> None:
+    """Refuse the record at the first True of bad: (T,) per step, or with
+    ids (n, T) per agent and step."""
+    if bad.any():
+        *agent, step = np.argwhere(bad)[0]
+        where = f"agent {ids[agent[0]]}, step {step}" if agent else f"step {step}"
+        _fail(line, field, f"{where}: {message}")
 
 
 def record_to_scene(record: dict, line: int = 0) -> Scene:
     """The one way from a JSON record to a Scene, checked against the
     schema as its arrays are built: the first field at fault raises
-    SchemaError naming `line` and the field. Each check is one set or
-    array pass over a field's rows, numbers or flags."""
-    _object(record, SCENE_FIELDS, line)
-    if record["schema"] != SCENE_SCHEMA:
+    SchemaError naming `line` and the field, and the message names the
+    agent and step of a per-agent fault. Each array check is one pass."""
+    if type(record) is not dict:
+        _fail(line, "", "not an object")
+    if record.get("schema", SCENE_SCHEMA) != SCENE_SCHEMA:
         _fail(line, "schema", f"expected {SCENE_SCHEMA!r}, got {record['schema']!r}")
+    for key, kind in SCENE_FIELDS.items():
+        if key not in record:
+            _fail(line, key, "missing")
+        if type(record[key]) is not kind:  # a bool is not an int
+            _fail(line, key, f"expected {kind.__name__}, got {type(record[key]).__name__}")
     for key, least in (("seed", 0), ("t_obs", 2), ("t_pred", 1)):
         if record[key] < least:
             _fail(line, key, f"must be >= {least}, got {record[key]}")
-    seed, t_obs, t_pred, size = map(record.get, ("seed", "t_obs", "t_pred", "image_size"))
+    seed, t_obs, t_pred, size, ids, hidden = map(
+        record.get, ("seed", "t_obs", "t_pred", "image_size", "agent_ids", "out_of_sight_id"))
     if len(size) != 2 or not set(map(type, size)) <= {int} or min(size) < 1:
         _fail(line, "image_size", "expected two positive integers")
-    total = t_obs + t_pred
-    camera = _stack([record["camera"]], total, 12, "camera", line).reshape(-1, 3, 4)
-    entries = [_object(e, AGENT_FIELDS, line, f"agents[{i}].") for i, e in enumerate(record["agents"])]
-    ids = [e["agent_id"] for e in entries]
-    if not ids or len(set(ids)) != len(ids):
-        _fail(line, "agents", "duplicate agent_id" if ids else "empty")
-    hidden = record["out_of_sight_id"]
+    if not ids or not set(map(type, ids)) <= {int}:
+        _fail(line, "agent_ids", "expected integers" if ids else "empty")
+    if len(set(ids)) != len(ids):
+        _fail(line, "agent_ids", "duplicate agent id")
     if hidden not in ids:
         _fail(line, "out_of_sight_id", f"scene seed {seed}: out_of_sight_id {hidden} not among ids {sorted(ids)}")
-    try:
-        world, sensor, visible, pixel = _agents(entries, t_obs, total, line)
-    except SchemaError:
-        for i, entry in enumerate(entries):  # name the first agent at fault
-            _agents([entry], t_obs, total, line, f"agents[{i}]")
-        raise
-    if not visible[ids.index(hidden)].all():
-        _fail(line, "out_of_sight_id", "hidden agent must have ground-truth pixels everywhere")
-    agents = [SceneAgent(*fields) for fields in zip(ids, world, sensor, pixel, visible)]
+    n, total = len(ids), t_obs + t_pred
+    camera = _unpack(record, "camera", (total, 3, 4), line)
+    world = _unpack(record, "world", (n, total, 3), line)
+    sensor = _unpack(record, "sensor", (n, t_obs, 3), line)
+    pixel = _unpack(record, "pixel", (n, total, 2), line)
+    _refuse_first(~np.isfinite(camera).all(axis=(1, 2)), line, "camera", "non-finite value")
+    _refuse_first(~np.isfinite(world).all(axis=2), line, "world", "non-finite value", ids)
+    _refuse_first(~np.isfinite(sensor).all(axis=2), line, "sensor", "non-finite value", ids)
+    nan = np.isnan(pixel)
+    _refuse_first(nan[..., 0] != nan[..., 1], line, "pixel", "one NaN coordinate; out of frame is NaN in both", ids)
+    _refuse_first(np.isinf(pixel).any(axis=2), line, "pixel", "infinite value", ids)
+    h = ids.index(hidden)
+    _refuse_first(nan[h : h + 1, :, 0], line, "pixel",
+                  "NaN, but the hidden agent must have ground-truth pixels everywhere", ids[h : h + 1])
+    agents = [SceneAgent(*fields) for fields in zip(ids, world, sensor, pixel, ~nan[..., 0])]
     return Scene(seed, t_obs, t_pred, tuple(size), camera, agents, out_of_sight_id=hidden)
 
 
@@ -229,8 +209,10 @@ def read_manifest(dataset_dir) -> dict:
     `config`, a string `config_hash`, and a file and sha256 for each
     split, SPLIT_NAMES among them, as write_dataset writes them."""
     path = Path(dataset_dir) / "manifest.json"
-    with open(path) as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise SchemaError(f"{path}: manifest is not JSON ({err})", field="manifest") from err
     if type(manifest) is not dict or manifest.get("schema") != MANIFEST_SCHEMA:
         raise SchemaError(f"{path}: not a dataset manifest", field="schema")
     for key, kind in (("config", dict), ("config_hash", str)):

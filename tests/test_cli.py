@@ -29,6 +29,7 @@ from blindtrack.metrics import reports_from_csv
 from blindtrack.nn import Adam, Linear
 
 from test_checkpoint import rewrite_header
+from test_dataset import hidden, put, repack, to_v1
 
 TINY = {
     "profile": "desk",
@@ -110,17 +111,8 @@ def fill_array(source: Path, dest: Path, value: float, name: str | None = None) 
     raise KeyError(name)
 
 
-def hidden_index(record: dict) -> int:
-    return [a["agent_id"] for a in record["agents"]].index(record["out_of_sight_id"])
-
-
 def _set(target, key, value):
     target[key] = value
-
-
-def _ragged_sensor(record):
-    record["agents"][0]["sensor"].append([0.0, 0.0, 0.0])
-    record["agents"][1]["sensor"].pop()
 
 
 def _model_with_n_in_max(header):
@@ -129,20 +121,17 @@ def _model_with_n_in_max(header):
     header["model"]["n_in_max"] = 8
 
 
-def _null_hidden_pixel(record):
-    record["agents"][hidden_index(record)]["pixel"][3] = None
-
-
-# one-field edits of a scene record, each with the field the refusal names
+# one-field edits of a scene record, each with the field the refusal names;
+# NaN is the schema's null
 EDITS = {
-    "missing_agents": (lambda r: r.pop("agents"), lambda r: "agents"),
-    "string_sensor_value": (lambda r: _set(r["agents"][0]["sensor"][0], 0, "1.5"), lambda r: "agents[0].sensor"),
+    "missing_agents": (lambda r: r.pop("agent_ids"), lambda r: "agent_ids"),
+    "string_sensor_value": (lambda r: _set(r, "sensor", "1.5"), lambda r: "sensor"),  # not base64
     "t_obs_30": (lambda r: _set(r, "t_obs", 30), lambda r: "camera"),
-    "null_world_value": (lambda r: _set(r["agents"][0]["world"][5], 1, None), lambda r: "agents[0].world"),
-    "duplicate_agent_id": (lambda r: _set(r["agents"][1], "agent_id", r["agents"][0]["agent_id"]), lambda r: "agents"),
-    "camera_row_short": (lambda r: r["camera"].pop(), lambda r: "camera"),
-    "null_hidden_pixel": (_null_hidden_pixel, lambda r: f"agents[{hidden_index(r)}].pixel"),
-    "ragged_sensor_rows": (_ragged_sensor, lambda r: "agents[0].sensor"),
+    "null_world_value": (put("world", (0, 5, 1), np.nan), lambda r: "world"),
+    "duplicate_agent_id": (lambda r: _set(r["agent_ids"], 1, r["agent_ids"][0]), lambda r: "agent_ids"),
+    "camera_row_short": (lambda r: repack(r, "camera", lambda a: a[:-1]), lambda r: "camera"),  # 96 bytes short
+    "null_hidden_pixel": (lambda r: put("pixel", (hidden(r), 3), np.nan)(r), lambda r: "pixel"),
+    "ragged_sensor_rows": (lambda r: repack(r, "sensor", lambda a: a[:, 1:]), lambda r: "sensor"),  # a step short
 }
 
 
@@ -348,7 +337,7 @@ class TestEval:
 
     def test_edited_split_exits_4_until_reimported(self, workdir, tmp_path, capsys):
         def nudge(record):
-            record["agents"][0]["sensor"][0][0] += 0.5
+            repack(record, "sensor", lambda a: a.__setitem__((0, 0, 0), a[0, 0, 0] + 0.5))
 
         data = edited_dataset(workdir / "data", tmp_path / "data", "test", nudge, rehashed=False)
         checkpoint = str(workdir / "run" / "checkpoint.ckpt")
@@ -364,12 +353,11 @@ class TestEval:
     @pytest.mark.parametrize("argv", [["train", "--method", "full"], ["train", "--method", "two_stage:gru"], ["eval"]],
                              ids=["train_full", "train_two_stage_gru", "eval"])
     def test_scene_of_another_horizon_exits_7(self, workdir, tmp_path, capsys, argv):
-        def shorten(record):  # one step less to predict, every row kept consistent
+        def shorten(record):  # one step less to predict, every array kept consistent
+            repack(record, "camera", lambda a: a[:-1])
+            repack(record, "world", lambda a: a[:, :-1])
+            repack(record, "pixel", lambda a: a[:, :-1])
             record["t_pred"] -= 1
-            record["camera"].pop()
-            for agent in record["agents"]:
-                for key in ("world", "pixel", "visible"):
-                    agent[key].pop()
 
         split = "train" if argv[0] == "train" else "test"
         data = edited_dataset(workdir / "data", tmp_path / "data", split, shorten)
@@ -380,6 +368,21 @@ class TestEval:
             argv = [*argv, "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"), "--dataset", str(data)]
         assert main(argv) == 7
         assert f"scene seed {seed} predicts 3 steps, the model 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "import"])
+    def test_v1_record_exits_7_naming_both_schemas(self, workdir, tmp_path, capsys, command):
+        split = "train" if command == "train" else "test"
+        data = edited_dataset(workdir / "data", tmp_path / "data", split, to_v1)
+        argv = {
+            "train": ["train", "--dataset", str(data), "--out", str(tmp_path / "run")],
+            "eval": ["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"), "--dataset", str(data)],
+            "import": ["import", str(data / "test.jsonl"), "--out", str(tmp_path / "run")],
+        }[command]
+        assert main(argv) == 7
+        err = capsys.readouterr().err
+        assert "line 2, field 'schema'" in err
+        assert "'blindtrack-scene-v2'" in err and "'blindtrack-scene-v1'" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
@@ -427,6 +430,29 @@ class TestEval:
     def test_bad_split_exits_2(self, workdir):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
                      "--dataset", str(workdir / "data"), "--split", "holdout"]) == 2
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "argv, target, garble, code",
+        [
+            (["train", "--dataset", "{data}", "--out", "{run}"], "data/manifest.json", lambda b: b"\xff\xfe" + b, 7),
+            (["train", "--dataset", "{data}", "--out", "{run}"], "data/manifest.json", lambda b: b[: len(b) // 2], 7),
+            (["simulate", "--config", "{target}", "--out", "{run}"], "tiny.json", lambda b: b"\xff\xfe" + b, 2),
+            (["report", "{target}"], "eval.csv", lambda b: b"\xff\xfe" + b, 7),
+        ],
+        ids=["manifest_not_utf8", "manifest_truncated", "config_not_utf8", "report_not_utf8"],
+    )
+    def test_file_that_is_not_utf8_or_whole_exits_naming_it(self, workdir, tmp_path, capsys, argv, target, garble, code):
+        shutil.copytree(workdir / "data", tmp_path / "data")
+        shutil.copy(workdir / "tiny.json", tmp_path / "tiny.json")
+        (tmp_path / "eval.csv").write_text("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,2,1.0,2.0,3.0\n")
+        path = tmp_path / target
+        path.write_bytes(garble(path.read_bytes()))
+        paths = {"data": tmp_path / "data", "run": tmp_path / "run", "target": path}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestCalibrate:
