@@ -208,7 +208,7 @@ def _reference_predict(scenes: Scene | list[Scene], world_tracks) -> tuple[np.nd
     Shapes are as TrajectoryModel.predict returns them."""
     batch = as_batch(scenes)
     t_obs, t_pred, _ = batch_shape(batch)
-    sensor = np.concatenate([scene.out_of_sight().sensor for scene in batch], axis=1)
+    sensor = np.concatenate([scene.sensor[scene.hidden] for scene in batch], axis=1)
     observed, ahead = world_tracks(sensor, t_pred)
 
     def project(columns: np.ndarray, window: slice) -> np.ndarray:

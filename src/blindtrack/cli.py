@@ -253,10 +253,11 @@ def cmd_report(args) -> int:
     reports = []
     for path in args.inputs:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            reports.extend(reports_from_csv(Path(path).read_text(encoding="utf-8")))
         except UnicodeDecodeError as err:
             raise SchemaError(f"{path}: report CSV is not UTF-8 ({err})") from err
-        reports.extend(reports_from_csv(text))
+        except SchemaError as err:
+            raise SchemaError(f"{path}: {err}", line=err.line, field=err.field) from None
     if not reports:
         raise EmptyInput("no report rows in the given files")
     text = reports_to_markdown(reports, title=args.title)

@@ -10,10 +10,11 @@ A pixel is NaN in both coordinates exactly where its agent is out of
 frame; `visible` is not stored but read back as "pixel is not NaN".
 
 Every read checks what it reads: a record that breaks the schema raises
-SchemaError naming its line and field (CLI exit 7), and `load_dataset`
-refuses a split file whose sha256 is not its manifest's with HashMismatch
-(exit 4). `blindtrack import` of the directory re-admits an edited split:
-it reads the files through the same checks and writes a fresh manifest.
+SchemaError naming its file, line and field (CLI exit 7), and
+`load_dataset` refuses a split file whose sha256 is not its manifest's
+with HashMismatch (exit 4). `blindtrack import` of the directory
+re-admits an edited split: it reads the files through the same checks and
+writes a fresh manifest.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HashMismatch, SchemaError
-from .simulator import Scene, SceneAgent
+from .simulator import Scene
 
 SCENE_SCHEMA = "blindtrack-scene-v2"
 MANIFEST_SCHEMA = "blindtrack-manifest-v1"
@@ -56,12 +57,12 @@ def scene_to_record(scene: Scene) -> dict:
     (n, t_obs, 3) and pixel (n, T, 2), each packed, with pixels NaN
     wherever their agent is not visible. A non-finite camera, world or
     sensor value, or pixel at a visible step, raises SchemaError."""
-    visible = np.array([agent.visible for agent in scene.agents], dtype=bool)
+    visible = np.asarray(scene.visible, dtype=bool)
     arrays = {
         "camera": np.asarray(scene.camera, dtype=np.float64),
-        "world": np.array([agent.world for agent in scene.agents], dtype=np.float64),
-        "sensor": np.array([agent.sensor for agent in scene.agents], dtype=np.float64),
-        "pixel": np.array([agent.pixel for agent in scene.agents], dtype=np.float64),
+        "world": np.asarray(scene.world, dtype=np.float64),
+        "sensor": np.asarray(scene.sensor, dtype=np.float64),
+        "pixel": np.array(scene.pixel, dtype=np.float64),  # a copy: its invisible steps become NaN
     }
     for key, values in arrays.items():
         if not np.isfinite(values[visible] if key == "pixel" else values).all():
@@ -73,7 +74,7 @@ def scene_to_record(scene: Scene) -> dict:
         "t_obs": int(scene.t_obs),
         "t_pred": int(scene.t_pred),
         "image_size": [int(scene.image_size[0]), int(scene.image_size[1])],
-        "agent_ids": [int(agent.agent_id) for agent in scene.agents],
+        "agent_ids": [int(agent_id) for agent_id in scene.agent_ids],
         "out_of_sight_id": int(scene.out_of_sight_id),
         **{key: pack(values) for key, values in arrays.items()},
     }
@@ -145,8 +146,7 @@ def record_to_scene(record: dict, line: int = 0) -> Scene:
     h = ids.index(hidden)
     _refuse_first(nan[h : h + 1, :, 0], line, "pixel",
                   "NaN, but the hidden agent must have ground-truth pixels everywhere", ids[h : h + 1])
-    agents = [SceneAgent(*fields) for fields in zip(ids, world, sensor, pixel, ~nan[..., 0])]
-    return Scene(seed, t_obs, t_pred, tuple(size), camera, agents, out_of_sight_id=hidden)
+    return Scene(seed, t_obs, t_pred, tuple(size), camera, ids, world, sensor, pixel, ~nan[..., 0], hidden)
 
 
 def write_scenes(path, scenes: list[Scene]) -> str:
@@ -161,7 +161,9 @@ def write_scenes(path, scenes: list[Scene]) -> str:
     return digest.hexdigest()
 
 
-def _parse(data: bytes) -> list[Scene]:
+def _parse(data: bytes, path) -> list[Scene]:
+    """The scenes of a split file's bytes; a refusal names path, the line
+    and the field."""
     scenes = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         if not raw.strip():
@@ -169,13 +171,16 @@ def _parse(data: bytes) -> list[Scene]:
         try:
             record = json.loads(raw)
         except ValueError as err:  # not JSON, or not UTF-8
-            raise SchemaError(f"line {lineno}: invalid JSON ({err})", line=lineno) from err
-        scenes.append(record_to_scene(record, lineno))
+            raise SchemaError(f"{path}: line {lineno}: invalid JSON ({err})", line=lineno) from err
+        try:
+            scenes.append(record_to_scene(record, lineno))
+        except SchemaError as err:
+            raise SchemaError(f"{path}: {err}", line=err.line, field=err.field) from None
     return scenes
 
 
 def read_scenes(path) -> list[Scene]:
-    return _parse(Path(path).read_bytes())
+    return _parse(Path(path).read_bytes(), path)
 
 
 def write_dataset(out_dir, splits: dict[str, list[Scene]], config_dict: dict) -> dict:
@@ -237,5 +242,5 @@ def load_dataset(dataset_dir) -> tuple[dict, dict[str, list[Scene]]]:
         if digest != info["sha256"]:
             raise HashMismatch(f"{path}: sha256 {digest[:12]} is not the manifest's {info['sha256'][:12]}; "
                                "`blindtrack import` re-admits an edited dataset")
-        splits[name] = _parse(data)
+        splits[name] = _parse(data, path)
     return manifest, splits

@@ -133,42 +133,26 @@ def calibrate_scene(scene: Scene) -> tuple[str, int, float, float]:
     t_obs = scene.t_obs
     matrices = scene.camera[:t_obs]
     static = bool(np.array_equal(matrices, np.broadcast_to(matrices[0], matrices.shape)))
-    sensors, exacts = [], []
-    for agent in scene.in_sight():
-        mask = agent.visible[:t_obs]
-        if not mask.any():
-            continue
-        sensors.append((agent.sensor[mask], np.flatnonzero(mask)))
-        exacts.append(project_trajectory(matrices[mask], agent.world[:t_obs][mask]))
-    if static:
-        world = np.concatenate([s for s, _ in sensors]) if sensors else np.empty((0, 3))
-        pixel = np.concatenate(exacts) if exacts else np.empty((0, 2))
+    rows = np.delete(np.arange(len(scene.agent_ids)), scene.hidden)
+    seen = scene.visible[rows, :t_obs]  # (m, t_obs): each in-sight agent's visible steps
+    sensor = scene.sensor[rows]
+    exact = np.zeros(seen.shape + (2,))
+    cameras = np.broadcast_to(matrices, seen.shape + (3, 4))
+    exact[seen] = project_trajectory(cameras[seen], scene.world[rows, :t_obs][seen])
+    # one estimate from the whole window, or one per step
+    masks = [seen] if static else [seen & (np.arange(t_obs) == t) for t in range(t_obs)]
+    distances = []
+    for t, mask in enumerate(masks):
+        world, pixel = sensor[mask], exact[mask]
         if len(world) < MIN_CORRESPONDENCES:
+            where, why = ("", "") if static else (f", timestep {t}", " for a moving mount")
             raise InsufficientCorrespondences(
-                f"scene {scene.seed}: {len(world)} correspondences, need {MIN_CORRESPONDENCES}"
+                f"scene {scene.seed}{where}: {len(world)} correspondences, need {MIN_CORRESPONDENCES}{why}"
             )
         estimate = dlt_estimate(world, pixel)
-        dist = _reproject_distance(estimate, world, pixel)
-        return "static", len(dist), float(dist.mean()), float(dist.max())
-    distances = []
-    for t in range(t_obs):
-        world_t, pixel_t = [], []
-        for (sensor, steps), exact in zip(sensors, exacts):
-            hit = np.flatnonzero(steps == t)
-            if hit.size:
-                world_t.append(sensor[hit[0]])
-                pixel_t.append(exact[hit[0]])
-        if len(world_t) < MIN_CORRESPONDENCES:
-            raise InsufficientCorrespondences(
-                f"scene {scene.seed}, timestep {t}: {len(world_t)} correspondences, "
-                f"need {MIN_CORRESPONDENCES} for a moving mount"
-            )
-        world_t = np.array(world_t)
-        pixel_t = np.array(pixel_t)
-        estimate = dlt_estimate(world_t, pixel_t)
-        distances.append(_reproject_distance(estimate, world_t, pixel_t))
+        distances.append(_reproject_distance(estimate, world, pixel))
     dist = np.concatenate(distances)
-    return "moving", len(dist), float(dist.mean()), float(dist.max())
+    return "static" if static else "moving", len(dist), float(dist.mean()), float(dist.max())
 
 
 def _reproject_distance(estimate: np.ndarray, world: np.ndarray, pixel: np.ndarray) -> np.ndarray:

@@ -114,7 +114,7 @@ def score_scenes(predict, scenes, method: str, split: str, config_hash: str = ""
                 raise LengthMismatch(
                     f"{method}: predicted {len(visual)} and {len(future)} tracks for {len(chunk)} scenes"
                 )
-            pixel = np.stack([ordered[i].out_of_sight().pixel for i in chunk])
+            pixel = np.stack([ordered[i].pixel[ordered[i].hidden] for i in chunk])
             t_obs = ordered[chunk[0]].t_obs
             d_errors[chunk] = track_errors(visual, pixel[:, :t_obs])
             p_errors[chunk] = track_errors(future, pixel[:, t_obs:])

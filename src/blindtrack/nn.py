@@ -26,9 +26,6 @@ from .tensor import (
     tanh,
 )
 
-CELL_KINDS = ("rnn", "gru", "lstm")
-SEQUENCE_KINDS = ("transformer",) + CELL_KINDS
-
 
 class Module:
     """Base with parameter discovery over attribute insertion order."""
@@ -109,12 +106,12 @@ class MultiHeadSelfAttention(Module):
 class TransformerBlock(Module):
     """Pre-norm residual block: attention, then a 4x feed-forward."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, ff_mult: int = 4):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         self.norm_attn = LayerNorm(dim)
         self.attn = MultiHeadSelfAttention(dim, heads, rng)
         self.norm_ff = LayerNorm(dim)
-        self.ff_in = Linear(dim, ff_mult * dim, rng)
-        self.ff_out = Linear(ff_mult * dim, dim, rng)
+        self.ff_in = Linear(dim, 4 * dim, rng)
+        self.ff_out = Linear(4 * dim, dim, rng)
 
     def __call__(self, x: Tensor, steps: int) -> Tensor:
         x = add(x, self.attn(self.norm_attn(x), steps))
@@ -197,14 +194,15 @@ class LSTMCell(Module):
         return (mul(gate_out, tanh(c_new)), c_new)
 
 
+CELLS = {"rnn": RNNCell, "gru": GRUCell, "lstm": LSTMCell}
+CELL_KINDS = tuple(CELLS)
+SEQUENCE_KINDS = ("transformer",) + CELL_KINDS
+
+
 def make_cell(kind: str, in_dim: int, dim: int, rng: np.random.Generator) -> Module:
-    if kind == "rnn":
-        return RNNCell(in_dim, dim, rng)
-    if kind == "gru":
-        return GRUCell(in_dim, dim, rng)
-    if kind == "lstm":
-        return LSTMCell(in_dim, dim, rng)
-    raise UnknownCellKind(f"unknown cell kind {kind!r}; expected one of {CELL_KINDS}")
+    if kind not in CELLS:
+        raise UnknownCellKind(f"unknown cell kind {kind!r}; expected one of {CELL_KINDS}")
+    return CELLS[kind](in_dim, dim, rng)
 
 
 class SequenceTrunk(Module):

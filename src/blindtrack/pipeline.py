@@ -10,11 +10,11 @@ rig it is given: the focal length is a model dimension (ModelConfig.focal,
 filled from the run config's sim.focal and kept in the checkpoint header),
 and the principal point is the centre of each scene's image. The denoiser
 and the predictor are trained end to end on the hidden agent's pixels
-(hidden.pixel, in pixel_losses): the denoising loss compares the projected
-denoised track with them over the observation window, the prediction loss
-the forecast over the prediction window. No loss compares against the
-sensor stream mapped through the camera, and positions are never
-supervised.
+(scene.pixel[scene.hidden], in pixel_losses): the denoising loss compares
+the projected denoised track with them over the observation window, the
+prediction loss the forecast over the prediction window. No loss compares
+against the sensor stream mapped through the camera, and positions are
+never supervised.
 
 A forward pass takes a batch of scenes of one shape (t_obs, t_pred, image
 size) and row-stacks them, scene-major, so a training minibatch is one
@@ -114,20 +114,22 @@ def estimator_features(scene: Scene) -> np.ndarray:
     """The camera fit's input: each visible agent's (pixel, sensor) pair
     averaged over the observation window, (n, 5).
 
-    Rows follow ascending agent_id over every visible agent; an agent never
-    visible inside the window is dropped, so n may be 0.
+    Rows are the scene's agent rows except the hidden one (Scene.hidden),
+    taken in ascending agent_id; an agent never visible inside the window
+    is dropped, so n may be 0.
     Each row holds the image-centered pixel [u/W - 1/2, v/H - 1/2] and the
     arena-normalized sensor position. Averaging over the window shrinks
     the sensor noise, which would otherwise bias a fit toward a camera
     that sees the agents closer together than they are.
     """
-    agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)
-    if not agents:
+    rows = np.argsort(scene.agent_ids)
+    rows = rows[rows != scene.hidden]
+    if not len(rows):
         raise NoInSightAgents(f"scene seed {scene.seed} has no visible agents")
     t_obs = scene.t_obs
-    visible = np.stack([agent.visible[:t_obs] for agent in agents])
-    pixel = np.stack([agent.pixel[:t_obs] for agent in agents]) / np.asarray(scene.image_size) - 0.5
-    sensor = (np.stack([agent.sensor for agent in agents]) - ARENA_MID) / ARENA_HALF
+    visible = scene.visible[rows, :t_obs]
+    pixel = scene.pixel[rows, :t_obs] / np.asarray(scene.image_size) - 0.5
+    sensor = (scene.sensor[rows] - ARENA_MID) / ARENA_HALF
     values = np.where(visible[:, :, None], np.concatenate([pixel, sensor], axis=2), 0.0)
     # summing over the step axis adds each agent's rows in sequence, and
     # adding the zeros of a hidden step is exact: the same bits as the mean
@@ -179,7 +181,7 @@ def batch_shape(scenes: list[Scene]) -> tuple[int, int, tuple[int, int]]:
 
 def hidden_sensor(scenes: list[Scene]) -> Tensor:
     """The hidden agents' sensor windows, row-stacked, (B*t_obs, 3)."""
-    return Tensor(np.concatenate([scene.out_of_sight().sensor for scene in scenes]))
+    return Tensor(np.concatenate([scene.sensor[scene.hidden] for scene in scenes]))
 
 
 class TrajectoryModel(Module):
@@ -245,7 +247,7 @@ def pixel_losses(scenes: list[Scene], visual: Tensor, future: Tensor) -> tuple[T
     the same number of entries."""
     t_obs, _, (w, h) = batch_shape(scenes)
     norm = np.array([1.0 / w, 1.0 / h])
-    pixels = [scene.out_of_sight().pixel for scene in scenes]
+    pixels = [scene.pixel[scene.hidden] for scene in scenes]
     observed = np.concatenate([p[:t_obs] for p in pixels]) * norm
     ahead = np.concatenate([p[t_obs:] for p in pixels]) * norm
     return mse_loss(col_scale(visual, norm), Tensor(observed)), mse_loss(col_scale(future, norm), Tensor(ahead))

@@ -10,7 +10,9 @@ agent's first attempt of every scene walks in one lockstep pass
 only agents still out of frame walk again, one pass per attempt index.
 Each track keeps its own (seed, agent, attempt) generator, drawn in a
 fixed order, so a scene carries the same bits whichever split builds it,
-and `make_scene` is `make_split` of one seed.
+and `make_scene` is `make_split` of one seed. A `Scene` holds its agents
+as rows of stacked arrays: each scene is a slice of the split's
+(scenes, agents, T, .) arrays, and every later stage computes on those rows.
 
 Geometry defaults: the arena is a ground patch 8 m wide and 12 m deep in
 front of the camera, sensors ride at about 1 m height, and the camera
@@ -139,39 +141,36 @@ class SimulatorConfig:
 
 
 @dataclass
-class SceneAgent:
-    agent_id: int
-    world: np.ndarray  # (t_total, 3) ground truth
-    sensor: np.ndarray  # (t_obs, 3) noisy; models never see more than this
-    pixel: np.ndarray  # (t_total, 2) rounded pixels, NaN where invisible
-    visible: np.ndarray  # (t_total,) bool
-
-
-@dataclass
 class Scene:
+    """One scene: its camera and its agents, stacked as rows. Row i of
+    world, sensor, pixel and visible belongs to agent agent_ids[i]."""
+
     seed: int
     t_obs: int
     t_pred: int
     image_size: tuple[int, int]
     camera: np.ndarray  # (t_total, 3, 4)
-    agents: list[SceneAgent]
+    agent_ids: list[int]
+    world: np.ndarray  # (n, t_total, 3) ground truth
+    sensor: np.ndarray  # (n, t_obs, 3) noisy; models never see more than this
+    pixel: np.ndarray  # (n, t_total, 2) rounded pixels, NaN where invisible
+    visible: np.ndarray  # (n, t_total) bool
     out_of_sight_id: int
 
     @property
     def t_total(self) -> int:
         return self.t_obs + self.t_pred
 
-    def out_of_sight(self) -> SceneAgent:
-        for agent in self.agents:
-            if agent.agent_id == self.out_of_sight_id:
-                return agent
-        raise SchemaError(
-            f"scene seed {self.seed}: no agent carries out_of_sight_id {self.out_of_sight_id}",
-            field="out_of_sight_id",
-        )
-
-    def in_sight(self) -> list[SceneAgent]:
-        return [a for a in self.agents if a.agent_id != self.out_of_sight_id]
+    @property
+    def hidden(self) -> int:
+        """The row of the agent whose visual track models never see."""
+        try:
+            return self.agent_ids.index(self.out_of_sight_id)
+        except ValueError:
+            raise SchemaError(
+                f"scene seed {self.seed}: no agent carries out_of_sight_id {self.out_of_sight_id}",
+                field="out_of_sight_id",
+            ) from None
 
     @property
     def shape(self) -> tuple[int, int, tuple[int, int]]:
@@ -350,32 +349,14 @@ def make_split(cfg: SimulatorConfig, base_seed: int, count: int) -> list[Scene]:
                 f"scene seed {seeds[row]}: agent {agent_id} never fully visible for "
                 f"{need_until[row, agent_id]} steps in {RETRY_BUDGET} attempts"
             )
-    scenes = []
-    for row, seed in enumerate(seeds):
-        scene_agents = []
-        for agent_id in range(cfg.n_agents):
-            noise = cfg.noise.sample(_scene_rng(seed, 3, agent_id), cfg.t_obs)
-            scene_agents.append(
-                SceneAgent(
-                    agent_id=agent_id,
-                    world=world[row, agent_id],
-                    sensor=world[row, agent_id, : cfg.t_obs] + noise,
-                    pixel=pixel[row, agent_id],
-                    visible=visible[row, agent_id],
-                )
-            )
-        scenes.append(
-            Scene(
-                seed=seed,
-                t_obs=cfg.t_obs,
-                t_pred=cfg.t_pred,
-                image_size=tuple(cfg.image_size),
-                camera=cameras[row],
-                agents=scene_agents,
-                out_of_sight_id=int(hidden[row]),
-            )
-        )
-    return scenes
+    noise = np.array([[cfg.noise.sample(_scene_rng(seed, 3, agent_id), cfg.t_obs) for agent_id in range(cfg.n_agents)]
+                      for seed in seeds]).reshape(count, cfg.n_agents, cfg.t_obs, 3)
+    sensor = world[:, :, : cfg.t_obs] + noise
+    return [
+        Scene(seed, cfg.t_obs, cfg.t_pred, tuple(cfg.image_size), cameras[row], list(range(cfg.n_agents)),
+              world[row], sensor[row], pixel[row], visible[row], int(hidden[row]))
+        for row, seed in enumerate(seeds)
+    ]
 
 
 def make_scene(cfg: SimulatorConfig, seed: int) -> Scene:

@@ -235,10 +235,10 @@ class TestCriterion05Blindness:
         all_equal = True
         for scene in scenes:
             tampered = copy.deepcopy(scene)
-            hidden = tampered.out_of_sight()
-            hidden.pixel[:] = hidden.pixel + 137.0
-            hidden.world[:] = hidden.world + 9.0
-            hidden.visible[:] = ~hidden.visible
+            hidden = tampered.hidden
+            tampered.pixel[hidden] = tampered.pixel[hidden] + 137.0
+            tampered.world[hidden] = tampered.world[hidden] + 9.0
+            tampered.visible[hidden] = ~tampered.visible[hidden]
             for name in methods:
                 model = make_model(name, cfg, np.random.default_rng(scene.seed))
                 visual_a, future_a = model.predict(scene)
@@ -356,7 +356,7 @@ class TestCriterion09Metrics:
         scenes = make_split(scfg, base_seed=900, count=5)
 
         def offset_predict(batch):
-            pixels = np.stack([scene.out_of_sight().pixel for scene in batch])
+            pixels = np.stack([scene.pixel[scene.hidden] for scene in batch])
             t_obs = batch[0].t_obs
             return pixels[:, :t_obs] + np.array([3.0, 4.0]), pixels[:, t_obs:] + np.array([6.0, 8.0])
 

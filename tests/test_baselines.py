@@ -98,9 +98,9 @@ class TestLearnedBaselines:
             model = bl.make_model(name, TINY, np.random.default_rng(4))
             base = model.predict(scene)
             tampered = copy.deepcopy(scene)
-            for agent in tampered.in_sight():
-                agent.pixel[:] = 0.0
-                agent.sensor[:] = 0.0
+            in_sight = np.arange(len(tampered.agent_ids)) != tampered.hidden
+            tampered.pixel[in_sight] = 0.0
+            tampered.sensor[in_sight] = 0.0
             got = model.predict(tampered)
             assert np.array_equal(base[0], got[0]) and np.array_equal(base[1], got[1])
 
@@ -217,21 +217,21 @@ def reference_rts_smooth(z, dt=sim.DT, process_var=0.5, meas_var=4.0):
 class TestOracles:
     def test_clamped_project_matches_reference_when_safe(self):
         scene = tiny_scenes(1)[0]
-        hidden = scene.out_of_sight()
-        got = bl.clamped_project(scene.camera[: scene.t_obs], hidden.sensor)
-        want = geo.project_trajectory(scene.camera[: scene.t_obs], hidden.sensor)
+        sensor = scene.sensor[scene.hidden]
+        got = bl.clamped_project(scene.camera[: scene.t_obs], sensor)
+        want = geo.project_trajectory(scene.camera[: scene.t_obs], sensor)
         assert np.allclose(got, want, atol=1e-12)
         behind = bl.clamped_project(scene.camera[:1], np.array([[0.0, -50.0, 1.0]]))
         assert np.all(np.isfinite(behind))
 
     def test_const_velocity_oracle_near_truth_on_clean_scene(self):
         scene = tiny_scenes(1, noise="clean", t_obs=10, t_pred=3)[0]
-        hidden = scene.out_of_sight()
+        pixel = scene.pixel[scene.hidden]
         visual, future = bl.ConstVelocityOracle().predict(scene)
         assert visual.shape == (10, 2) and future.shape == (3, 2)
         # clean sensor equals world, so the observed window is exact up to
         # the half-pixel rasterization of the targets
-        err = np.abs(visual - hidden.pixel[:10]).max()
+        err = np.abs(visual - pixel[:10]).max()
         assert err <= 0.5 + 1e-9
 
     @pytest.mark.parametrize("name", bl.REFERENCE_METHODS)

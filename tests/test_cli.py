@@ -332,7 +332,7 @@ class TestEval:
         else:
             argv = ["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"), "--dataset", str(data)]
         assert main(argv) == 7
-        assert f"line 2, field '{named(record)}'" in capsys.readouterr().err
+        assert f"{split}.jsonl: line 2, field '{named(record)}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_edited_split_exits_4_until_reimported(self, workdir, tmp_path, capsys):
@@ -541,6 +541,11 @@ class TestImport:
         assert main(["import", str(broken), "--out", str(tmp_path / "ds")]) == 7
         assert "line 2" in capsys.readouterr().err
 
+    def test_refusal_names_the_split_file(self, workdir, tmp_path, capsys):
+        data = edited_dataset(workdir / "data", tmp_path / "data", "val", lambda r: _set(r, "sensor", "1.5"))
+        assert main(["import", str(data), "--out", str(tmp_path / "ds")]) == 7
+        assert f"{data / 'val.jsonl'}: line 2, field 'sensor': not base64" in capsys.readouterr().err
+
     def test_malformed_json_exits_7(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n")
@@ -583,6 +588,14 @@ class TestReport:
         path.write_text(text)
         assert main(["report", str(path)]) == 7
         assert named in capsys.readouterr().err
+
+    def test_malformed_csv_among_several_is_named(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,2,1.0,2.0,3.0\n")
+        bad.write_text("method,split,n_scenes,mse_d,mse_p,mse_sum\nfull,test,x,1.0,2.0,3.0\n")
+        assert main(["report", str(good), str(bad)]) == 7
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2, column 'n_scenes'" in err and "good.csv" not in err
 
     def test_empty_input_exits_6(self, tmp_path):
         empty = tmp_path / "empty.csv"

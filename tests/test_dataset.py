@@ -34,9 +34,8 @@ def masked_base_scene():
     """A scene with a rounded pixel at every step of every agent, in frame
     or not, for the round-trip property to mask."""
     scene = sim.make_scene(small_config(noise=sim.NoiseModel.preset("hard")), 4)
-    for agent in scene.agents:
-        agent.pixel = np.rint(geo.project_trajectory(scene.camera, agent.world))
-        agent.visible = np.ones(scene.t_total, dtype=bool)
+    scene.pixel = np.stack([np.rint(geo.project_trajectory(scene.camera, world)) for world in scene.world])
+    scene.visible = np.ones(scene.visible.shape, dtype=bool)
     return scene
 
 
@@ -62,11 +61,11 @@ class TestRoundTrip:
     @given(arrays(bool, (4, 15)))
     def test_bytes_survive_a_round_trip_for_any_mask(self, masks):
         scene = copy.deepcopy(masked_base_scene())
-        for agent, mask in zip(scene.agents, masks):
-            if agent.agent_id == scene.out_of_sight_id:
+        for row, mask in enumerate(masks):
+            if row == scene.hidden:
                 continue  # the schema needs the hidden agent's pixel at every step
-            agent.visible = mask
-            agent.pixel[~mask] = np.nan
+            scene.visible[row] = mask
+            scene.pixel[row, ~mask] = np.nan
         line = ds.canonical_json(ds.scene_to_record(scene))
         rebuilt = ds.record_to_scene(json.loads(line))
         assert ds.canonical_json(ds.scene_to_record(rebuilt)) == line
@@ -76,18 +75,18 @@ class TestRoundTrip:
         # NaN in both coordinates is v2's null: it marks exactly the steps
         # out of frame, even where the scene holds numbers there
         scene = copy.deepcopy(masked_base_scene())
-        scene.agents[0].visible[[2, 5]] = False
+        scene.visible[0, [2, 5]] = False
         for case in (*scenes, scene):
-            visible = np.array([agent.visible for agent in case.agents])
+            visible = case.visible
             pixel = unpacked(ds.scene_to_record(case), "pixel")
             assert np.array_equal(np.isnan(pixel), np.stack([~visible, ~visible], axis=-1))
 
     def test_record_packs_little_endian_float64_in_c_order(self, scenes):
         scene = scenes[0]
         record = ds.scene_to_record(scene)
-        world = np.stack([agent.world for agent in scene.agents])
+        world = scene.world
         assert base64.b64decode(record["world"]) == world.astype("<f8").tobytes(order="C")
-        assert record["agent_ids"] == [agent.agent_id for agent in scene.agents]
+        assert record["agent_ids"] == list(scene.agent_ids)
         assert "visible" not in record and "agents" not in record
 
 
@@ -157,7 +156,7 @@ class TestValidation:
         with pytest.raises(SchemaError, match="pixel"):
             ds.record_to_scene(record)
         scene = copy.deepcopy(scenes[0])
-        scene.out_of_sight().pixel[3] = np.nan
+        scene.pixel[scene.hidden, 3] = np.nan
         with pytest.raises(SchemaError, match="non-finite pixel") as err:
             ds.scene_to_record(scene)
         assert err.value.field == "pixel"
@@ -358,10 +357,9 @@ def test_readme_file_formats_name_the_schemas():
 def test_readme_recipe_writes_a_record_the_reader_accepts(tmp_path, monkeypatch):
     scene = sim.make_scene(sim.SimulatorConfig(noise=sim.NoiseModel.preset("hard")), 0)  # the recipe's seed
     recipe = readme_file_formats().split("```python\n", 1)[1].split("```", 1)[0]
-    arrays = {"camera": scene.camera, **{key: np.stack([getattr(a, key) for a in scene.agents])
-                                         for key in ("world", "sensor", "pixel")}}
+    arrays = {key: getattr(scene, key) for key in ("camera", "world", "sensor", "pixel")}
     monkeypatch.chdir(tmp_path)
-    ids = [agent.agent_id for agent in scene.agents]
+    ids = list(scene.agent_ids)
     exec(textwrap.dedent(recipe), {"ids": ids, "hidden": scene.out_of_sight_id, "arrays": arrays})
     [read] = ds.read_scenes(tmp_path / "external.jsonl")
     assert_scene_equal(scene, read)

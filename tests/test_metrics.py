@@ -80,7 +80,7 @@ class FixedOffsetMethod:
         self.offset = np.array([du, dv])
 
     def predict(self, scenes):
-        pixels = np.stack([scene.out_of_sight().pixel for scene in scenes])
+        pixels = np.stack([scene.pixel[scene.hidden] for scene in scenes])
         t_obs = scenes[0].t_obs
         return pixels[:, :t_obs] + self.offset, pixels[:, t_obs:] + self.offset
 
@@ -138,7 +138,7 @@ def per_scene_scores(predict_one, scenes):
     d_errors, p_errors = [], []
     for scene in sorted(scenes, key=lambda s: s.seed):
         visual, future = predict_one(scene)
-        pixel = scene.out_of_sight().pixel
+        pixel = scene.pixel[scene.hidden]
         d_errors.append(mt.mse_t(visual, pixel[: scene.t_obs]))
         p_errors.append(mt.mse_t(future, pixel[scene.t_obs:]))
     return float(np.mean(d_errors)), float(np.mean(p_errors))

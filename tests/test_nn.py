@@ -108,6 +108,13 @@ class TestCells:
         with pytest.raises(UnknownCellKind):
             nn.SequenceTrunk("mamba", 3, 4, 1, 1, np.random.default_rng(0))
 
+    def test_one_list_of_cell_kinds(self):
+        # make_cell's table names the kinds; the fused scan must take exactly those
+        assert tuple(tz._SCANS) == nn.CELL_KINDS == ("rnn", "gru", "lstm")
+        with pytest.raises(UnknownCellKind) as err:
+            nn.make_cell("conv", 3, 4, np.random.default_rng(0))
+        assert str(err.value) == "unknown cell kind 'conv'; expected one of ('rnn', 'gru', 'lstm')"
+
     def test_gru_saturated_update_gate_keeps_state(self):
         rng = np.random.default_rng(6)
         cell = nn.make_cell("gru", 3, 4, rng)

@@ -3,6 +3,7 @@ hidden agent's labels, end-to-end differentiability, and trainer
 determinism."""
 
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -71,21 +72,21 @@ class TestProjectRows:
         rng = np.random.default_rng(0)
         for seed in range(20):
             scene = sim.make_scene(small_config(t_obs=8, t_pred=2), seed)
-            hidden = scene.out_of_sight()
+            sensor = scene.sensor[scene.hidden]
             rows = scene.camera[: scene.t_obs].reshape(-1, 12)
-            got = pl.project_rows(Tensor(rows), Tensor(hidden.sensor)).data
-            want = geo.project_trajectory(scene.camera[: scene.t_obs], hidden.sensor)
+            got = pl.project_rows(Tensor(rows), Tensor(sensor)).data
+            want = geo.project_trajectory(scene.camera[: scene.t_obs], sensor)
             assert np.allclose(got, want, atol=1e-10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         scene = sim.make_scene(small_config(t_obs=8, t_pred=2), 3)
-        hidden = scene.out_of_sight()
+        sensor = scene.sensor[scene.hidden]
         rows = scene.camera[: scene.t_obs].reshape(-1, 12)
-        base = pl.project_rows(Tensor(rows), Tensor(hidden.sensor)).data
+        base = pl.project_rows(Tensor(rows), Tensor(sensor)).data
         for _ in range(20):
             lam = 10.0 ** rng.uniform(-3, 3)
-            scaled = pl.project_rows(Tensor(rows * lam), Tensor(hidden.sensor)).data
+            scaled = pl.project_rows(Tensor(rows * lam), Tensor(sensor)).data
             assert np.allclose(scaled, base, atol=1e-9)
 
     def test_degenerate_depth_stays_finite(self):
@@ -113,18 +114,22 @@ class TestProjectRows:
             pl.project_rows(Tensor(np.zeros((3, 11))), Tensor(np.zeros((3, 3))))
 
 
+def in_sight_rows(scene):
+    """The rows of every agent but the hidden one, in ascending agent_id."""
+    return [row for row in np.argsort(scene.agent_ids) if row != scene.hidden]
+
+
 def loop_estimator_features(scene):
     """estimator_features as a loop over agents, each averaged over its
     visible steps alone: the reference the vectorized form must match bit
     for bit, since its bytes key the camera memo."""
-    agents = sorted(scene.in_sight(), key=lambda a: a.agent_id)
     size = np.asarray(scene.image_size)
     pairs = []
-    for agent in agents:
-        vis = agent.visible[: scene.t_obs]
+    for row in in_sight_rows(scene):
+        vis = scene.visible[row, : scene.t_obs]
         if vis.any():
-            pixel = agent.pixel[: scene.t_obs][vis] / size - 0.5
-            sensor = (agent.sensor[vis] - pl.ARENA_MID) / pl.ARENA_HALF
+            pixel = scene.pixel[row, : scene.t_obs][vis] / size - 0.5
+            sensor = (scene.sensor[row][vis] - pl.ARENA_MID) / pl.ARENA_HALF
             pairs.append(np.concatenate([pixel, sensor], axis=1).mean(axis=0))
     return np.array(pairs).reshape(-1, 5)
 
@@ -139,9 +144,9 @@ class TestFeatures:
             for _ in range(5):
                 edited = copy.deepcopy(scene)
                 t = scene.t_obs
-                for agent in edited.in_sight():
-                    agent.visible[:t] &= rng.random(t) < rng.random()
-                    agent.pixel[:t][~agent.visible[:t]] = np.nan
+                for row in in_sight_rows(edited):
+                    edited.visible[row, :t] &= rng.random(t) < rng.random()
+                    edited.pixel[row, :t][~edited.visible[row, :t]] = np.nan
                 want = loop_estimator_features(edited)
                 got = pl.estimator_features(edited)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -149,17 +154,17 @@ class TestFeatures:
     def test_slots_filled_in_agent_order(self):
         scene = tiny_scenes(1)[0]
         pairs = pl.estimator_features(scene)
-        in_sight = sorted(scene.in_sight(), key=lambda a: a.agent_id)
+        in_sight = in_sight_rows(scene)
         w, h = scene.image_size
         t = scene.t_obs
         # one row per visible agent, none for the unused fourth slot
         assert pairs.shape == (len(in_sight), 5) == (3, 5)
-        for row, agent in zip(pairs, in_sight):
-            assert agent.visible[:t].all()
-            assert np.allclose(row[0], np.mean(agent.pixel[:t, 0] / w - 0.5), rtol=1e-12, atol=0)
-            assert np.allclose(row[1], np.mean(agent.pixel[:t, 1] / h - 0.5), rtol=1e-12, atol=0)
-            want = ((agent.sensor - pl.ARENA_MID) / pl.ARENA_HALF).mean(axis=0)
-            assert np.allclose(row[2:], want, rtol=1e-12, atol=0)
+        for pair, row in zip(pairs, in_sight):
+            assert scene.visible[row, :t].all()
+            assert np.allclose(pair[0], np.mean(scene.pixel[row, :t, 0] / w - 0.5), rtol=1e-12, atol=0)
+            assert np.allclose(pair[1], np.mean(scene.pixel[row, :t, 1] / h - 0.5), rtol=1e-12, atol=0)
+            want = ((scene.sensor[row] - pl.ARENA_MID) / pl.ARENA_HALF).mean(axis=0)
+            assert np.allclose(pair[2:], want, rtol=1e-12, atol=0)
         # pixels centered on the image, positions on the arena box
         assert np.all(np.abs(pairs[:, :2]) < 0.5)
         assert np.all(np.abs(pairs[:, 2:]) <= 1.0)
@@ -168,11 +173,11 @@ class TestFeatures:
         scene = tiny_scenes(1)[0]
         base = pl.estimator_features(scene)
         edited = copy.deepcopy(scene)
-        first, second = sorted(edited.in_sight(), key=lambda a: a.agent_id)[:2]
-        first.visible[:2] = False
-        first.pixel[:2] = np.nan
-        second.visible[: scene.t_obs] = False
-        second.pixel[: scene.t_obs] = np.nan
+        first, second = in_sight_rows(edited)[:2]
+        edited.visible[first, :2] = False
+        edited.pixel[first, :2] = np.nan
+        edited.visible[second, : scene.t_obs] = False
+        edited.pixel[second, : scene.t_obs] = np.nan
         pairs = pl.estimator_features(edited)
         # the agent never visible in the window is dropped; the other two
         # keep their slot order
@@ -180,15 +185,15 @@ class TestFeatures:
         assert np.array_equal(pairs[1], base[2])
         w, h = scene.image_size
         t = scene.t_obs
-        assert np.allclose(pairs[0, :2], (first.pixel[2:t] / [w, h] - 0.5).mean(axis=0), rtol=1e-12, atol=0)
-        want = ((first.sensor[2:t] - pl.ARENA_MID) / pl.ARENA_HALF).mean(axis=0)
+        assert np.allclose(pairs[0, :2], (edited.pixel[first, 2:t] / [w, h] - 0.5).mean(axis=0), rtol=1e-12, atol=0)
+        want = ((edited.sensor[first, 2:t] - pl.ARENA_MID) / pl.ARENA_HALF).mean(axis=0)
         assert np.allclose(pairs[0, 2:], want, rtol=1e-12, atol=0)
 
     def test_no_pairs_in_the_window_leave_the_prior(self):
         scene = tiny_scenes(1)[0]
         blind = copy.deepcopy(scene)
-        for agent in blind.in_sight():
-            agent.visible[: scene.t_obs] = False
+        for row in in_sight_rows(blind):
+            blind.visible[row, : scene.t_obs] = False
         pairs = pl.estimator_features(blind)
         assert pairs.shape == (0, 5)
         rows = pl.CameraEstimator(sim.FOCAL)([pairs], blind.image_size, blind.t_obs).data
@@ -196,8 +201,9 @@ class TestFeatures:
 
     def test_no_visible_agents_rejected(self):
         scene = tiny_scenes(1)[0]
-        lone = copy.deepcopy(scene)
-        lone.agents = [scene.out_of_sight()]
+        rows = [scene.hidden]
+        lone = dataclasses.replace(scene, agent_ids=[scene.out_of_sight_id], world=scene.world[rows],
+                                   sensor=scene.sensor[rows], pixel=scene.pixel[rows], visible=scene.visible[rows])
         with pytest.raises(NoInSightAgents):
             pl.estimator_features(lone)
 
@@ -216,10 +222,10 @@ def fitted_camera(scene, focal=sim.FOCAL):
 def hidden_track_error(scene, camera):
     """Mean pixel distance between the hidden agent's true observed track
     projected through `camera` and through the scene's true camera."""
-    hidden = scene.out_of_sight()
+    world = scene.world[scene.hidden]
     t = scene.t_obs
-    true = geo.project_trajectory(scene.camera[:t], hidden.world[:t])
-    return float(np.linalg.norm(geo.project_trajectory(camera, hidden.world[:t]) - true, axis=1).mean())
+    true = geo.project_trajectory(scene.camera[:t], world[:t])
+    return float(np.linalg.norm(geo.project_trajectory(camera, world[:t]) - true, axis=1).mean())
 
 
 def loop_look_at_residuals(pose, world, pixel, intrinsics):
@@ -373,19 +379,19 @@ class TestCameraFit:
 
     def test_too_few_pairs_still_give_a_finite_camera(self):
         scene = sim.make_scene(small_config(n_agents=2, t_obs=2, t_pred=2), 5)
-        assert len(scene.in_sight()) * scene.t_obs < geo.MIN_CORRESPONDENCES
+        assert len(in_sight_rows(scene)) * scene.t_obs < geo.MIN_CORRESPONDENCES
         camera = fitted_camera(scene)
         assert np.all(np.isfinite(camera))
-        assert np.all(np.isfinite(geo.homogeneous_apply(camera, scene.in_sight()[0].sensor)))
+        assert np.all(np.isfinite(geo.homogeneous_apply(camera, scene.sensor[in_sight_rows(scene)[0]])))
 
     def test_ignores_the_hidden_agent(self):
         for scene in tiny_scenes(4, noise="hard"):
             tampered = copy.deepcopy(scene)
-            hidden = tampered.out_of_sight()
-            hidden.pixel[:] = hidden.pixel + 500.0
-            hidden.world[:] = hidden.world + 9.0
-            hidden.sensor[:] = hidden.sensor - 3.0
-            hidden.visible[:] = ~hidden.visible
+            hidden = tampered.hidden
+            tampered.pixel[hidden] = tampered.pixel[hidden] + 500.0
+            tampered.world[hidden] = tampered.world[hidden] + 9.0
+            tampered.sensor[hidden] = tampered.sensor[hidden] - 3.0
+            tampered.visible[hidden] = ~tampered.visible[hidden]
             assert np.array_equal(fitted_camera(scene), fitted_camera(tampered))
 
     def test_jacobian_matches_finite_differences(self):
@@ -442,9 +448,9 @@ class TestCameraMemo:
         calls = self.count_fits(monkeypatch)
         scenes = tiny_scenes(4, seed0=40, noise="default")
         for scene in scenes[1::2]:  # two of the four scenes lose a visible agent
-            gone = sorted(scene.in_sight(), key=lambda a: a.agent_id)[0]
-            gone.visible[: scene.t_obs] = False
-            gone.pixel[: scene.t_obs] = np.nan
+            gone = in_sight_rows(scene)[0]
+            scene.visible[gone, : scene.t_obs] = False
+            scene.pixel[gone, : scene.t_obs] = np.nan
         assert [len(pl.estimator_features(s)) for s in scenes] == [3, 2, 3, 2]
         model = pl.VisionPipeline(TINY, np.random.default_rng(22))
         model.forward(scenes)
@@ -469,9 +475,9 @@ class TestCameraMemo:
         estimator = pl.CameraEstimator(sim.FOCAL)
         original = fit_rows(estimator, scene)
         moved = copy.deepcopy(scene)
-        for agent in moved.in_sight():
-            agent.sensor[:] = agent.sensor + np.array([1.5, -2.0, 0.0])
-            agent.pixel[:] = agent.pixel + 7.0
+        for row in in_sight_rows(moved):
+            moved.sensor[row] = moved.sensor[row] + np.array([1.5, -2.0, 0.0])
+            moved.pixel[row] = moved.pixel[row] + 7.0
         got = fit_rows(estimator, moved)
         assert len(estimator.fits) == 2
         assert np.array_equal(got, fit_rows(pl.CameraEstimator(sim.FOCAL), moved))
@@ -531,13 +537,13 @@ class TestForward:
     def test_loss_matches_manual_computation(self):
         model = pl.VisionPipeline(TINY, np.random.default_rng(3))
         scene = tiny_scenes(1)[0]
-        hidden = scene.out_of_sight()
+        pixel = scene.pixel[scene.hidden]
         w, h = scene.image_size
         visual, future = model.predict(scene)
         loss_d, loss_p = model.loss_terms(scene)
         norm = np.array([1.0 / w, 1.0 / h])
-        want_d = np.mean(((visual - hidden.pixel[: scene.t_obs]) * norm) ** 2)
-        want_p = np.mean(((future - hidden.pixel[scene.t_obs:]) * norm) ** 2)
+        want_d = np.mean(((visual - pixel[: scene.t_obs]) * norm) ** 2)
+        want_p = np.mean(((future - pixel[scene.t_obs:]) * norm) ** 2)
         assert loss_d.item() == pytest.approx(want_d, rel=1e-12)
         assert loss_p.item() == pytest.approx(want_p, rel=1e-12)
 
@@ -596,7 +602,7 @@ class TestBatching:
         d_errors, p_errors = [], []
         for scene in scenes:
             visual, future = model.predict(scene)
-            pixel = scene.out_of_sight().pixel
+            pixel = scene.pixel[scene.hidden]
             d_errors.append(np.linalg.norm(visual - pixel[: scene.t_obs], axis=1).mean())
             p_errors.append(np.linalg.norm(future - pixel[scene.t_obs:], axis=1).mean())
         got_d, got_p = pl.evaluate_split(model, scenes)
@@ -610,9 +616,9 @@ class TestBlindness:
         for scene in tiny_scenes(5, noise="hard"):
             base_v, base_f = model.predict(scene)
             tampered = copy.deepcopy(scene)
-            hidden = tampered.out_of_sight()
-            hidden.pixel[:] = hidden.pixel + 500.0
-            hidden.world[:] = hidden.world + 9.0
+            hidden = tampered.hidden
+            tampered.pixel[hidden] = tampered.pixel[hidden] + 500.0
+            tampered.world[hidden] = tampered.world[hidden] + 9.0
             got_v, got_f = model.predict(tampered)
             assert np.array_equal(base_v, got_v)
             assert np.array_equal(base_f, got_f)
@@ -621,7 +627,7 @@ class TestBlindness:
         scene = tiny_scenes(1)[0]
         base = pl.estimator_features(scene)
         tampered = copy.deepcopy(scene)
-        tampered.out_of_sight().pixel[:] = -1.0
+        tampered.pixel[tampered.hidden] = -1.0
         assert np.array_equal(base, pl.estimator_features(tampered))
 
 

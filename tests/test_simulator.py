@@ -25,12 +25,11 @@ def small_config(**overrides):
 def assert_scene_equal(a: sim.Scene, b: sim.Scene):
     assert a.seed == b.seed and a.out_of_sight_id == b.out_of_sight_id
     assert np.array_equal(a.camera, b.camera)
-    for x, y in zip(a.agents, b.agents):
-        assert x.agent_id == y.agent_id
-        assert np.array_equal(x.world, y.world)
-        assert np.array_equal(x.sensor, y.sensor)
-        assert np.array_equal(x.pixel, y.pixel, equal_nan=True)
-        assert np.array_equal(x.visible, y.visible)
+    assert list(a.agent_ids) == list(b.agent_ids)
+    assert np.array_equal(a.world, b.world)
+    assert np.array_equal(a.sensor, b.sensor)
+    assert np.array_equal(a.pixel, b.pixel, equal_nan=True)
+    assert np.array_equal(a.visible, b.visible)
 
 
 def reference_track(rng: np.random.Generator, steps: int) -> np.ndarray:
@@ -93,7 +92,7 @@ def reference_scene(cfg: sim.SimulatorConfig, seed: int) -> tuple[sim.Scene, int
     total = cfg.t_total
     camera = sim.camera_sequence(cfg, sim._scene_rng(seed, 0), total)
     hidden_id = int(sim._scene_rng(seed, 1).integers(0, cfg.n_agents))
-    agents, last_attempt = [], 0
+    rows, last_attempt = [], 0
     for agent_id in range(cfg.n_agents):
         need_until = total if agent_id == hidden_id else cfg.t_obs
         for attempt in range(sim.RETRY_BUDGET):
@@ -105,8 +104,10 @@ def reference_scene(cfg: sim.SimulatorConfig, seed: int) -> tuple[sim.Scene, int
             raise AssertionError("reference scene exhausted its retry budget")
         last_attempt = max(last_attempt, attempt)
         noise = cfg.noise.sample(sim._scene_rng(seed, 3, agent_id), cfg.t_obs)
-        agents.append(sim.SceneAgent(agent_id, world, world[: cfg.t_obs] + noise, uv, visible))
-    scene = sim.Scene(int(seed), cfg.t_obs, cfg.t_pred, tuple(cfg.image_size), camera, agents, hidden_id)
+        rows.append((world, world[: cfg.t_obs] + noise, uv, visible))
+    world, sensor, pixel, visible = map(np.stack, zip(*rows))
+    scene = sim.Scene(int(seed), cfg.t_obs, cfg.t_pred, tuple(cfg.image_size), camera, list(range(cfg.n_agents)),
+                      world, sensor, pixel, visible, hidden_id)
     return scene, last_attempt
 
 
@@ -138,7 +139,7 @@ class TestLockstepWalk:
         assert [s.seed for s in split] == list(range(40, 52))
         for scene in split:
             assert_scene_equal(scene, reference_scene(cfg, scene.seed)[0])
-            assert len(scene.agents) == cfg.n_agents
+            assert len(scene.agent_ids) == cfg.n_agents
 
     def test_make_scene_is_a_split_of_one(self):
         cfg = small_config(noise=sim.NoiseModel.preset("hard"))
@@ -199,7 +200,7 @@ class TestTracks:
 
     def test_agents_in_one_scene_have_distinct_heights(self):
         scene = sim.make_scene(small_config(), seed=11)
-        heights = sorted(a.world[0, 2] for a in scene.agents)
+        heights = sorted(scene.world[:, 0, 2])
         assert len(set(heights)) == len(heights)
 
     def test_two_step_track_is_single_segment(self):
@@ -241,8 +242,8 @@ class TestNoise:
 
     def test_clean_sensor_equals_world(self):
         scene = sim.make_scene(small_config(), seed=5)
-        for agent in scene.agents:
-            assert np.array_equal(agent.sensor, agent.world[: scene.t_obs])
+        for sensor, world in zip(scene.sensor, scene.world):
+            assert np.array_equal(sensor, world[: scene.t_obs])
 
 
 class TestScenes:
@@ -253,32 +254,32 @@ class TestScenes:
     def test_different_seeds_differ(self):
         cfg = small_config()
         a, b = sim.make_scene(cfg, 1), sim.make_scene(cfg, 2)
-        assert not np.array_equal(a.agents[0].world, b.agents[0].world)
+        assert not np.array_equal(a.world[0], b.world[0])
 
     def test_visibility_contracts(self):
         for seed in range(8):
             scene = sim.make_scene(small_config(), seed)
-            assert scene.out_of_sight().visible.all()
-            for agent in scene.in_sight():
-                assert agent.visible[: scene.t_obs].all()
+            assert scene.visible[scene.hidden].all()
+            for row, visible in enumerate(scene.visible):
+                if row != scene.hidden:
+                    assert visible[: scene.t_obs].all()
 
     def test_rendered_pixels_are_rounded_projections(self):
         scene = sim.make_scene(small_config(), 11)
         w, h = scene.image_size
-        for agent in scene.agents:
-            exact = geo.project_trajectory(scene.camera, agent.world)
-            vis = agent.visible
-            assert np.all(np.abs(agent.pixel[vis] - exact[vis]) <= 0.5)
-            assert np.array_equal(agent.pixel[vis], np.rint(agent.pixel[vis]))
-            assert np.all(agent.pixel[vis, 0] >= 0) and np.all(agent.pixel[vis, 0] <= w - 1)
-            assert np.all(agent.pixel[vis, 1] >= 0) and np.all(agent.pixel[vis, 1] <= h - 1)
-            assert np.all(np.isnan(agent.pixel[~vis]))
+        for world, pixel, vis in zip(scene.world, scene.pixel, scene.visible):
+            exact = geo.project_trajectory(scene.camera, world)
+            assert np.all(np.abs(pixel[vis] - exact[vis]) <= 0.5)
+            assert np.array_equal(pixel[vis], np.rint(pixel[vis]))
+            assert np.all(pixel[vis, 0] >= 0) and np.all(pixel[vis, 0] <= w - 1)
+            assert np.all(pixel[vis, 1] >= 0) and np.all(pixel[vis, 1] <= h - 1)
+            assert np.all(np.isnan(pixel[~vis]))
 
     def test_sensor_covers_observation_window_only(self):
         scene = sim.make_scene(small_config(), 13)
-        for agent in scene.agents:
-            assert agent.sensor.shape == (scene.t_obs, 3)
-            assert agent.world.shape == (scene.t_total, 3)
+        for sensor, world in zip(scene.sensor, scene.world):
+            assert sensor.shape == (scene.t_obs, 3)
+            assert world.shape == (scene.t_total, 3)
 
     def test_retry_budget_exhaustion_raises(self):
         cfg = small_config(image_size=(2, 2))
@@ -353,7 +354,7 @@ class TestCameraMotion:
     def test_all_motions_keep_scene_generable(self):
         for motion in sim.MOTION_KINDS:
             scene = sim.make_scene(small_config(camera_motion=motion), 9)
-            assert scene.out_of_sight().visible.all()
+            assert scene.visible[scene.hidden].all()
 
 
 class TestDatasets:
