@@ -24,12 +24,12 @@ import functools
 
 import numpy as np
 
+from .config import ModelConfig
 from .errors import ConfigError, TooShort
 from .geometry import EPS_DEPTH, homogeneous_apply
 from .nn import SEQUENCE_KINDS, Linear, SequenceTrunk
 from .pipeline import (
     FuturePixelPredictor,
-    ModelConfig,
     STAGES,
     TrajectoryModel,
     VisionPipeline,

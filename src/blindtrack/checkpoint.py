@@ -5,10 +5,11 @@ canonical-JSON header, then each array as raw little-endian float64 in the
 order the header lists them. No timestamps or other ambient state, so the
 same model bytes always produce the same file.
 
-The header's "kind" (the method name) alone names the architecture, and
+The header's "kind" (the method name) alone names the architecture,
 "model" holds only the ModelConfig dimensions (t_pred, width, layers,
-heads and the rig's focal length). A header of another format, or whose
-dimensions ModelConfig.validate refuses, is refused with SchemaError.
+heads and the rig's focal length), "train" the TrainConfig and "adam"
+the optimizer's step count and lr. A header of another format, or with
+"model" or "train" values that fail validation, is refused with SchemaError.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
-from .config import JSON_TYPES
+from .config import ModelConfig, TrainConfig, from_json
 from .errors import ConfigError, HashMismatch, SchemaError
 from .nn import Adam
-from .pipeline import ModelConfig, TrainConfig
 
 MAGIC = b"BTCKPT01"
 
@@ -32,7 +32,7 @@ ADAM_V = "adam.v:"
 # header entries every reader relies on
 HEADER_KEYS = ("kind", "model", "train", "adam", "arrays")
 # the optimizer state restore_model reads from header["adam"]
-ADAM_KEYS = ("t", "lr", "beta1", "beta2", "eps")
+ADAM_KEYS = ("t", "lr")
 
 
 def _canonical(obj) -> bytes:
@@ -114,30 +114,19 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _section(header: dict, key: str, cls):
-    """Build cls from header[key], which must name exactly cls's fields,
-    each holding a value of its type: a header written by another version
-    of the format is refused."""
-    stored = header[key] if isinstance(header.get(key), dict) else {}
-    odd = sorted(set(stored) ^ {f.name for f in fields(cls)})
-    if odd:
-        what = "unknown" if odd[0] in stored else "missing"
-        raise SchemaError(f"checkpoint header {key!r}: {what} field {odd[0]!r}", field=f"{key}.{odd[0]}")
-    for f in fields(cls):
-        if type(stored[f.name]) not in JSON_TYPES[f.type]:
-            raise SchemaError(
-                f"checkpoint header {key!r}: field {f.name!r} holds {type(stored[f.name]).__name__}, not {f.type}",
-                field=f"{key}.{f.name}",
-            )
-    return cls(**stored)
+    """cls from header[key], which must name exactly cls's fields, each of
+    its type (config.from_json), with values cls.validate accepts: a header
+    of another format is refused. A section that is no object reads as empty."""
+    try:
+        cfg = from_json(cls, header[key] if isinstance(header.get(key), dict) else {}, required=True)
+        cfg.validate()
+    except ConfigError as err:
+        raise SchemaError(f"checkpoint header {key!r}: {err}", field=f"{key}.{err.field}") from None
+    return cfg
 
 
 def model_config_from_header(header: dict) -> ModelConfig:
-    cfg = _section(header, "model", ModelConfig)
-    try:
-        cfg.validate()
-    except ConfigError as err:
-        raise SchemaError(f"checkpoint header 'model': {err}", field=f"model.{err.field}") from None
-    return cfg
+    return _section(header, "model", ModelConfig)
 
 
 def train_config_from_header(header: dict) -> TrainConfig:
@@ -164,7 +153,7 @@ def restore_model(model, header: dict, arrays: dict[str, np.ndarray]) -> Adam:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             what = "missing" if key not in adam else "non-numeric"
             raise SchemaError(f"checkpoint header 'adam': {what} field {key!r}", field=f"adam.{key}")
-    optimizer = Adam(model.parameters(), lr=adam["lr"], betas=(adam["beta1"], adam["beta2"]), eps=adam["eps"])
+    optimizer = Adam(model.parameters(), lr=adam["lr"])
     optimizer.t = adam["t"]
     for i, (name, p) in enumerate(model.named_parameters()):
         for key, dest in ((name, p.data), (ADAM_M + name, optimizer.m[i]), (ADAM_V + name, optimizer.v[i])):

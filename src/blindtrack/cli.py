@@ -29,21 +29,7 @@ from .checkpoint import (
 )
 from .config import RunConfig
 from .dataset import SCENE_SCHEMA, load_dataset, read_manifest, read_scenes, write_dataset
-from .errors import (
-    ConfigError,
-    DegenerateConfiguration,
-    DepthNonPositive,
-    EmptyInput,
-    EmptyTrajectory,
-    HashMismatch,
-    InsufficientCorrespondences,
-    NoInSightAgents,
-    NonFiniteLoss,
-    SceneGenerationFailed,
-    SchemaError,
-    TooShort,
-    UnknownCellKind,
-)
+from .errors import BlindtrackError, ConfigError, EmptyInput, HashMismatch, SchemaError
 from .experiments import FLAG_THRESHOLD_PX, calibrate_scene, evaluate_model, method_rng, run_ablation
 from .metrics import reports_from_csv, reports_to_csv, reports_to_markdown
 from .nn import Adam
@@ -52,21 +38,6 @@ from .simulator import make_dataset
 
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_HASH = 4
-EXIT_NONFINITE = 5
-EXIT_DATA = 6
-EXIT_SCHEMA = 7
-
-DATA_ERRORS = (
-    InsufficientCorrespondences,
-    DegenerateConfiguration,
-    DepthNonPositive,
-    TooShort,
-    EmptyInput,
-    EmptyTrajectory,
-    SceneGenerationFailed,
-    NoInSightAgents,
-)
 
 
 def _say(*parts) -> None:
@@ -280,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a dataset of synthetic scenes")
-    sim.add_argument("--config", help="run config JSON (default: desk profile)")
+    sim.add_argument("--config", help="run config JSON (default: the built-in settings)")
     sim.add_argument("--seed", type=int, help="override the data seed")
     sim.add_argument("--out", required=True, help="output dataset directory")
     sim.set_defaults(run=cmd_simulate)
@@ -337,21 +308,11 @@ def main(argv=None) -> int:
         return 0 if err.code in (0, None) else EXIT_USAGE
     try:
         return args.run(args)
-    except (ConfigError, UnknownCellKind) as err:
+    except BlindtrackError as err:  # each error the CLI reports carries its exit code
+        if err.exit_code is None:
+            raise
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except HashMismatch as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_HASH
-    except NonFiniteLoss as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except DATA_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return err.exit_code
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import REFERENCE_METHODS, clamped_project, make_model, make_reference
 from .config import RunConfig
-from .errors import InsufficientCorrespondences
+from .errors import DepthNonPositive, InsufficientCorrespondences
 from .geometry import MIN_CORRESPONDENCES, dlt_estimate, project_trajectory
 from .metrics import EvalReport, score_scenes
 from .pipeline import train_model
@@ -138,7 +138,13 @@ def calibrate_scene(scene: Scene) -> tuple[str, int, float, float]:
     sensor = scene.sensor[rows]
     exact = np.zeros(seen.shape + (2,))
     cameras = np.broadcast_to(matrices, seen.shape + (3, 4))
-    exact[seen] = project_trajectory(cameras[seen], scene.world[rows, :t_obs][seen])
+    try:
+        exact[seen] = project_trajectory(cameras[seen], scene.world[rows, :t_obs][seen])
+    except DepthNonPositive as err:  # name the agent and step of the stacked row
+        row, t = np.argwhere(seen)[err.index]
+        raise DepthNonPositive(
+            f"scene seed {scene.seed}: agent {scene.agent_ids[rows[row]]} is at or behind the camera at step {t}"
+        ) from None
     # one estimate from the whole window, or one per step
     masks = [seen] if static else [seen & (np.arange(t_obs) == t) for t in range(t_obs)]
     distances = []

@@ -171,14 +171,14 @@ def homogeneous_apply(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def project_trajectory(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Project a (T, 3) trajectory to (T, 2) pixels by the homogeneous
-    division; raises DepthNonPositive (with the offending timestep) for
-    points at or behind the camera plane. homogeneous_apply gives the
-    undivided rows."""
+    division; raises DepthNonPositive (with the offending timestep, also
+    carried as its index) for points at or behind the camera plane.
+    homogeneous_apply gives the undivided rows."""
     rows = homogeneous_apply(matrices, points)
     depths = rows[:, 2]
     bad = np.nonzero(depths <= EPS_DEPTH)[0]
     if bad.size:
-        raise DepthNonPositive(f"depth {depths[bad[0]]:.3e} <= {EPS_DEPTH} at timestep {bad[0]}")
+        raise DepthNonPositive(f"depth {depths[bad[0]]:.3e} <= {EPS_DEPTH} at timestep {bad[0]}", index=bad[0])
     return rows[:, :2] / depths[:, None]
 
 

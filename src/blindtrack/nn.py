@@ -133,10 +133,6 @@ class RNNCell(Module):
         self.wx = Tensor(uniform_init(rng, in_dim, (in_dim, dim)), requires_grad=True)
         self.wh = Tensor(uniform_init(rng, dim, (dim, dim)), requires_grad=True)
         self.bias = Tensor(np.zeros((1, dim)), requires_grad=True)
-        self.dim = dim
-
-    def initial_state(self, batch: int = 1) -> tuple[Tensor, ...]:
-        return (Tensor(np.zeros((batch, self.dim))),)
 
     def step(self, x: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, ...]:
         (h,) = state
@@ -156,10 +152,6 @@ class GRUCell(Module):
         self.wx_cand = Tensor(uniform_init(rng, in_dim, (in_dim, dim)), requires_grad=True)
         self.wh_cand = Tensor(uniform_init(rng, dim, (dim, dim)), requires_grad=True)
         self.b_cand = Tensor(np.zeros((1, dim)), requires_grad=True)
-        self.dim = dim
-
-    def initial_state(self, batch: int = 1) -> tuple[Tensor, ...]:
-        return (Tensor(np.zeros((batch, self.dim))),)
 
     def step(self, x: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, ...]:
         (h,) = state
@@ -178,9 +170,6 @@ class LSTMCell(Module):
         self.wh = Tensor(uniform_init(rng, dim, (dim, 4 * dim)), requires_grad=True)
         self.bias = Tensor(np.zeros((1, 4 * dim)), requires_grad=True)
         self.dim = dim
-
-    def initial_state(self, batch: int = 1) -> tuple[Tensor, ...]:
-        return (Tensor(np.zeros((batch, self.dim))), Tensor(np.zeros((batch, self.dim))))
 
     def step(self, x: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, ...]:
         h, c = state
@@ -241,12 +230,11 @@ class SequenceTrunk(Module):
 class Adam:
     """Adam with bias correction. step() consumes and clears gradients."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -256,13 +244,13 @@ class Adam:
             if p.grad is None:
                 raise MissingGradient(f"parameter {i} (shape {p.data.shape}) has no gradient")
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - self.BETA1 ** self.t
+        correct2 = 1.0 - self.BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * (g * g)
             m_hat = self.m[i] / correct1
             v_hat = self.v[i] / correct2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
             p.grad = None

@@ -12,9 +12,10 @@ and the principal point is the centre of each scene's image. The denoiser
 and the predictor are trained end to end on the hidden agent's pixels
 (scene.pixel[scene.hidden], in pixel_losses): the denoising loss compares
 the projected denoised track with them over the observation window, the
-prediction loss the forecast over the prediction window. No loss compares
-against the sensor stream mapped through the camera, and positions are
-never supervised.
+prediction loss the forecast over the prediction window, and training
+steps on their plain sum (train_model). No loss compares against the
+sensor stream mapped through the camera, and positions are never
+supervised.
 
 A forward pass takes a batch of scenes of one shape (t_obs, t_pred, image
 size) and row-stacks them, scene-major, so a training minibatch is one
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents, SchemaError
 from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at
 from .metrics import score_scenes
@@ -50,7 +52,6 @@ from .simulator import (
     AIM_Y,
     ARENA_X,
     ARENA_Y,
-    FOCAL,
     HEIGHT_RANGE,
     IMAGE_SIZE,
     MOUNT_H,
@@ -77,27 +78,6 @@ from .tensor import (
     strided_rows,
     tile_rows,
 )
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """A model's dimensions; its method name alone names its architecture,
-    and each batch of scenes gives its observation window."""
-
-    t_pred: int = 20
-    width: int = 64
-    layers: int = 2
-    heads: int = 4
-    focal: float = FOCAL  # the rig's focal length in pixels, which the camera fit reads
-
-    def validate(self) -> None:
-        for name in ("t_pred", "width", "layers", "heads"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
-        if self.width % self.heads != 0:
-            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}", field="heads")
-        if not (np.isfinite(self.focal) and self.focal > 0):
-            raise ConfigError(f"focal must be finite and positive, got {self.focal}", field="focal")
 
 
 # feature conditioning: positions are centered on the arena box and
@@ -573,15 +553,6 @@ class VisionPipeline(TrajectoryModel):
         return visual, future
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 200
-    batch_size: int = 16
-    lr: float = 1e-3
-    pred_weight: float = 1.0  # weight of the prediction loss in the total
-    seed: int = 0
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -636,7 +607,7 @@ def train_model(
     stop_epoch: int | None = None,
     on_epoch=None,
 ) -> TrainResult:
-    """Joint training on the weighted pixel losses, one autodiff graph per
+    """Joint training on the summed pixel losses, one autodiff graph per
     minibatch (TrajectoryModel.loss_terms on the whole batch).
 
     The scene order is reshuffled each epoch from a generator keyed by
@@ -655,7 +626,7 @@ def train_model(
         for batch_no, start in enumerate(range(0, len(order), tcfg.batch_size)):
             batch = [train_scenes[idx] for idx in order[start:start + tcfg.batch_size]]
             loss_d, loss_p = model.loss_terms(batch)
-            total = add(loss_d, scale(loss_p, tcfg.pred_weight))
+            total = add(loss_d, loss_p)
             if not np.isfinite(total.item()):
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}", epoch=epoch, batch=batch_no

@@ -31,7 +31,6 @@ from .errors import ConfigError, SceneGenerationFailed, SchemaError
 from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at, row_norms
 
 DT = 0.1  # seconds per timestep
-V_MAX = 3.0  # hard cap on agent speed, m/s
 # per-agent sensor height range; distinct heights keep the set of world
 # points non-coplanar, which classical calibration needs
 HEIGHT_RANGE = (0.8, 1.9)

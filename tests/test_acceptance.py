@@ -16,7 +16,7 @@ import blindtrack.simulator as sim
 from blindtrack import geometry
 from blindtrack.baselines import SEQUENCE_KINDS, make_model
 from blindtrack.cli import main
-from blindtrack.config import RunConfig
+from blindtrack.config import ModelConfig, RunConfig
 from blindtrack.experiments import (
     ABLATION_ROWS,
     evaluate_model,
@@ -27,7 +27,7 @@ from blindtrack.experiments import (
     train_method,
 )
 from blindtrack.metrics import mse_t, score_scenes
-from blindtrack.pipeline import ModelConfig, evaluate_split, project_rows
+from blindtrack.pipeline import evaluate_split, project_rows
 from blindtrack.simulator import NoiseModel, SimulatorConfig, make_dataset, make_split
 from blindtrack.tensor import (
     Tensor,
@@ -258,7 +258,7 @@ class TestCriterion05Blindness:
 class TestCriterion06CleanConvergence:
     def test_zero_noise_end_to_end(self):
         t0 = time.time()
-        cfg = RunConfig.from_profile("desk")
+        cfg = RunConfig()
         cfg = cfg.override(sim=replace(cfg.sim, noise=NoiseModel.preset("clean")), batch_size=4)
         splits = make_dataset(cfg.sim, cfg.data_seed, cfg.n_train, cfg.n_val, cfg.n_test)
         model, _ = train_method("full", {"train": splits["train"], "val": []}, cfg, train_seed=0)
@@ -379,7 +379,6 @@ class TestCriterion09Metrics:
 class TestCriterion10Reproducibility:
     def test_workflow_artifacts_are_bit_identical(self, tmp_path):
         config = {
-            "profile": "desk",
             "data_seed": 21,
             "train_seed": 4,
             "n_train": 8,
@@ -400,7 +399,6 @@ class TestCriterion10Reproducibility:
             "epochs": 4,
             "batch_size": 4,
             "lr": 1e-3,
-            "pred_weight": 1.0,
         }
         import json
 

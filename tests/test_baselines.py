@@ -8,6 +8,7 @@ from blindtrack import baselines as bl
 from blindtrack import geometry as geo
 from blindtrack import pipeline as pl
 from blindtrack import simulator as sim
+from blindtrack.config import ModelConfig, TrainConfig
 from blindtrack.errors import ConfigError, TooShort
 
 from test_pipeline import TINY, assert_batch_matches_scene_mean, tiny_scenes
@@ -77,7 +78,7 @@ class TestLearnedBaselines:
             assert np.allclose(got_f, batch_f[i], rtol=1e-12, atol=1e-9)
 
     def test_direct_baseline_gradients(self):
-        cfg = pl.ModelConfig(t_pred=2, width=6, layers=1, heads=1)
+        cfg = ModelConfig(t_pred=2, width=6, layers=1, heads=1)
         model = bl.make_model("direct:rnn", cfg, np.random.default_rng(3))
         scene = tiny_scenes(1, t_obs=4, t_pred=2)[0]
 
@@ -107,7 +108,7 @@ class TestLearnedBaselines:
     def test_trainable_with_shared_trainer(self):
         scenes = tiny_scenes(4, noise="default")
         model = bl.make_model("two_stage:gru", TINY, np.random.default_rng(5))
-        tcfg = pl.TrainConfig(epochs=4, batch_size=2, lr=1e-3, seed=0)
+        tcfg = TrainConfig(epochs=4, batch_size=2, lr=1e-3, seed=0)
         result = pl.train_model(model, scenes, [], tcfg)
         assert len(result.history) == 4
 

@@ -11,6 +11,7 @@ import pytest
 from blindtrack import baselines as bl
 from blindtrack import checkpoint as ck
 from blindtrack import pipeline as pl
+from blindtrack.config import TrainConfig
 from blindtrack.errors import HashMismatch, SchemaError
 from blindtrack.nn import Adam
 
@@ -31,7 +32,7 @@ def rewrite_header(path, edit):
 def small_trained_model(epochs=2, seed=0):
     scenes = tiny_scenes(4, noise="default")
     model = pl.VisionPipeline(TINY, np.random.default_rng(seed))
-    tcfg = pl.TrainConfig(epochs=epochs, batch_size=2, lr=1e-3, seed=seed)
+    tcfg = TrainConfig(epochs=epochs, batch_size=2, lr=1e-3, seed=seed)
     optimizer = Adam(model.parameters(), lr=tcfg.lr)
     pl.train_model(model, scenes, [], tcfg, optimizer=optimizer)
     return model, optimizer, tcfg, scenes
@@ -69,7 +70,7 @@ class TestRoundTrip:
 class TestResume:
     def test_resumed_training_is_bitwise_identical(self, tmp_path):
         scenes = tiny_scenes(4, noise="default")
-        tcfg = pl.TrainConfig(epochs=4, batch_size=2, lr=1e-3, seed=11)
+        tcfg = TrainConfig(epochs=4, batch_size=2, lr=1e-3, seed=11)
 
         # uninterrupted run
         model_a = pl.VisionPipeline(TINY, np.random.default_rng(1))

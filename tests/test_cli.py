@@ -32,7 +32,6 @@ from test_checkpoint import rewrite_header
 from test_dataset import hidden, put, repack, to_v1
 
 TINY = {
-    "profile": "desk",
     "data_seed": 7,
     "train_seed": 1,
     "n_train": 6,
@@ -53,7 +52,6 @@ TINY = {
     "epochs": 3,
     "batch_size": 4,
     "lr": 1e-3,
-    "pred_weight": 1.0,
 }
 
 
@@ -180,8 +178,12 @@ class TestSimulate:
             ({"lr": None}, "'lr' holds NoneType"),
             ({"sim": {"noise": {"gps_sigma": "x"}}}, "'sim.noise.gps_sigma' holds str"),
             ({"sim": {"image_size": 5}}, "'sim.image_size' holds int"),
+            # fields older versions wrote
+            ({"profile": "desk"}, "unknown field 'profile'"),
+            ({"pred_weight": 1.0}, "unknown field 'pred_weight'"),
         ],
-        ids=["epochs_a_string", "t_obs_a_string", "lr_null", "gps_sigma_a_string", "image_size_an_int"],
+        ids=["epochs_a_string", "t_obs_a_string", "lr_null", "gps_sigma_a_string", "image_size_an_int",
+             "names_profile", "names_pred_weight"],
     )
     def test_config_value_of_the_wrong_json_type_exits_2(self, tmp_path, capsys, raw, named):
         cfg = tmp_path / "bad.json"
@@ -207,6 +209,17 @@ class TestTrain:
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert main(["train", "--dataset", str(tmp_path / "nowhere"), "--out", str(tmp_path / "run")]) == 3
+
+    @pytest.mark.parametrize("key, value", [("profile", "desk"), ("pred_weight", 1.0)])
+    def test_dataset_of_an_older_config_exits_2(self, workdir, tmp_path, capsys, key, value):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "run")]) == 2
+        assert f"unknown field {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_method_exits_2(self, workdir, tmp_path, capsys):
         code = main(["train", "--dataset", str(workdir / "data"), "--method", "psychic",
@@ -276,11 +289,14 @@ class TestEval:
             (lambda header: header.update(train={}), "'train': missing field 'batch_size'"),
             (lambda header: header.update(train=[1]), "'train': missing field 'batch_size'"),
             (lambda header: header["train"].update(seed="abc"), "'train': field 'seed' holds str"),
+            (lambda header: header["train"].update(batch_size=0), "'train': batch_size must be >= 1, got 0"),
+            # a header written while the prediction loss had a weight
+            (lambda header: header["train"].update(pred_weight=1.0), "'train': unknown field 'pred_weight'"),
         ],
         ids=["extra_model_field", "use_denoiser", "missing_train", "missing_adam_lr", "array_without_rows",
              "arrays_not_a_list", "width_not_an_int", "negative_rows", "rows_past_the_end", "n_in_max_no_focal",
              "heads_0", "heads_3_width_16", "width_0", "width_negative", "focal_0", "focal_negative", "focal_nan",
-             "train_empty", "train_a_list", "seed_a_string"],
+             "train_empty", "train_a_list", "seed_a_string", "batch_size_0", "train_names_pred_weight"],
     )
     def test_checkpoint_header_of_another_format_exits_7(self, workdir, tmp_path, capsys, edit, named):
         path = tmp_path / "edited.ckpt"

@@ -1,31 +1,13 @@
-"""Run-config profiles, JSON round trips, and content hashing."""
+"""Run configs: JSON round trips, validation, and content hashing."""
 
 import json
 from dataclasses import replace
 
 import pytest
 
-from blindtrack.config import RunConfig
+from blindtrack.config import ModelConfig, RunConfig
 from blindtrack.errors import ConfigError
-from blindtrack.pipeline import ModelConfig
 from blindtrack.simulator import NoiseModel, SimulatorConfig
-
-
-class TestProfiles:
-    def test_desk_defaults(self):
-        cfg = RunConfig.from_profile("desk")
-        assert cfg.n_train == 64 and cfg.width == 64 and cfg.epochs == 200
-        cfg.validate()
-
-    def test_paper_profile_scales_up(self):
-        cfg = RunConfig.from_profile("paper")
-        assert cfg.n_train == 512 and cfg.n_val == 64 and cfg.n_test == 64
-        assert cfg.sim.t_obs == 100 and cfg.sim.t_pred == 100
-        cfg.validate()
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_profile("mainframe")
 
 
 class TestRoundTrip:
@@ -65,7 +47,7 @@ class TestRoundTrip:
 
     def test_unknown_field_is_a_config_error(self):
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"profile": "desk", "wheels": 4})
+            RunConfig.from_dict({"n_train": 4, "wheels": 4})
 
     @pytest.mark.parametrize("raw, field", [({"epochs": True}, "epochs"), ({"sim": {"focal": False}}, "sim.focal")])
     def test_a_bool_is_no_number(self, raw, field):
@@ -93,7 +75,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig(lr=0.0).validate()
 
-    @pytest.mark.parametrize("name", ["lr", "pred_weight"])
+    @pytest.mark.parametrize("name", ["lr"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_learning_rate_and_weight_must_be_finite(self, name, value):
         # a canonical-JSON config hash cannot hold them

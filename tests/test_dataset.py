@@ -368,7 +368,7 @@ def test_readme_recipe_writes_a_record_the_reader_accepts(tmp_path, monkeypatch)
 class TestManifest:
     def test_dataset_write_is_deterministic(self, tmp_path):
         cfg = small_config()
-        config_dict = {"profile": "test", "seed": 5}
+        config_dict = {"name": "test", "seed": 5}
         out1, out2 = tmp_path / "one", tmp_path / "two"
         splits = sim.make_dataset(cfg, 5, 2, 1, 1)
         m1 = ds.write_dataset(out1, splits, config_dict)

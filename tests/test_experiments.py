@@ -9,7 +9,7 @@ import pytest
 from blindtrack import geometry as geo
 from blindtrack import simulator as sim
 from blindtrack.baselines import clamped_project
-from blindtrack.errors import InsufficientCorrespondences
+from blindtrack.errors import DepthNonPositive, InsufficientCorrespondences
 from blindtrack.experiments import calibrate_scene
 
 
@@ -63,3 +63,19 @@ def test_matches_the_per_agent_loop_bit_for_bit(motion):
             outcomes.append(want)
     # both the estimates and the refusals are compared
     assert any(isinstance(o, str) for o in outcomes) and any(isinstance(o, tuple) for o in outcomes)
+
+
+def test_a_point_behind_the_camera_is_named_by_agent_and_step():
+    cfg = sim.SimulatorConfig(n_agents=8, t_obs=10, t_pred=2, noise=sim.NoiseModel.preset("default"))
+    scene = next(
+        s for s in sim.make_split(cfg, 60, 6) if s.out_of_sight_id != 2 and s.visible[s.agent_ids.index(2), 5]
+    )
+    edited = copy.deepcopy(scene)
+    matrix = edited.camera[5]
+    # back from the camera centre along the optical axis: depth -|m3|^2
+    centre = -np.linalg.solve(matrix[:, :3], matrix[:, 3])
+    edited.world[edited.agent_ids.index(2), 5] = centre - matrix[2, :3]
+    message = f"scene seed {scene.seed}: agent 2 is at or behind the camera at step 5"
+    with pytest.raises(DepthNonPositive, match=f"^{message}$") as err:
+        calibrate_scene(edited)
+    assert err.value.exit_code == 6

@@ -93,7 +93,7 @@ class TestCells:
         x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 
         def build():
-            state = cell.initial_state()
+            state = zero_state(cell)
             outs = []
             for t in range(3):
                 state = cell.step(tz.slice_rows(x, t, t + 1), state)
@@ -125,7 +125,7 @@ class TestCells:
 
     def test_lstm_state_is_pair(self):
         cell = nn.make_cell("lstm", 2, 3, np.random.default_rng(7))
-        state = cell.initial_state()
+        state = zero_state(cell)
         assert len(state) == 2
         state = cell.step(Tensor(np.ones((1, 2))), state)
         assert state[0].data.shape == (1, 3)
@@ -143,10 +143,18 @@ class TestSequenceTrunk:
         check_gradients(lambda: tz.mean_all(tz.square(trunk(x, 5))), [x] + trunk.parameters(), tol=1e-4)
 
 
+def zero_state(cell, batch: int = 1) -> tuple[Tensor, ...]:
+    """The zero state a trunk's scan starts from: (batch, dim) hidden rows,
+    and an LSTM's cell rows beside them. Every cell's second parameter is
+    its recurrent weight, whose rows are the state width."""
+    dim = cell.parameters()[1].data.shape[0]
+    return tuple(Tensor(np.zeros((batch, dim))) for _ in range(2 if isinstance(cell, nn.LSTMCell) else 1))
+
+
 def composite_unroll(cell, x: Tensor, steps: int) -> Tensor:
     """The per-step reference the scan must reproduce: strided_rows of step
     t into cell.step, hidden rows returned step-major, (T*B, d)."""
-    state = cell.initial_state(x.data.shape[0] // steps)
+    state = zero_state(cell, x.data.shape[0] // steps)
     hidden = []
     for t in range(steps):
         state = cell.step(tz.strided_rows(x, t, steps), state)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from blindtrack import geometry as geo
 from blindtrack import pipeline as pl
 from blindtrack import simulator as sim
+from blindtrack.config import ModelConfig, TrainConfig
 from blindtrack.errors import ConfigError, LengthMismatch, NoInSightAgents, NonFiniteLoss, SchemaError
 from blindtrack.nn import Adam
 from blindtrack.tensor import Tensor, add, scale
@@ -21,7 +22,7 @@ from blindtrack.tensor import Tensor, add, scale
 from test_simulator import small_config
 from util_grad import check_gradients
 
-TINY = pl.ModelConfig(t_pred=3, width=8, layers=1, heads=2)
+TINY = ModelConfig(t_pred=3, width=8, layers=1, heads=2)
 
 
 def tiny_scenes(count, seed0=0, noise="clean", t_obs=6, t_pred=3):
@@ -436,7 +437,7 @@ class TestCameraMemo:
         calls = self.count_fits(monkeypatch)
         scenes = tiny_scenes(6, noise="default")
         model = pl.VisionPipeline(TINY, np.random.default_rng(20))
-        result = pl.train_model(model, scenes[:4], scenes[4:], pl.TrainConfig(epochs=2, batch_size=2, seed=0))
+        result = pl.train_model(model, scenes[:4], scenes[4:], TrainConfig(epochs=2, batch_size=2, seed=0))
         assert len(result.history) == 2 and result.history[-1].val_sum is not None
         fitted = [scene for call in calls for scene in call]
         assert len(fitted) == len(set(fitted)) == 6
@@ -461,7 +462,7 @@ class TestCameraMemo:
     def test_memoized_predictions_equal_a_fresh_models(self):
         scenes = tiny_scenes(5, noise="default")
         model = pl.VisionPipeline(TINY, np.random.default_rng(21))
-        pl.train_model(model, scenes[:3], scenes[3:], pl.TrainConfig(epochs=2, batch_size=2, seed=1))
+        pl.train_model(model, scenes[:3], scenes[3:], TrainConfig(epochs=2, batch_size=2, seed=1))
         assert len(model.estimator.fits) == 5
         fresh = pl.VisionPipeline(TINY, np.random.default_rng(0))
         pl.restore_parameters(fresh, pl.snapshot_parameters(model))
@@ -633,7 +634,7 @@ class TestBlindness:
 
 class TestEndToEndGradients:
     def test_full_pipeline_against_finite_differences(self):
-        cfg = pl.ModelConfig(t_pred=2, width=8, layers=1, heads=2)
+        cfg = ModelConfig(t_pred=2, width=8, layers=1, heads=2)
         model = pl.VisionPipeline(cfg, np.random.default_rng(5))
         scene = tiny_scenes(1, t_obs=4, t_pred=2)[0]
 
@@ -651,7 +652,7 @@ class TestTrainer:
     def test_loss_decreases_and_history_records(self):
         scenes = tiny_scenes(6, noise="clean")
         model = pl.VisionPipeline(TINY, np.random.default_rng(6))
-        tcfg = pl.TrainConfig(epochs=25, batch_size=3, lr=3e-3, seed=0)
+        tcfg = TrainConfig(epochs=25, batch_size=3, lr=3e-3, seed=0)
         result = pl.train_model(model, scenes, scenes[:2], tcfg)
         first = result.history[0].loss_denoise + result.history[0].loss_pred
         last = result.history[-1].loss_denoise + result.history[-1].loss_pred
@@ -665,7 +666,7 @@ class TestTrainer:
 
         def run():
             model = pl.VisionPipeline(TINY, np.random.default_rng(7))
-            tcfg = pl.TrainConfig(epochs=5, batch_size=2, lr=1e-3, seed=3)
+            tcfg = TrainConfig(epochs=5, batch_size=2, lr=1e-3, seed=3)
             result = pl.train_model(model, scenes, [], tcfg)
             return result, pl.snapshot_parameters(model)
 
@@ -679,7 +680,7 @@ class TestTrainer:
     def test_best_validation_parameters_are_restored(self):
         scenes = tiny_scenes(4, noise="clean")
         model = pl.VisionPipeline(TINY, np.random.default_rng(8))
-        tcfg = pl.TrainConfig(epochs=8, batch_size=2, lr=3e-3, seed=1)
+        tcfg = TrainConfig(epochs=8, batch_size=2, lr=3e-3, seed=1)
         result = pl.train_model(model, scenes, scenes[:2], tcfg)
         got_d, got_p = pl.evaluate_split(model, scenes[:2])
         assert got_d + got_p == pytest.approx(result.best_val_sum, abs=1e-9)
@@ -689,7 +690,7 @@ class TestTrainer:
         model = pl.VisionPipeline(TINY, np.random.default_rng(9))
         model.parameters()[0].data[0, 0] = np.nan
         with pytest.raises(NonFiniteLoss) as err:
-            pl.train_model(model, scenes, [], pl.TrainConfig(epochs=1, batch_size=2))
+            pl.train_model(model, scenes, [], TrainConfig(epochs=1, batch_size=2))
         assert err.value.epoch == 0
         assert err.value.batch == 0
 

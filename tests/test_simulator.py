@@ -189,7 +189,7 @@ class TestTracks:
         for seed in range(10):
             track = sim.gen_track(np.random.default_rng(seed), 40)
             steps = np.linalg.norm(np.diff(track, axis=0), axis=1)
-            assert np.all(steps <= sim.V_MAX * sim.DT + 1e-9)
+            assert np.all(steps <= sim.WALK_SPEED[1] * sim.DT + 1e-9)
 
     def test_track_stays_in_arena_at_constant_height(self):
         track = sim.gen_track(np.random.default_rng(3), 60)
