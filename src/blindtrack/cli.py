@@ -98,9 +98,10 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     manifest, splits = load_dataset(args.dataset)
     cfg, cfg_hash = _dataset_config(args, manifest)
-    seed = cfg.train_seed if args.seed is None else args.seed
-    model = make_model(args.method, cfg.model_config(), method_rng(seed, args.method))
-    tcfg = cfg.train_config(seed=seed)
+    if args.seed is not None:
+        cfg = cfg.override(train_seed=args.seed)
+    model = make_model(args.method, cfg.model_config(), method_rng(cfg.train_seed, args.method))
+    tcfg = cfg.train_config()
     optimizer = Adam(model.parameters(), lr=tcfg.lr)
     stride = max(1, tcfg.epochs // 10)
 
@@ -167,13 +168,14 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     manifest, splits = load_dataset(args.dataset)
     cfg, cfg_hash = _dataset_config(args, manifest)
-    seed = cfg.train_seed if args.seed is None else args.seed
+    if args.seed is not None:
+        cfg = cfg.override(train_seed=args.seed)
     _split(splits, args.split)  # before any training
 
     def progress(report):
         _say(f"{report.method}: MSE-D={report.mse_d:.2f} MSE-P={report.mse_p:.2f} SUM={report.mse_sum:.2f}")
 
-    reports = run_ablation(splits, cfg, seed, cfg_hash, split=args.split, progress=progress)
+    reports = run_ablation(splits, cfg, cfg.train_seed, cfg_hash, split=args.split, progress=progress)
     _say("")
     _say(reports_to_markdown(reports, title="Stage removal"))
     if args.out:

@@ -110,8 +110,9 @@ class RunConfig:
                 field="splits",
             )
         self.train_config().validate()
-        if self.data_seed < 0 or self.train_seed < 0:
-            raise ConfigError("seeds must be non-negative", field="data_seed")
+        for name in ("data_seed", "train_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}", field=name)
         self.sim.validate()
         self.model_config().validate()
 

@@ -4,15 +4,23 @@ agent's visual track is withheld from models (it exists only as ground
 truth). All randomness flows through hierarchical seed sequences, so a
 scene is a pure function of its config and seed.
 
-A split is built in a few array passes rather than track by track: every
-agent's first attempt of every scene walks in one lockstep pass
-(`walk_tracks`), each scene's agents are rendered in one projection, and
-only agents still out of frame walk again, one pass per attempt index.
-Each track keeps its own (seed, agent, attempt) generator, drawn in a
-fixed order, so a scene carries the same bits whichever split builds it,
-and `make_scene` is `make_split` of one seed. A `Scene` holds its agents
-as rows of stacked arrays: each scene is a slice of the split's
-(scenes, agents, T, .) arrays, and every later stage computes on those rows.
+A whole dataset is built in a few array passes rather than scene by
+scene or track by track. `make_dataset` is one `make_split` over the seeds
+of all three splits, sliced into train, val and test. Within it:
+- every stream's generator of a pass is seeded at once: `stream_states`
+  runs numpy's SeedSequence hash over the (rows, words) uint32 entropy of
+  all (seed, *stream) rows, and each PCG64 seeds itself from its row;
+- every scene's camera rig comes from one look_at and compose_matrix call
+  on (scenes, T, 3) mount positions (`camera_rigs`);
+- every agent's first attempt of every scene walks in one lockstep pass
+  (`walk_tracks`) and is rendered in one projection; only agents still
+  out of frame walk again, one pass per attempt index.
+Each scene and each track keeps its own (seed, *stream) generator, drawn
+in a fixed order, so a scene carries the same bits whichever split or
+dataset builds it, and `make_scene` is `make_split` of one seed. A `Scene`
+holds its agents as rows of stacked arrays: each scene is a slice of the
+split's (scenes, agents, T, .) arrays, and every later stage computes on
+those rows.
 
 Geometry defaults: the arena is a ground patch 8 m wide and 12 m deep in
 front of the camera, sensors ride at about 1 m height, and the camera
@@ -26,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, SceneGenerationFailed, SchemaError
 from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at, row_norms
@@ -187,6 +196,111 @@ def shape_groups(scenes: list[Scene]) -> list[list[int]]:
     return list(groups.values())
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words, hashed with the A constants and expanded with the B ones
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+XSHIFT = 16
+MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int):
+    """The (xor, multiply) constants of each successive hashmix call. They
+    depend on the call's position alone, so one serves every row."""
+    const = init
+    while True:
+        following = const * mult & MASK32
+        yield np.uint32(const), np.uint32(following)
+        const = following
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult
+    return value ^ value >> XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+    return result ^ result >> XSHIFT
+
+
+def _int_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Little-endian 32-bit words of non-negative ints of any size, (N, D)
+    uint32, and how many of each row's words the int has (0 has one)."""
+    if (values < 0).any():
+        raise ValueError("expected non-negative integer")
+    words, counts, rest = [], np.ones(values.shape, dtype=np.intp), values
+    while True:
+        words.append((rest & MASK32).astype(np.uint32))
+        rest = rest >> 32
+        more = rest > 0
+        if not more.any():
+            return np.stack(words, axis=-1), counts
+        counts += more
+
+
+def _pool_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of each row of (n, L)
+    uint32 entropy words. Words past the pool size are mixed in one at a
+    time; a row shorter than the pool hashes zeros in their place."""
+    n, length = entropy.shape
+    constants = _hash_constants(INIT_A, MULT_A)
+    pool = [_hashmix(entropy[:, i] if i < length else np.zeros(n, np.uint32), constants) for i in range(POOL_SIZE)]
+    for i_src in range(POOL_SIZE):
+        for i_dst in range(POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], constants))
+    for i_src in range(POOL_SIZE, length):
+        for i_dst in range(POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], _hashmix(entropy[:, i_src], constants))
+    constants = _hash_constants(INIT_B, MULT_B)
+    words = [_hashmix(pool[i % POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(words[0::2], words[1::2])], axis=1)
+
+
+def stream_states(*columns) -> np.ndarray:
+    """PCG64 seed states of many entropy rows in one array pass, (N, 4)
+    uint64: row i is `np.random.SeedSequence([c[i] for c in
+    columns]).generate_state(4, np.uint64)`. Each column is N non-negative
+    ints of any size, or one int for every row. Every int enters as its
+    little-endian 32-bit words, so rows are hashed in groups of one word
+    count."""
+    parts = [_int_words(c) for c in np.broadcast_arrays(*(np.asarray(c, dtype=object) for c in columns))]
+    words = np.concatenate([w for w, _ in parts], axis=1)
+    present = np.concatenate([np.arange(w.shape[1]) < c[:, None] for w, c in parts], axis=1)
+    lengths = present.sum(axis=1)
+    flat = words[present]  # each row's words in order, row after row
+    starts = np.cumsum(lengths) - lengths
+    states = np.empty((len(lengths), 4), dtype=np.uint64)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        states[rows] = _pool_states(flat[starts[rows, None] + np.arange(length)])
+    return states
+
+
+class _SeedState(ISeedSequence):
+    """A seed state computed ahead, handed to PCG64, which asks for
+    exactly generate_state(4, np.uint64) and seeds itself from it."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def stream_rngs(seeds, *stream) -> list[np.random.Generator]:
+    """One generator per entropy row (seeds[i], *stream at i), each drawing
+    what np.random.default_rng(np.random.SeedSequence(row)) draws; the
+    stream's entries are per row or one int for every row."""
+    return [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in stream_states(seeds, *stream)]
+
+
 def walk_tracks(rngs: list[np.random.Generator], steps: int) -> np.ndarray:
     """Waypoint wanders inside the arena, one per generator, walked in
     lockstep: (len(rngs), steps, 3), z fixed per track.
@@ -200,16 +314,18 @@ def walk_tracks(rngs: list[np.random.Generator], steps: int) -> np.ndarray:
     A track's draws come from its own generator alone, in a fixed order:
     height, start, first waypoint and leg speed, then one waypoint and
     speed per leg as each waypoint is reached. So a track's bits do not
-    depend on which other tracks walk beside it.
+    depend on which other tracks walk beside it. Each draw is
+    `low + (high - low) * rng.random(k)`, the formula and the bits of
+    `rng.uniform(low, high)` without its per-call argument checks.
     """
     if steps < 1:
         raise ConfigError(f"track needs at least 1 step, got {steps}", field="t_obs")
     n = len(rngs)
     # height, start x, y, then the first leg: waypoint x, y and speed
-    boxes = [HEIGHT_RANGE, ARENA_X, ARENA_Y, ARENA_X, ARENA_Y, WALK_SPEED]
-    first = np.array([rng.uniform(*zip(*boxes)) for rng in rngs]).reshape(n, len(boxes))
+    low, high = np.array([HEIGHT_RANGE, ARENA_X, ARENA_Y, ARENA_X, ARENA_Y, WALK_SPEED]).T
+    first = low + (high - low) * np.array([rng.random(len(low)) for rng in rngs]).reshape(n, len(low))
     heights, pos, waypoint, speed = first[:, 0], first[:, 1:3], first[:, 3:5].copy(), first[:, 5].copy()
-    leg_low, leg_high = zip(ARENA_X, ARENA_Y, WALK_SPEED)
+    leg_low, leg_range = low[3:], high[3:] - low[3:]
     velocity = np.zeros((n, max(steps - 1, 1), 2))
     cur = pos
     for t in range(steps - 1):
@@ -219,7 +335,7 @@ def walk_tracks(rngs: list[np.random.Generator], steps: int) -> np.ndarray:
         # legs, until a leg is longer than one step
         for i in np.flatnonzero(dist < speed * DT):
             while dist[i] < speed[i] * DT:
-                waypoint[i, 0], waypoint[i, 1], speed[i] = rngs[i].uniform(leg_low, leg_high)
+                waypoint[i, 0], waypoint[i, 1], speed[i] = leg_low + leg_range * rngs[i].random(3)
                 to_go[i] = waypoint[i] - cur[i]
                 dist[i] = row_norms(to_go[i : i + 1])[0]
         velocity[:, t] = to_go / dist[:, None] * speed[:, None]
@@ -247,29 +363,38 @@ def gen_track(rng: np.random.Generator, steps: int) -> np.ndarray:
     return walk_tracks([rng], steps)[0]
 
 
-def camera_sequence(cfg: SimulatorConfig, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """Per-timestep projection matrices, (steps, 3, 4), built in one array
-    pass over the mount positions. Mount position and gaze point are
-    jittered per scene; moving presets translate the mount while always
-    re-aiming at the scene's own gaze point."""
-    base = np.array([rng.uniform(*MOUNT_X), rng.uniform(*MOUNT_Y), rng.uniform(*MOUNT_H)])
-    aim = np.array([rng.uniform(*AIM_X), rng.uniform(*AIM_Y), rng.uniform(*AIM_H)])
-    intrinsics = cfg.intrinsics()
-    positions = np.tile(base, (steps, 1))
-    if cfg.camera_motion == "linear":
-        direction = np.array([rng.choice([-1.0, 1.0]), 0.0, 0.0])
-        positions = base + direction * CAMERA_SPEED * DT * np.arange(steps)[:, None]
-    elif cfg.camera_motion == "arc":
-        radius_vec = base[:2] - aim[:2]
-        radius = np.linalg.norm(radius_vec)
-        omega = CAMERA_SPEED / radius * rng.choice([-1.0, 1.0])
-        angles = omega * DT * np.arange(steps)
-        cos_a, sin_a = np.cos(angles), np.sin(angles)
-        rotated = np.column_stack(
-            [cos_a * radius_vec[0] - sin_a * radius_vec[1], sin_a * radius_vec[0] + cos_a * radius_vec[1]]
-        )
-        positions = np.column_stack([aim[:2] + rotated, np.full(steps, base[2])])
-    return compose_matrix(1.0, intrinsics, look_at(positions, aim))
+def camera_rigs(cfg: SimulatorConfig, rngs: list[np.random.Generator], steps: int) -> np.ndarray:
+    """Per-timestep projection matrices of one scene per generator,
+    (len(rngs), steps, 3, 4), built in one look_at and compose_matrix
+    pass over every scene's mount positions. Each scene draws from its own
+    generator its mount position, then its gaze point, then for moving
+    presets a direction; moving presets translate the mount while always
+    re-aiming at the scene's own gaze point. The draws are uniform, in the
+    formula and bits of `rng.uniform`, as in `walk_tracks`."""
+    n = len(rngs)
+    low, high = np.array([MOUNT_X, MOUNT_Y, MOUNT_H, AIM_X, AIM_Y, AIM_H]).T
+    draws = low + (high - low) * np.array([rng.random(len(low)) for rng in rngs]).reshape(n, len(low))
+    base, aim = draws[:, :3], draws[:, 3:]
+    if cfg.camera_motion == "static":
+        positions = np.repeat(base[:, None, :], steps, axis=1)
+    else:
+        sign = np.array([rng.choice([-1.0, 1.0]) for rng in rngs])
+        ticks = np.arange(steps)
+        if cfg.camera_motion == "linear":
+            direction = np.stack([sign, np.zeros(n), np.zeros(n)], axis=1)
+            positions = base[:, None, :] + direction[:, None, :] * CAMERA_SPEED * DT * ticks[:, None]
+        else:  # arc
+            radius_vec = base[:, :2] - aim[:, :2]
+            omega = CAMERA_SPEED / row_norms(radius_vec) * sign
+            angles = omega[:, None] * DT * ticks
+            cos_a, sin_a = np.cos(angles), np.sin(angles)
+            rx, ry = radius_vec[:, :1], radius_vec[:, 1:]
+            positions = np.stack(
+                [aim[:, :1] + (cos_a * rx - sin_a * ry), aim[:, 1:2] + (sin_a * rx + cos_a * ry),
+                 np.repeat(base[:, 2:], steps, axis=1)],
+                axis=2,
+            )
+    return compose_matrix(1.0, cfg.intrinsics(), look_at(positions, aim[:, None, :]))
 
 
 def render_visual(
@@ -295,10 +420,6 @@ def render_visual(
     return uv, visible
 
 
-def _scene_rng(seed: int, *stream) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(s) for s in stream]))
-
-
 def make_split(cfg: SimulatorConfig, base_seed: int, count: int) -> list[Scene]:
     """Sample scenes of seeds base_seed .. base_seed + count - 1. The hidden
     agent must stay renderable over the full horizon (its pixels are the
@@ -309,14 +430,15 @@ def make_split(cfg: SimulatorConfig, base_seed: int, count: int) -> list[Scene]:
     All tracks of the split walk in lockstep: first every agent's first
     attempt, then, one attempt index at a time, only the agents still
     unplaced. Every track draws from its own (seed, agent, attempt) stream,
-    so each scene is the same whichever split builds it."""
+    so each scene is the same whichever split builds it. Every stream of a
+    pass is seeded in one `stream_rngs` call, and every scene's camera rig
+    is built in one `camera_rigs` call."""
     cfg.validate()
     total = cfg.t_total
-    seeds = [int(base_seed) + i for i in range(count)]
-    cameras = np.array([camera_sequence(cfg, _scene_rng(seed, 0), total) for seed in seeds]).reshape(
-        count, total, 3, 4
-    )
-    hidden = np.array([int(_scene_rng(seed, 1).integers(0, cfg.n_agents)) for seed in seeds], dtype=int)
+    # Python ints of any size, so a seed past 2**63 neither wraps nor rounds
+    seeds = np.array([int(base_seed) + i for i in range(count)], dtype=object)
+    cameras = camera_rigs(cfg, stream_rngs(seeds, 0), total)
+    hidden = np.array([rng.integers(0, cfg.n_agents) for rng in stream_rngs(seeds, 1)], dtype=int).reshape(count)
     # the steps each agent must stay visible for: all of them for the hidden agent
     need_until = np.where(np.arange(cfg.n_agents) == hidden[:, None], total, cfg.t_obs)
     must_see = np.arange(total) < need_until[..., None]
@@ -327,7 +449,7 @@ def make_split(cfg: SimulatorConfig, base_seed: int, count: int) -> list[Scene]:
 
     def walk(attempt: int, rows: np.ndarray, cols: np.ndarray) -> None:
         """Walk and render one attempt of the given agents in one pass."""
-        tracks = walk_tracks([_scene_rng(seeds[r], 2, c, attempt) for r, c in zip(rows, cols)], total)
+        tracks = walk_tracks(stream_rngs(seeds[rows], 2, cols, attempt), total)
         world[rows, cols] = tracks
         pixel[rows, cols], visible[rows, cols] = render_visual(tracks, cameras[rows], cfg.image_size)
         unplaced[rows, cols] = ~np.all(visible[rows, cols] | ~must_see[rows, cols], axis=1)
@@ -348,8 +470,10 @@ def make_split(cfg: SimulatorConfig, base_seed: int, count: int) -> list[Scene]:
                 f"scene seed {seeds[row]}: agent {agent_id} never fully visible for "
                 f"{need_until[row, agent_id]} steps in {RETRY_BUDGET} attempts"
             )
-    noise = np.array([[cfg.noise.sample(_scene_rng(seed, 3, agent_id), cfg.t_obs) for agent_id in range(cfg.n_agents)]
-                      for seed in seeds]).reshape(count, cfg.n_agents, cfg.t_obs, 3)
+    noise_rngs = stream_rngs(np.repeat(seeds, cfg.n_agents), 3, np.tile(np.arange(cfg.n_agents), count))
+    noise = np.array([cfg.noise.sample(rng, cfg.t_obs) for rng in noise_rngs]).reshape(
+        count, cfg.n_agents, cfg.t_obs, 3
+    )
     sensor = world[:, :, : cfg.t_obs] + noise
     return [
         Scene(seed, cfg.t_obs, cfg.t_pred, tuple(cfg.image_size), cameras[row], list(range(cfg.n_agents)),
@@ -367,9 +491,12 @@ def make_dataset(
     cfg: SimulatorConfig, base_seed: int, n_train: int, n_val: int, n_test: int
 ) -> dict[str, list[Scene]]:
     """Three disjoint splits with consecutive seed blocks starting at
-    base_seed: train, then val, then test."""
+    base_seed: train, then val, then test. All three are one `make_split`
+    pass, sliced; every scene draws from its own streams, so a scene has
+    the bits it has when its split is built alone."""
+    scenes = make_split(cfg, base_seed, n_train + n_val + n_test)
     return {
-        "train": make_split(cfg, base_seed, n_train),
-        "val": make_split(cfg, base_seed + n_train, n_val),
-        "test": make_split(cfg, base_seed + n_train + n_val, n_test),
+        "train": scenes[:n_train],
+        "val": scenes[n_train : n_train + n_val],
+        "test": scenes[n_train + n_val :],
     }

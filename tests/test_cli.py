@@ -646,6 +646,15 @@ class TestUsage:
         assert "split 'holdout' not in dataset" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "ablate"])
+    def test_negative_seed_exits_2_naming_the_seed(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        source = ["--config", str(workdir / "tiny.json")] if command == "simulate" else ["--dataset", str(workdir / "data")]
+        assert main([command, *source, "--seed", "-1", "--out", str(out)]) == 2
+        named = "data_seed" if command == "simulate" else "train_seed"
+        assert f"error: {named} must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_cli_block_parses(self):
         # every command line of README's CLI section, continuation lines
         # joined, must parse as written

@@ -1,6 +1,7 @@
 """Simulator: motion bounds, visibility contracts, noise statistics against
-closed-form laws, bitwise scene determinism, and the lockstep walk against
-a per-track, per-step reference walk."""
+closed-form laws, bitwise scene determinism, the lockstep walk against a
+per-track, per-step reference walk, the vectorised stream seeding against
+numpy's SeedSequence, and split files pinned by their sha256."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindtrack import dataset as ds
 from blindtrack import geometry as geo
 from blindtrack import simulator as sim
 from blindtrack.errors import ConfigError, SceneGenerationFailed
@@ -69,6 +71,34 @@ def reference_track(rng: np.random.Generator, steps: int) -> np.ndarray:
     return np.column_stack([xy, np.full(len(xy), height)])
 
 
+def scene_rng(seed: int, *stream) -> np.random.Generator:
+    """One stream's generator built alone, through numpy's SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(s) for s in stream]))
+
+
+def camera_sequence(cfg: sim.SimulatorConfig, rng: np.random.Generator, steps: int) -> np.ndarray:
+    """One scene's rig, (steps, 3, 4): mount, gaze point and, for moving
+    presets, a direction drawn one by one with rng.uniform and rng.choice,
+    then each step's pose composed alone."""
+    base = np.array([rng.uniform(*sim.MOUNT_X), rng.uniform(*sim.MOUNT_Y), rng.uniform(*sim.MOUNT_H)])
+    aim = np.array([rng.uniform(*sim.AIM_X), rng.uniform(*sim.AIM_Y), rng.uniform(*sim.AIM_H)])
+    positions = np.tile(base, (steps, 1))
+    if cfg.camera_motion == "linear":
+        direction = np.array([rng.choice([-1.0, 1.0]), 0.0, 0.0])
+        positions = base + direction * sim.CAMERA_SPEED * sim.DT * np.arange(steps)[:, None]
+    elif cfg.camera_motion == "arc":
+        radius_vec = base[:2] - aim[:2]
+        omega = sim.CAMERA_SPEED / np.linalg.norm(radius_vec) * rng.choice([-1.0, 1.0])
+        angles = omega * sim.DT * np.arange(steps)
+        cos_a, sin_a = np.cos(angles), np.sin(angles)
+        rotated = np.column_stack(
+            [cos_a * radius_vec[0] - sin_a * radius_vec[1], sin_a * radius_vec[0] + cos_a * radius_vec[1]]
+        )
+        positions = np.column_stack([aim[:2] + rotated, np.full(steps, base[2])])
+    k = cfg.intrinsics().matrix()
+    return np.stack([k @ per_step_extrinsic(p, aim) for p in positions])
+
+
 def reference_render(world: np.ndarray, camera: np.ndarray, image_size) -> tuple[np.ndarray, np.ndarray]:
     """One track projected alone through geometry.homogeneous_apply."""
     rows = geo.homogeneous_apply(camera, world)
@@ -87,23 +117,23 @@ def reference_render(world: np.ndarray, camera: np.ndarray, image_size) -> tuple
 def reference_scene(cfg: sim.SimulatorConfig, seed: int) -> tuple[sim.Scene, int]:
     """One scene built agent by agent and attempt by attempt from
     reference tracks, each rendered alone; also returns the largest
-    attempt index any agent needed. The camera rig and the noise are the
-    simulator's own; their bits are pinned elsewhere."""
+    attempt index any agent needed. Every stream's generator is built
+    alone through numpy's SeedSequence."""
     total = cfg.t_total
-    camera = sim.camera_sequence(cfg, sim._scene_rng(seed, 0), total)
-    hidden_id = int(sim._scene_rng(seed, 1).integers(0, cfg.n_agents))
+    camera = camera_sequence(cfg, scene_rng(seed, 0), total)
+    hidden_id = int(scene_rng(seed, 1).integers(0, cfg.n_agents))
     rows, last_attempt = [], 0
     for agent_id in range(cfg.n_agents):
         need_until = total if agent_id == hidden_id else cfg.t_obs
         for attempt in range(sim.RETRY_BUDGET):
-            world = reference_track(sim._scene_rng(seed, 2, agent_id, attempt), total)
+            world = reference_track(scene_rng(seed, 2, agent_id, attempt), total)
             uv, visible = reference_render(world, camera, cfg.image_size)
             if visible[:need_until].all():
                 break
         else:
             raise AssertionError("reference scene exhausted its retry budget")
         last_attempt = max(last_attempt, attempt)
-        noise = cfg.noise.sample(sim._scene_rng(seed, 3, agent_id), cfg.t_obs)
+        noise = cfg.noise.sample(scene_rng(seed, 3, agent_id), cfg.t_obs)
         rows.append((world, world[: cfg.t_obs] + noise, uv, visible))
     world, sensor, pixel, visible = map(np.stack, zip(*rows))
     scene = sim.Scene(int(seed), cfg.t_obs, cfg.t_pred, tuple(cfg.image_size), camera, list(range(cfg.n_agents)),
@@ -140,6 +170,13 @@ class TestLockstepWalk:
         for scene in split:
             assert_scene_equal(scene, reference_scene(cfg, scene.seed)[0])
             assert len(scene.agent_ids) == cfg.n_agents
+
+    def test_seeds_of_two_and_three_words_equal_the_reference(self):
+        # 2**64 - 1 is two 32-bit entropy words and 2**64 three: one pass
+        # seeds rows of several lengths
+        cfg = small_config(camera_motion="arc", noise=sim.NoiseModel.preset("hard"))
+        for scene in sim.make_split(cfg, 2**64 - 1, 3):
+            assert_scene_equal(scene, reference_scene(cfg, scene.seed)[0])
 
     def test_make_scene_is_a_split_of_one(self):
         cfg = small_config(noise=sim.NoiseModel.preset("hard"))
@@ -333,23 +370,20 @@ class TestCameraMotion:
         "motion, t_obs, t_pred", [("static", 10, 5), ("linear", 10, 5), ("arc", 10, 5), ("arc", 50, 50)]
     )
     def test_rig_equals_per_step_poses_bit_for_bit(self, monkeypatch, motion, t_obs, t_pred):
-        # the rig is built in one array pass; each matrix must carry the
-        # bits of composing that step's pose alone
+        # every scene's rig of a split is built in one array pass; each
+        # matrix must carry the bits of composing that step's pose alone
         seen = []
 
         def recording_look_at(position, target):
-            seen.append((np.array(position), np.array(target)))
+            seen.append(np.shape(position))
             return geo.look_at(position, target)
 
         monkeypatch.setattr(sim, "look_at", recording_look_at)
         cfg = small_config(camera_motion=motion, t_obs=t_obs, t_pred=t_pred)
-        for seed in range(8):
-            seen.clear()
-            camera = sim.camera_sequence(cfg, np.random.default_rng(seed), cfg.t_total)
-            (positions, aim), = seen
-            assert camera.shape == (cfg.t_total, 3, 4) and positions.shape == (cfg.t_total, 3)
-            k = cfg.intrinsics().matrix()
-            assert np.array_equal(camera, np.stack([k @ per_step_extrinsic(p, aim) for p in positions]))
+        split = sim.make_split(cfg, 0, 8)
+        assert seen == [(8, cfg.t_total, 3)]
+        for scene in split:
+            assert np.array_equal(scene.camera, camera_sequence(cfg, scene_rng(scene.seed, 0), cfg.t_total))
 
     def test_all_motions_keep_scene_generable(self):
         for motion in sim.MOTION_KINDS:
@@ -365,3 +399,105 @@ class TestDatasets:
         assert seeds["train"] == [100, 101, 102]
         assert seeds["val"] == [103, 104]
         assert seeds["test"] == [105, 106]
+
+    def test_dataset_is_its_splits_built_alone(self):
+        cfg = small_config(**TestRetries.RETRY_CFG)
+        splits = sim.make_dataset(cfg, 2**32 - 4, 3, 2, 3)
+        for name, base_seed, count in (("train", 2**32 - 4, 3), ("val", 2**32 - 1, 2), ("test", 2**32 + 1, 3)):
+            assert len(splits[name]) == count
+            for a, b in zip(splits[name], sim.make_split(cfg, base_seed, count)):
+                assert_scene_equal(a, b)
+
+
+# entropy ints of one to three 32-bit words and past 2**64, with the word
+# boundaries drawn often
+ENTROPY_INTS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3]), st.integers(0, 2**80))
+
+
+class TestStreamSeeding:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(ENTROPY_INTS, min_size=k, max_size=k), min_size=1, max_size=6)
+    ))
+    def test_states_and_draws_equal_seed_sequence(self, rows):
+        columns = list(zip(*rows))
+        states = sim.stream_states(*columns)
+        assert states.shape == (len(rows), 4) and states.dtype == np.uint64
+        for row, state, rng in zip(rows, states, sim.stream_rngs(*columns)):
+            expected = np.random.SeedSequence(row)
+            assert np.array_equal(state, expected.generate_state(4, np.uint64))
+            reference = np.random.default_rng(expected)
+            assert np.array_equal(rng.random(5), reference.random(5))
+            assert np.array_equal(rng.integers(0, 2**62, 3), reference.integers(0, 2**62, 3))
+
+    @pytest.mark.parametrize(
+        "row", [(0,), (2**32 - 1,), (2**32,), (2**64 + 1,), (7, 2, 3, 99), (2**32, 2**32 - 1, 0, 2**65, 7, 1)]
+    )
+    def test_word_boundaries(self, row):
+        state = sim.stream_states(*([v] for v in row))[0]
+        assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
+
+    def test_one_int_serves_every_row(self):
+        seeds = np.array([5, 2**32 + 6, 2**70], dtype=object)
+        states = sim.stream_states(seeds, 2, [0, 1, 2], 9)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(states[i], np.random.SeedSequence([seed, 2, i, 9]).generate_state(4, np.uint64))
+
+    def test_negative_int_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.SeedSequence([3, -1])
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.stream_states([3], [-1])
+
+
+# (config, base seed, (train, val, test) sizes) -> each split file's sha256,
+# as the per-stream SeedSequence simulator wrote them. The retry config's
+# second range straddles 2**32, where a seed becomes two entropy words.
+RETRY_SIM = sim.SimulatorConfig(n_agents=4, t_obs=10, t_pred=5, image_size=(200, 150),
+                                noise=sim.NoiseModel.preset("clean"))
+GOLDEN = {
+    "desk": (sim.SimulatorConfig(), 0, (3, 1, 2), {
+        "train": "c2a2c417f9c60af8f2ca06edfc5c1c12f2eea7e491b55c7adafdf07f322e6ff2",
+        "val": "08c57a1d1543100320f676e07a9fd06d119d751fe9cebf559c315f8c5d3e77d9",
+        "test": "061755e865b0ae930d7e117b128695fac1b4ef458b55dac5dfb20690d7bf5c20",
+    }),
+    "arc_t100_hard": (
+        sim.SimulatorConfig(t_obs=50, t_pred=50, camera_motion="arc", noise=sim.NoiseModel.preset("hard")),
+        11, (2, 1, 1), {
+            "train": "ea79dbe24c52289e25630f619b3381d9da60ec2fcb9b5c95afef01272cfd0d92",
+            "val": "c1578f02ca11d6c7f7e0e35b18d4ac5e935cd4bf5fce34c136c5008cf0723360",
+            "test": "4034aec8b5240315cb2d07678b85b93d106cda9525cfaf3cfa5643d6cc382caf",
+        }),
+    "linear_odometer_5_agents": (
+        sim.SimulatorConfig(n_agents=5, camera_motion="linear",
+                            noise=sim.NoiseModel(kind="odometer", drift_step_sigma=0.05)),
+        20, (3, 1, 2), {
+            "train": "ad37cfe1918a0e5a99481ff9d157e43202b7ec92fca050d180d243dd882ef3d3",
+            "val": "1ba42624621b99a50779c9b86fe2070998e62a75ee6e536908b7b147e417c29f",
+            "test": "a96948d35cb5a93d7caccea5b521dd7f8c61628276f09a55bc4055e754f30843",
+        }),
+    "retries": (RETRY_SIM, 0, (5, 2, 3), {
+        "train": "2fb2b1b955fdf46f9b6fec64ec2eef6dad0ff678f51549cf9e2559cf804a304b",
+        "val": "fff8f14e8f1bdaaaebb7a95c59a81c82ae143d94139287bae5b39ad82009e50b",
+        "test": "7526bce8a3343bbbdae9d5ecd52b9ff6c09f3db78dbddbb98a56e1dd03f2e146",
+    }),
+    "retries_straddling_2_32": (RETRY_SIM, 2**32 - 4, (3, 2, 3), {
+        "train": "207b6e54aa63d969aa5e6308f95ff8f05e959390b3d749b056e4c30d92639623",
+        "val": "2ca5ca67025d55003c21eb8f99f8bbe62c567f8062156fdd7c284327341a9bce",
+        "test": "f7025c837295a36293dfd914958c9a01042647363b23d957635ba6734a669857",
+    }),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_split_files_keep_their_sha256(self, tmp_path, name):
+        cfg, base_seed, sizes, digests = GOLDEN[name]
+        splits = sim.make_dataset(cfg, base_seed, *sizes)
+        assert {split: ds.write_scenes(tmp_path / f"{split}.jsonl", scenes) for split, scenes in splits.items()} == digests
+
+    def test_retry_ranges_retry_and_leave_steps_unseen(self):
+        # what the two retry entries pin that the benchmark's data lacks
+        scenes = [s for base_seed, count in ((0, 10), (2**32 - 4, 8)) for s in sim.make_split(RETRY_SIM, base_seed, count)]
+        assert sum(reference_scene(RETRY_SIM, s.seed)[1] > 0 for s in scenes) >= 10
+        assert any(not s.visible.all() for s in scenes)
