@@ -5,7 +5,6 @@ import numpy as np
 
 from blindtrack.geometry import (
     CameraIntrinsics,
-    compose_matrix,
     dlt_estimate,
     look_at,
     project_trajectory,
@@ -14,8 +13,7 @@ from blindtrack.geometry import (
 
 # a camera two and a half metres up, looking at a spot 16 m away
 intrinsics = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-pose = look_at(position=np.array([0.0, 0.0, 2.5]), target=np.array([0.0, 16.0, 1.0]))
-matrix = compose_matrix(1.0, intrinsics, pose)
+matrix = intrinsics.matrix() @ look_at(position=np.array([0.0, 0.0, 2.5]), target=np.array([0.0, 16.0, 1.0]))
 print("projection matrix:\n", np.array_str(matrix, precision=2, suppress_small=True))
 
 # project a short diagonal walk at chest height

@@ -22,6 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import ModelConfig, TrainConfig, from_json
+from .dataset import canonical_json
 from .errors import ConfigError, HashMismatch, SchemaError
 from .nn import Adam
 
@@ -33,10 +34,6 @@ ADAM_V = "adam.v:"
 HEADER_KEYS = ("kind", "model", "train", "adam", "arrays")
 # the optimizer state restore_model reads from header["adam"]
 ADAM_KEYS = ("t", "lr")
-
-
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def save_checkpoint(
@@ -66,7 +63,7 @@ def save_checkpoint(
         "adam": {key: getattr(optimizer, key) for key in ADAM_KEYS},
         "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]} for n, a in arrays],
     }
-    blob = _canonical(header)
+    blob = canonical_json(header).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))

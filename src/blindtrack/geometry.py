@@ -1,14 +1,15 @@
-"""Pinhole camera geometry: composing projection matrices, projecting
-trajectories, and recovering a matrix from point correspondences.
+"""Pinhole camera geometry: look-at poses, projecting trajectories, and
+recovering a matrix from point correspondences.
 
 World points are metres in a right-handed frame with +z up. Pixel
 coordinates follow the usual image convention: u rightward, v downward,
 origin at the top-left. Projection matrices are plain (3, 4) float arrays;
 a time-varying camera is a (T, 3, 4) stack.
 
-`look_at`, `ExtrinsicPose` and `compose_matrix` broadcast over leading
-axes: given (T, 3) positions they build the whole (T, 3, 4) camera in one
-array pass, with every pose check applied to every pose.
+`look_at` returns the extrinsic [R | t] and broadcasts over leading axes,
+so a camera is `intrinsics.matrix() @ look_at(position, target)`: given
+(T, 3) positions that builds the whole (T, 3, 4) camera in one array
+pass, with every pose check applied to every pose.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ EPS_DEPTH = 1e-6
 RANK_TOL = 1e-8
 
 MIN_CORRESPONDENCES = 6
+
+# a view axis, or its cross product with +z, shorter than this leaves a
+# look-at pose undefined
+AXIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,39 +64,6 @@ class CameraIntrinsics:
         )
 
 
-@dataclass(frozen=True)
-class ExtrinsicPose:
-    """World-to-camera rotation (..., 3, 3) and translation (..., 3).
-
-    One pose, or a stack of poses over any leading axes (a time-varying
-    camera is a (T,) stack); every method applies to each pose of the
-    stack.
-    """
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def validate(self, tol: float = 1e-6) -> None:
-        """Raise InvalidPose unless every rotation is orthonormal with
-        determinant +1; a stack names the first bad pose's index."""
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
-        if r.ndim < 2 or r.shape[-2:] != (3, 3) or t.shape != r.shape[:-1]:
-            raise InvalidPose(f"pose shapes {r.shape}, {t.shape}; need (..., 3, 3) and (..., 3)")
-        gram = r @ np.swapaxes(r, -1, -2)
-        bad = _first(~np.isclose(gram, np.eye(3), atol=tol).all(axis=(-2, -1)))
-        if bad is not None:
-            raise _invalid(bad, "rotation is not orthonormal")
-        det = np.linalg.det(r)
-        bad = _first(np.abs(det - 1.0) > tol)
-        if bad is not None:
-            raise _invalid(bad, f"rotation determinant {det[bad]:.6f}, not +1")
-
-    def as_matrix(self) -> np.ndarray:
-        """The (..., 3, 4) stack [R | t]."""
-        return np.concatenate([self.rotation, self.translation[..., None]], axis=-1)
-
-
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first set entry of a mask over poses (() for a single
     pose), or None when none is set."""
@@ -115,42 +87,39 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def compose_matrix(scale: float, intrinsics: CameraIntrinsics, pose: ExtrinsicPose) -> np.ndarray:
-    """Build the projection matrix scale * K [R | t]: (3, 4) for one pose,
-    (..., 3, 4) for a stack."""
-    if not scale > 0.0:
-        raise InvalidPose(f"global scale must be positive, got {scale}")
-    pose.validate()
-    return scale * (intrinsics.matrix() @ pose.as_matrix())
-
-
-def look_at(position, target, tol: float = 1e-9) -> ExtrinsicPose:
-    """Pose of a camera at `position` looking toward `target`, world +z up.
+def look_at(position, target) -> np.ndarray:
+    """World-to-camera extrinsic [R | t], (3, 4), of a camera at `position`
+    looking toward `target`, world +z up.
 
     Both are (3,) or stacks (..., 3) that broadcast against each other; a
-    stack gives a stack of poses. Camera axes follow the usual image
+    stack gives a (..., 3, 4) stack. Camera axes follow the usual image
     convention: x right, y down, z forward, so the view axis must not be
-    vertical. A stack with one degenerate pose raises InvalidPose naming
-    its index.
+    vertical. R's rows are unit vectors built from two cross products, so
+    R is orthonormal with determinant +1. A non-finite, coincident or
+    vertical pose raises InvalidPose; a stack names the first bad pose's
+    index.
     """
     position = np.asarray(position, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     forward = target - position
+    bad = _first(~np.isfinite(forward).all(axis=-1))
+    if bad is not None:
+        raise _invalid(bad, "camera position or target is not finite")
     norm = row_norms(forward)
-    bad = _first(norm < tol)
+    bad = _first(norm < AXIS_TOL)
     if bad is not None:
         raise _invalid(bad, "camera position and target coincide")
     forward = forward / norm[..., None]
     right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
     right_norm = row_norms(right)
-    bad = _first(right_norm < tol)
+    bad = _first(right_norm < AXIS_TOL)
     if bad is not None:
         raise _invalid(bad, "view axis is vertical; image orientation undefined")
     right = right / right_norm[..., None]
     down = np.cross(forward, right)
     rotation = np.stack([right, down, forward], axis=-2)
-    translation = (-rotation @ position[..., None])[..., 0]
-    return ExtrinsicPose(rotation=rotation, translation=translation)
+    translation = -rotation @ position[..., None]
+    return np.concatenate([rotation, translation], axis=-1)
 
 
 def homogeneous_apply(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -43,20 +43,15 @@ import numpy as np
 
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents, SchemaError
-from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at
+from .geometry import EPS_DEPTH, CameraIntrinsics, look_at
 from .metrics import score_scenes
 from .nn import SEQUENCE_KINDS, Adam, Linear, Module, SequenceTrunk
 from .simulator import (
-    AIM_H,
-    AIM_X,
-    AIM_Y,
     ARENA_X,
     ARENA_Y,
     HEIGHT_RANGE,
     IMAGE_SIZE,
-    MOUNT_H,
-    MOUNT_X,
-    MOUNT_Y,
+    POSE_BOX,
     Scene,
     shape_groups,
 )
@@ -234,10 +229,8 @@ def pixel_losses(scenes: list[Scene], visual: Tensor, future: Tensor) -> tuple[T
 
 
 # the camera prior, shared by nominal_camera() and the camera fit: the
-# boxes each scene draws its look-at pose from uniformly, as (low, high)
-# rows for mount x, y, z then aim x, y, z, with the mean and standard
-# deviation of those draws
-POSE_BOX = np.array([MOUNT_X, MOUNT_Y, MOUNT_H, AIM_X, AIM_Y, AIM_H])
+# mean and standard deviation of the uniform look-at pose draws of the
+# simulator's POSE_BOX
 POSE_MID = POSE_BOX.mean(axis=1)
 POSE_STD = (POSE_BOX[:, 1] - POSE_BOX[:, 0]) / np.sqrt(12.0)
 
@@ -251,7 +244,7 @@ FIT_ITERATIONS = 3
 
 def pose_camera(pose: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """The (..., 3, 4) cameras of look-at poses (..., 6): mount xyz, aim xyz."""
-    return compose_matrix(1.0, intrinsics, look_at(pose[..., :3], pose[..., 3:]))
+    return intrinsics.matrix() @ look_at(pose[..., :3], pose[..., 3:])
 
 
 def nominal_camera(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,8 @@ of all three splits, sliced into train, val and test. Within it:
 - every stream's generator of a pass is seeded at once: `stream_states`
   runs numpy's SeedSequence hash over the (rows, words) uint32 entropy of
   all (seed, *stream) rows, and each PCG64 seeds itself from its row;
-- every scene's camera rig comes from one look_at and compose_matrix call
-  on (scenes, T, 3) mount positions (`camera_rigs`);
+- every scene's camera rig is one intrinsics-times-look_at product on
+  (scenes, T, 3) mount positions (`camera_rigs`);
 - every agent's first attempt of every scene walks in one lockstep pass
   (`walk_tracks`) and is rendered in one projection; only agents still
   out of frame walk again, one pass per attempt index.
@@ -37,7 +37,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, SceneGenerationFailed, SchemaError
-from .geometry import EPS_DEPTH, CameraIntrinsics, compose_matrix, look_at, row_norms
+from .geometry import EPS_DEPTH, CameraIntrinsics, look_at, row_norms
 
 DT = 0.1  # seconds per timestep
 # per-agent sensor height range; distinct heights keep the set of world
@@ -55,20 +55,19 @@ CAMERA_SPEED = 0.5  # m/s for moving-camera presets
 RETRY_BUDGET = 100
 RETRY_SCENES = 16  # scenes whose unplaced agents retry together
 
-# camera rig jitter: each scene draws its mount position from the MOUNT
-# box and its gaze point from the AIM box. Aim jitter is what makes the
+# camera rig jitter: each scene draws its look-at pose uniformly from
+# this box, (low, high) rows for mount x, y, z then aim x, y, z; the
+# camera fit's prior reads the same box. Aim jitter is what makes the
 # per-scene camera genuinely different: rotating the view by an aim
 # offset d moves pixels by roughly FOCAL*d/range, tens of pixels here,
 # while mount translation alone is largely cancelled by the re-aiming.
 # The sideways aim range is kept wide and the other two narrow so the
 # variation a model must infer stays low-dimensional enough to learn
 # from a desk-scale training set.
-MOUNT_X = (-0.6, 0.6)
-MOUNT_Y = (-0.25, 0.25)
-MOUNT_H = (2.35, 2.65)
-AIM_X = (-1.2, 1.2)
-AIM_Y = (15.8, 16.2)
-AIM_H = (0.95, 1.05)
+POSE_BOX = np.array([
+    [-0.6, 0.6], [-0.25, 0.25], [2.35, 2.65],  # mount
+    [-1.2, 1.2], [15.8, 16.2], [0.95, 1.05],  # aim
+])
 
 NOISE_KINDS = ("gps", "odometer", "combined")
 MOTION_KINDS = ("static", "linear", "arc")
@@ -103,14 +102,15 @@ class NoiseModel:
         raise ConfigError(f"unknown noise preset {name!r}", field="noise")
 
     def sample(self, rng: np.random.Generator, steps: int) -> np.ndarray:
-        """Additive offsets, (steps, 3). Draw order is fixed: white error
-        first, then drift, so 'combined' is reproducible."""
-        offsets = np.zeros((steps, 3))
-        if self.kind in ("gps", "combined"):
-            offsets += rng.normal(0.0, self.gps_sigma, (steps, 3))
-        if self.kind in ("odometer", "combined"):
-            offsets += np.cumsum(rng.normal(0.0, self.drift_step_sigma, (steps, 3)), axis=0)
-        return offsets
+        """Additive offsets, (steps, 3): the white error, the cumulative
+        drift, or their sum. Draw order is fixed: white error first, then
+        drift, so 'combined' is reproducible."""
+        if self.kind == "odometer":
+            return np.cumsum(rng.normal(0.0, self.drift_step_sigma, (steps, 3)), axis=0)
+        white = rng.normal(0.0, self.gps_sigma, (steps, 3))
+        if self.kind == "gps":
+            return white
+        return white + np.cumsum(rng.normal(0.0, self.drift_step_sigma, (steps, 3)), axis=0)
 
 
 @dataclass(frozen=True)
@@ -365,14 +365,14 @@ def gen_track(rng: np.random.Generator, steps: int) -> np.ndarray:
 
 def camera_rigs(cfg: SimulatorConfig, rngs: list[np.random.Generator], steps: int) -> np.ndarray:
     """Per-timestep projection matrices of one scene per generator,
-    (len(rngs), steps, 3, 4), built in one look_at and compose_matrix
-    pass over every scene's mount positions. Each scene draws from its own
-    generator its mount position, then its gaze point, then for moving
+    (len(rngs), steps, 3, 4), built in one look_at pass over every
+    scene's mount positions. Each scene draws from its own generator its
+    mount position, then its gaze point (POSE_BOX), then for moving
     presets a direction; moving presets translate the mount while always
     re-aiming at the scene's own gaze point. The draws are uniform, in the
     formula and bits of `rng.uniform`, as in `walk_tracks`."""
     n = len(rngs)
-    low, high = np.array([MOUNT_X, MOUNT_Y, MOUNT_H, AIM_X, AIM_Y, AIM_H]).T
+    low, high = POSE_BOX.T
     draws = low + (high - low) * np.array([rng.random(len(low)) for rng in rngs]).reshape(n, len(low))
     base, aim = draws[:, :3], draws[:, 3:]
     if cfg.camera_motion == "static":
@@ -394,7 +394,7 @@ def camera_rigs(cfg: SimulatorConfig, rngs: list[np.random.Generator], steps: in
                  np.repeat(base[:, 2:], steps, axis=1)],
                 axis=2,
             )
-    return compose_matrix(1.0, cfg.intrinsics(), look_at(positions, aim[:, None, :]))
+    return cfg.intrinsics().matrix() @ look_at(positions, aim[:, None, :])
 
 
 def render_visual(

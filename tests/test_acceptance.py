@@ -69,12 +69,9 @@ def gate(number: int, label: str, ok: bool, detail: str) -> None:
 
 
 def random_camera(rng) -> np.ndarray:
-    mount = np.array(
-        [rng.uniform(*sim.MOUNT_X), rng.uniform(*sim.MOUNT_Y), rng.uniform(*sim.MOUNT_H)]
-    )
-    aim = np.array([rng.uniform(*sim.AIM_X), rng.uniform(*sim.AIM_Y), rng.uniform(*sim.AIM_H)])
-    intr = SimulatorConfig().intrinsics()
-    return geometry.compose_matrix(1.0, intr, geometry.look_at(mount, aim))
+    mount = np.array([rng.uniform(*box) for box in sim.POSE_BOX[:3]])
+    aim = np.array([rng.uniform(*box) for box in sim.POSE_BOX[3:]])
+    return SimulatorConfig().intrinsics().matrix() @ geometry.look_at(mount, aim)
 
 
 def arena_points(rng, count: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 resume, and corruption guards."""
 
 import copy
+import hashlib
 import json
 import struct
 
@@ -65,6 +66,16 @@ class TestRoundTrip:
         ck.save_checkpoint(a, model, optimizer, tcfg, epoch=1)
         ck.save_checkpoint(b, model, optimizer, tcfg, epoch=1)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_untrained_checkpoint_keeps_its_sha256(self, tmp_path):
+        # PCG64 draws and zero moments: the bytes do not depend on BLAS
+        model = pl.VisionPipeline(TINY, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        tcfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=0)
+        ck.save_checkpoint(path, model, Adam(model.parameters(), lr=1e-3), tcfg, config_hash="abc123")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c582f63355fd5090f7950e49d1cde8254016e02960c6e2b1c49ebf7964b14260"
+        )
 
 
 class TestResume:

@@ -1,4 +1,4 @@
-"""Camera geometry: hand-worked pinhole arithmetic, pose contracts,
+"""Camera geometry: hand-worked pinhole arithmetic, look-at pose contracts,
 projective invariances, and matrix recovery from correspondences."""
 
 import numpy as np
@@ -18,13 +18,22 @@ from blindtrack.errors import (
 )
 
 INTRINSICS = geo.CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
+# the identity pose: camera coordinates equal world coordinates
+IDENTITY_CAMERA = INTRINSICS.matrix() @ np.eye(3, 4)
 
 
 def random_camera(rng):
     position = np.array([rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(1.5, 3.0)])
     target = np.array([rng.uniform(-3, 3), rng.uniform(8, 15), rng.uniform(0.0, 2.0)])
-    pose = geo.look_at(position, target)
-    return geo.compose_matrix(1.0, INTRINSICS, pose)
+    return INTRINSICS.matrix() @ geo.look_at(position, target)
+
+
+def assert_rotations_proper(extrinsic):
+    """Every rotation of a (..., 3, 4) [R | t] stack is orthonormal with
+    determinant +1."""
+    rotation = extrinsic[..., :3]
+    assert np.allclose(rotation @ np.swapaxes(rotation, -1, -2), np.eye(3), atol=1e-12)
+    assert np.allclose(np.linalg.det(rotation), 1.0, atol=1e-12)
 
 
 def random_points(rng, n):
@@ -35,18 +44,15 @@ def random_points(rng, n):
 
 class TestProjection:
     def test_hand_computed_pinhole(self):
-        # identity pose: camera coords equal world coords
-        pose = geo.ExtrinsicPose(rotation=np.eye(3), translation=np.zeros(3))
-        matrix = geo.compose_matrix(1.0, INTRINSICS, pose)
         # u = (500*1 + 320*5)/5, v = (500*(-2) + 240*5)/5
-        uv = geo.project_trajectory(matrix, np.array([[1.0, -2.0, 5.0]]))[0]
+        uv = geo.project_trajectory(IDENTITY_CAMERA, np.array([[1.0, -2.0, 5.0]]))[0]
         assert uv == pytest.approx([420.0, 40.0], abs=1e-12)
 
     def test_point_on_axis_hits_principal_point(self):
         rng = np.random.default_rng(0)
         position = np.array([0.5, -0.5, 2.0])
         target = np.array([1.0, 12.0, 1.0])
-        matrix = geo.compose_matrix(1.0, INTRINSICS, geo.look_at(position, target))
+        matrix = INTRINSICS.matrix() @ geo.look_at(position, target)
         uv = geo.project_trajectory(matrix, target[None])[0]
         assert uv == pytest.approx([INTRINSICS.cx, INTRINSICS.cy], abs=1e-9)
 
@@ -56,11 +62,10 @@ class TestProjection:
             position = np.array([rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(1, 3)])
             target = np.array([rng.uniform(-3, 3), rng.uniform(8, 15), rng.uniform(0, 2)])
             pose = geo.look_at(position, target)
-            w = rng.uniform(0.2, 5.0)
-            matrix = geo.compose_matrix(w, INTRINSICS, pose)
+            matrix = INTRINSICS.matrix() @ pose
             p = random_points(rng, 1)[0]
             hom = matrix @ np.append(p, 1.0)
-            direct = w * INTRINSICS.matrix() @ (pose.rotation @ p + pose.translation)
+            direct = INTRINSICS.matrix() @ (pose[:, :3] @ p + pose[:, 3])
             assert np.allclose(hom, direct, atol=1e-10)
 
     def test_projection_scale_invariant(self):
@@ -81,11 +86,9 @@ class TestProjection:
         assert np.allclose(rows[:, :2] / rows[:, 2:3], divided, atol=1e-12)
 
     def test_behind_camera_raises_with_timestep(self):
-        pose = geo.ExtrinsicPose(rotation=np.eye(3), translation=np.zeros(3))
-        matrix = geo.compose_matrix(1.0, INTRINSICS, pose)
         points = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, -1.0]])
         with pytest.raises(DepthNonPositive, match="timestep 1"):
-            geo.project_trajectory(matrix, points)
+            geo.project_trajectory(IDENTITY_CAMERA, points)
 
     def test_time_varying_length_check(self):
         rng = np.random.default_rng(4)
@@ -99,28 +102,16 @@ class TestPose:
         rng = np.random.default_rng(6)
         for _ in range(20):
             pose = geo.look_at(rng.uniform(-2, 2, 3) + [0, 0, 3], rng.uniform(-2, 2, 3) + [0, 10, 0])
-            pose.validate()
+            assert pose.shape == (3, 4)
+            assert_rotations_proper(pose)
 
     def test_look_at_y_axis_points_down(self):
         pose = geo.look_at([0.0, 0.0, 2.0], [0.0, 10.0, 1.0])
-        assert pose.rotation[1, 2] < 0.0
+        assert pose[1, 2] < 0.0
 
     def test_vertical_view_rejected(self):
         with pytest.raises(InvalidPose):
             geo.look_at([0.0, 0.0, 5.0], [0.0, 0.0, 0.0])
-
-    def test_invalid_rotation_rejected(self):
-        bad = geo.ExtrinsicPose(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
-        with pytest.raises(InvalidPose):
-            geo.compose_matrix(1.0, INTRINSICS, bad)
-        flipped = geo.ExtrinsicPose(rotation=np.diag([1.0, 1.0, -1.0]), translation=np.zeros(3))
-        with pytest.raises(InvalidPose):
-            flipped.validate()
-
-    def test_nonpositive_scale_rejected(self):
-        pose = geo.ExtrinsicPose(rotation=np.eye(3), translation=np.zeros(3))
-        with pytest.raises(InvalidPose):
-            geo.compose_matrix(0.0, INTRINSICS, pose)
 
 
 def per_step_extrinsic(position, target):
@@ -147,22 +138,21 @@ targets = in_box(3, [-5.0, 9.0, 0.0], [5.0, 19.0, 0.9])
 
 
 class TestPoseStacks:
-    """look_at, ExtrinsicPose and compose_matrix over a leading axis."""
+    """look_at over a leading axis."""
 
     @settings(max_examples=60, deadline=None)
     @given(positions, targets)
     def test_stack_equals_row_by_row_bit_for_bit(self, position, target):
         stack = geo.look_at(position, target)
-        assert stack.rotation.shape == (len(position), 3, 3)
+        assert stack.shape == (len(position), 3, 4)
+        assert_rotations_proper(stack)
         for t, p in enumerate(position):
-            one = geo.look_at(p, target)
-            assert np.array_equal(stack.rotation[t], one.rotation)
-            assert np.array_equal(stack.translation[t], one.translation)
+            assert np.array_equal(stack[t], geo.look_at(p, target))
 
     @settings(max_examples=60, deadline=None)
     @given(positions, targets)
     def test_stack_equals_single_vector_formulas(self, position, target):
-        matrices = geo.compose_matrix(1.0, INTRINSICS, geo.look_at(position, target))
+        matrices = INTRINSICS.matrix() @ geo.look_at(position, target)
         for t, p in enumerate(position):
             assert np.array_equal(matrices[t], INTRINSICS.matrix() @ per_step_extrinsic(p, target))
 
@@ -171,9 +161,9 @@ class TestPoseStacks:
         position = np.array([0.2, -0.1, 2.5])
         target = random_points(rng, 6)
         stack = geo.look_at(position, target)
+        assert stack.shape == (6, 3, 4)
         for t in range(6):
-            assert np.array_equal(stack.rotation[t], geo.look_at(position, target[t]).rotation)
-        assert geo.compose_matrix(2.0, INTRINSICS, stack).shape == (6, 3, 4)
+            assert np.array_equal(stack[t], geo.look_at(position, target[t]))
 
     def test_coincident_step_named(self):
         position = np.array([[0.0, 0.0, 2.0]] * 5)
@@ -187,17 +177,16 @@ class TestPoseStacks:
         with pytest.raises(InvalidPose, match=r"^step 4: view axis is vertical"):
             geo.look_at(position, [0.0, 10.0, 1.0])
 
-    def test_bad_rotation_step_named(self):
-        pose = geo.look_at(np.array([[0.0, 0.0, 2.0]] * 4), [0.0, 10.0, 1.0])
-        pose.validate()
-        skewed = pose.rotation.copy()
-        skewed[2] *= 1.01
-        with pytest.raises(InvalidPose, match=r"^step 2: rotation is not orthonormal"):
-            geo.compose_matrix(1.0, INTRINSICS, geo.ExtrinsicPose(skewed, pose.translation))
-        flipped = pose.rotation.copy()
-        flipped[1] = -flipped[1]
-        with pytest.raises(InvalidPose, match=r"^step 1: rotation determinant -1\.000000, not \+1"):
-            geo.ExtrinsicPose(flipped, pose.translation).validate()
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step_named(self, bad):
+        position = np.array([[0.0, 0.0, 2.0]] * 5)
+        position[2, 1] = bad
+        with pytest.raises(InvalidPose, match=r"^step 2: camera position or target is not finite$"):
+            geo.look_at(position, [0.0, 10.0, 1.0])
+        target = np.array([[0.0, 10.0, 1.0]] * 5)
+        target[3, 2] = bad
+        with pytest.raises(InvalidPose, match=r"^step 3: camera position or target is not finite$"):
+            geo.look_at([0.0, 0.0, 2.0], target)
 
     def test_grid_of_poses_names_its_index(self):
         position = np.zeros((2, 3, 3)) + [0.0, 0.0, 2.0]
@@ -210,12 +199,11 @@ class TestPoseStacks:
             geo.look_at([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(InvalidPose, match=r"^view axis is vertical"):
             geo.look_at([0.0, 0.0, 5.0], [0.0, 0.0, 0.0])
-        with pytest.raises(InvalidPose, match=r"^rotation is not orthonormal$"):
-            geo.ExtrinsicPose(rotation=np.eye(3) * 2.0, translation=np.zeros(3)).validate()
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(InvalidPose, match="pose shapes"):
-            geo.ExtrinsicPose(rotation=np.stack([np.eye(3)] * 2), translation=np.zeros(3)).validate()
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidPose, match=r"^camera position or target is not finite$"):
+                geo.look_at([0.0, bad, 2.0], [0.0, 10.0, 1.0])
+            with pytest.raises(InvalidPose, match=r"^camera position or target is not finite$"):
+                geo.look_at([0.0, 0.0, 2.0], [bad, 10.0, 1.0])
 
 
 class TestDLT:

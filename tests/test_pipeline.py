@@ -4,6 +4,7 @@ determinism."""
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -417,6 +418,49 @@ class TestCameraFit:
             assert np.array_equal(alone_res[0], res[b]) and np.array_equal(alone_jac[0], jac[b])
             loop_res, loop_jac = loop_look_at_residuals(pose[b], world[b], pixel[b], k)
             assert np.array_equal(loop_res, res[b]) and np.array_equal(loop_jac, jac[b])
+
+
+def digest(*arrays):
+    """sha256 of arrays as little-endian float64 bytes, one after another."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestFitPins:
+    """The fit's own output pinned by digest: the cameras that training,
+    evaluation and the ablation's nominal camera read."""
+
+    def test_a_batch_of_two_pair_counts_keeps_its_digest(self):
+        cfg = sim.SimulatorConfig()
+        features = [pl.estimator_features(scene) for scene in sim.make_split(cfg, 900, 6)]
+        features = [pairs[: 3 if i % 2 else 7] for i, pairs in enumerate(features)]
+        rows = pl.CameraEstimator(cfg.focal)(features, cfg.image_size, 2).data
+        assert digest(rows) == "761fa699a9ee7653098473ff59b05bfbbf55d567ad712a8ccc0bb4ff143c9028"
+
+    def test_an_arc_t100_hard_batch_keeps_its_digest(self):
+        cfg = FIT_RIGS["arc_hard"]
+        world, pixel = fit_points(cfg, np.stack([pl.estimator_features(s) for s in sim.make_split(cfg, 910, 4)]))
+        cameras = pl.fit_cameras(world, pixel, cfg.intrinsics())
+        assert digest(cameras) == "577e818bb281f938cd6fcaedd231a75d56739abb4b6d80e54c65e03dff6e43cf"
+
+    def test_seeded_poses_keep_their_cameras(self):
+        poses = np.random.default_rng(20).uniform(pl.POSE_BOX[:, 0], pl.POSE_BOX[:, 1], (50, 6))
+        intrinsics = sim.SimulatorConfig().intrinsics()
+        assert digest(pl.pose_camera(poses, intrinsics)) == (
+            "5bf64b3ea8dddbb70f5b0198cbb3102845c030e5cedfae0ad260e0cbcbca6e7e"
+        )
+        assert digest(pl.pose_camera(poses[0], intrinsics)) == (
+            "c11e24699f921dcc47d47267ae0fb2d57960b188225f72a812b5d20a16bc5352"
+        )
+
+    @pytest.mark.parametrize("rig, want", [
+        ("desk", "44a7c3d1f67d1234ecc747bdb9fc0744feb94482c4fe9f7619f2def81229f7e0"),
+        ("1280x960", "b6795ab666d138f83d816ddf34853e840c7c9a182048a389ef5c8b3b68f69221"),
+    ])
+    def test_nominal_camera_keeps_its_digest(self, rig, want):
+        assert digest(*pl.nominal_camera(FIT_RIGS[rig].intrinsics())) == want
 
 
 class TestCameraMemo:

@@ -80,8 +80,8 @@ def camera_sequence(cfg: sim.SimulatorConfig, rng: np.random.Generator, steps: i
     """One scene's rig, (steps, 3, 4): mount, gaze point and, for moving
     presets, a direction drawn one by one with rng.uniform and rng.choice,
     then each step's pose composed alone."""
-    base = np.array([rng.uniform(*sim.MOUNT_X), rng.uniform(*sim.MOUNT_Y), rng.uniform(*sim.MOUNT_H)])
-    aim = np.array([rng.uniform(*sim.AIM_X), rng.uniform(*sim.AIM_Y), rng.uniform(*sim.AIM_H)])
+    base = np.array([rng.uniform(*box) for box in sim.POSE_BOX[:3]])
+    aim = np.array([rng.uniform(*box) for box in sim.POSE_BOX[3:]])
     positions = np.tile(base, (steps, 1))
     if cfg.camera_motion == "linear":
         direction = np.array([rng.choice([-1.0, 1.0]), 0.0, 0.0])
