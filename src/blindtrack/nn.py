@@ -15,12 +15,13 @@ from .errors import MissingGradient, ShapeMismatch, UnknownCellKind
 from .tensor import (
     Tensor,
     add,
-    attention_block,
+    attention_layer,
+    feed_forward,
     layer_norm,
+    linear,
     matmul,
     mul,
     recurrent_scan,
-    relu,
     sigmoid,
     slice_cols,
     tanh,
@@ -60,7 +61,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros((1, out_dim)), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.weight), self.bias)
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -98,13 +99,16 @@ class MultiHeadSelfAttention(Module):
 
     def __call__(self, x: Tensor, steps: int) -> Tensor:
         """x is a row-stacked batch of sequences of `steps` rows each;
-        attention stays within each."""
-        mixed = attention_block(self.wq(x), self.wk(x), self.wv(x), steps, heads=self.heads)
-        return self.wo(mixed)
+        attention stays within each. One attention_layer node."""
+        q, k, v, o = self.wq, self.wk, self.wv, self.wo
+        return attention_layer(
+            x, q.weight, q.bias, k.weight, k.bias, v.weight, v.bias, o.weight, o.bias, steps, self.heads
+        )
 
 
 class TransformerBlock(Module):
-    """Pre-norm residual block: attention, then a 4x feed-forward."""
+    """Pre-norm residual block: attention, then a 4x feed-forward. Six
+    graph nodes: norm, attention, add, norm, feed-forward, add."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         self.norm_attn = LayerNorm(dim)
@@ -115,7 +119,8 @@ class TransformerBlock(Module):
 
     def __call__(self, x: Tensor, steps: int) -> Tensor:
         x = add(x, self.attn(self.norm_attn(x), steps))
-        return add(x, self.ff_out(relu(self.ff_in(self.norm_ff(x)))))
+        ff_in, ff_out = self.ff_in, self.ff_out
+        return add(x, feed_forward(self.norm_ff(x), ff_in.weight, ff_in.bias, ff_out.weight, ff_out.bias))
 
 
 class TransformerEncoder(Module):
@@ -228,7 +233,14 @@ class SequenceTrunk(Module):
 
 
 class Adam:
-    """Adam with bias correction. step() consumes and clears gradients."""
+    """Adam with bias correction. step() consumes and clears gradients.
+
+    The moments are updated in place, and the step is formed in one
+    (2, largest parameter size) scratch shared by every parameter, with
+    the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) in their order, so the bits are
+    that formula's.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -238,6 +250,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
@@ -246,11 +259,18 @@ class Adam:
         self.t += 1
         correct1 = 1.0 - self.BETA1 ** self.t
         correct2 = 1.0 - self.BETA2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * (g * g)
-            m_hat = self.m[i] / correct1
-            v_hat = self.v[i] / correct2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            step, root = (row[:g.size].reshape(g.shape) for row in self._scratch)
+            m *= self.BETA1
+            m += np.multiply(1.0 - self.BETA1, g, out=step)
+            v *= self.BETA2
+            v += np.multiply(np.multiply(g, g, out=root), 1.0 - self.BETA2, out=root)
+            np.divide(m, correct1, out=step)
+            step *= self.lr
+            np.divide(v, correct2, out=root)
+            np.sqrt(root, out=root)
+            root += self.EPS
+            step /= root
+            p.data -= step
             p.grad = None

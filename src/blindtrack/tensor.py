@@ -16,6 +16,13 @@ recurrent cell over every segment at once as one node with its own
 backpropagation through time. A minibatch is thus one graph, not one
 graph per sequence.
 
+A transformer sublayer is one node too. linear is x @ w + b;
+attention_layer is self-attention with its q, k, v and output
+projections around attention_block's kernel; feed_forward is linear, relu,
+linear. Each forms the products and sums of the composite of primitives
+it replaces, in the same order, so its values and every cotangent are
+that composite's bit for bit, with one node in place of up to nine.
+
 Inside `with no_grad():` ops compute their values but record no parents and
 no backward closures, so inference builds no graph.
 
@@ -69,7 +76,10 @@ __all__ = [
     "col_scale",
     "clamp_away_from_zero",
     "mse_loss",
+    "linear",
     "attention_block",
+    "attention_layer",
+    "feed_forward",
     "recurrent_scan",
     "no_grad",
 ]
@@ -345,9 +355,8 @@ def row_sum(a: Tensor) -> Tensor:
     return _node(a.data.sum(axis=1, keepdims=True), (a,), lambda g: (np.repeat(g, n, axis=1),))
 
 
-def _segment_rows(a: Tensor, segment: int, op: str) -> int:
-    """Rows per segment of a row-stacked batch, checked to split its rows."""
-    m = a.data.shape[0]
+def _segment_rows(m: int, segment: int, op: str) -> int:
+    """Rows per segment of a row-stacked batch of m rows, checked to split them."""
     if segment < 1 or m % segment:
         raise ShapeMismatch(f"{op}: {m} rows do not split into segments of {segment}")
     return segment
@@ -357,7 +366,7 @@ def mean_rows(a: Tensor, segment: int) -> Tensor:
     """(B*T, n) -> (B, n), averaging each segment of T = segment rows.
     Used for sequence pooling."""
     m, n = a.data.shape
-    steps = _segment_rows(a, segment, "mean_rows")
+    steps = _segment_rows(m, segment, "mean_rows")
     out = a.data.reshape(m // steps, steps, n).mean(axis=1)
     inv = 1.0 / steps
     return _node(out, (a,), lambda g: (np.repeat(g * inv, steps, axis=0),))
@@ -408,12 +417,16 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def relu(a: Tensor) -> Tensor:
+def _rectify(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # fmax maps NaN and -inf to 0.0 as `x > 0 ? x : 0.0` does; += 0.0 turns
-    # the -0.0 it may keep into +0.0
-    out = np.fmax(a.data, 0.0)
+    # the -0.0 it may keep into +0.0. So out > 0.0 exactly where a > 0.0.
+    out = np.fmax(a, 0.0, out=out)
     out += 0.0
-    return _node(out, (a,), lambda g: (g * (a.data > 0.0),))
+    return out
+
+
+def relu(a: Tensor) -> Tensor:
+    return _node(_rectify(a.data), (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -496,25 +509,46 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return _node(out, (pred, target), back)
 
 
-def attention_block(q: Tensor, k: Tensor, v: Tensor, segment: int, heads: int = 1) -> Tensor:
-    """Scaled dot-product attention, fused over heads and segments.
+def _affine(op: str, x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w + b: the product, then the bias row added in place, the same
+    bits as add(matmul(x, w), b). w needs as many rows as x has columns,
+    and b must be one row as wide as w."""
+    if x.shape[1] != w.data.shape[0] or b.data.shape != (1, w.data.shape[1]):
+        raise ShapeMismatch(f"{op}: {x.shape} @ {w.data.shape} + {b.data.shape}")
+    out = x @ w.data
+    out += b.data
+    return out
 
-    q, k and v are (m, d), (m, d) and (m, e). Their columns split into
-    `heads` equal groups, one per head, and their rows into segments of
-    T = segment rows: each row attends only within its own segment, the
-    sequences of a row-stacked batch. Scores are scaled by
-    1/sqrt(d / heads) before the row-wise softmax, so each head's output
-    rows are convex combinations of its v rows. Forward and backward are
-    batched (B, heads, T, T) numpy products.
-    """
-    (m, d), (mk, dk), (mv, e) = q.data.shape, k.data.shape, v.data.shape
+
+def _affine_grads(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cotangents of w and b in x @ w + b, given the output's g: the ones
+    matmul and add form. add hands a one-row g on as it is, since a sum
+    over one row would turn its -0.0 entries into +0.0."""
+    return x.T @ g, g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, bit for bit add(matmul(x, w), b). Input rows
+    that are data, not a graph node, get no cotangent."""
+    out = _affine("linear", x.data, w, b)
+
+    def back(g):
+        return (g @ w.data.T if x.requires_grad else None, *_affine_grads(x.data, g))
+
+    return _node(out, (x, w, b), back)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, segment: int, heads: int):
+    """The attention kernel: (out, back), where back maps out's cotangent to
+    those of q, k and v. See attention_block."""
+    (m, d), (mk, dk), (mv, e) = q.shape, k.shape, v.shape
     if d != dk:
-        raise ShapeMismatch(f"attention: query dim {q.data.shape} vs key dim {k.data.shape}")
+        raise ShapeMismatch(f"attention: query dim {q.shape} vs key dim {k.shape}")
     if not m == mk == mv:
         raise ShapeMismatch(f"attention: {m} queries, {mk} keys and {mv} values")
     if heads < 1 or d % heads or e % heads:
         raise ShapeMismatch(f"attention: widths {d} and {e} do not split into {heads} heads")
-    steps = _segment_rows(q, segment, "attention")
+    steps = _segment_rows(m, segment, "attention")
     batch = m // steps
     dh, eh = d // heads, e // heads
     factor = 1.0 / np.sqrt(dh)
@@ -525,7 +559,7 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, segment: int, heads: int = 
     def merge(x):  # inverse of split
         return x.transpose(0, 2, 1, 3).reshape(m, -1)
 
-    qh, kh, vh = split(q.data, dh), split(k.data, dh), split(v.data, eh)
+    qh, kh, vh = split(q, dh), split(k, dh), split(v, eh)
     # the softmax runs in place on the one (batch, heads, steps, steps) array
     weights = qh @ kh.transpose(0, 1, 3, 2)
     weights *= factor
@@ -545,7 +579,67 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, segment: int, heads: int = 
             merge(weights.transpose(0, 1, 3, 2) @ gh),
         )
 
-    return _node(merge(weights @ vh), (q, k, v), back)
+    return merge(weights @ vh), back
+
+
+def attention_block(q: Tensor, k: Tensor, v: Tensor, segment: int, heads: int = 1) -> Tensor:
+    """Scaled dot-product attention, fused over heads and segments.
+
+    q, k and v are (m, d), (m, d) and (m, e). Their columns split into
+    `heads` equal groups, one per head, and their rows into segments of
+    T = segment rows: each row attends only within its own segment, the
+    sequences of a row-stacked batch. Scores are scaled by
+    1/sqrt(d / heads) before the row-wise softmax, so each head's output
+    rows are convex combinations of its v rows. Forward and backward are
+    batched (B, heads, T, T) numpy products.
+    """
+    out, back = _attend(q.data, k.data, v.data, segment, heads)
+    return _node(out, (q, k, v), back)
+
+
+def attention_layer(
+    x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+    segment: int, heads: int,
+) -> Tensor:
+    """Self-attention with its projections as one node: q, k and v are
+    x @ w + b for their (w, b), attention_block mixes them, and
+    (mixed @ wo) + bo is the output.
+
+    Bit for bit the composite of linear and attention_block nodes, the
+    backward included: x's cotangent sums the three projections' parts as
+    (from q + from k) + from v, the order the composite's graph walk adds
+    them in.
+    """
+    q, k, v = (_affine("attention_layer", x.data, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    mixed, attend_back = _attend(q, k, v, segment, heads)
+
+    def back(g):
+        dq, dk, dv = attend_back(g @ wo.data.T)
+        return (
+            (dq @ wq.data.T + dk @ wk.data.T) + dv @ wv.data.T,
+            *_affine_grads(x.data, dq),
+            *_affine_grads(x.data, dk),
+            *_affine_grads(x.data, dv),
+            *_affine_grads(mixed, g),
+        )
+
+    return _node(_affine("attention_layer", mixed, wo, bo), (x, wq, bq, wk, bk, wv, bv, wo, bo), back)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one node, bit for bit the composite
+    of linear, relu and linear nodes. The relu runs in place on the hidden
+    rows, and its backward masks where they are positive."""
+    hidden = _affine("feed_forward", x.data, w1, b1)
+    _rectify(hidden, out=hidden)
+    out = _affine("feed_forward", hidden, w2, b2)
+
+    def back(g):
+        d_hidden = g @ w2.data.T
+        d_hidden *= hidden > 0.0
+        return (d_hidden @ w1.data.T, *_affine_grads(x.data, d_hidden), *_affine_grads(hidden, g))
+
+    return _node(out, (x, w1, b1, w2, b2), back)
 
 
 def _previous(hidden: list[np.ndarray]) -> np.ndarray:
@@ -689,7 +783,7 @@ def recurrent_scan(kind: str, x: Tensor, params, segment: int) -> Tensor:
         raise UnknownCellKind(f"recurrent_scan: unknown cell kind {kind!r}; expected one of {tuple(_SCANS)}")
     unroll, groups, widen = _SCANS[kind]
     rows, n = x.data.shape
-    steps = _segment_rows(x, segment, "recurrent_scan")
+    steps = _segment_rows(rows, segment, "recurrent_scan")
     weights = [p.data for p in params]
     if len(weights) != 3 * groups:
         raise ShapeMismatch(f"recurrent_scan: {kind} takes {3 * groups} parameters, got {len(weights)}")

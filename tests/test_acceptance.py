@@ -33,13 +33,16 @@ from blindtrack.tensor import (
     Tensor,
     add,
     attention_block,
+    attention_layer,
     clamp_away_from_zero,
     col_scale,
     concat_cols,
     concat_rows,
     div,
     exp,
+    feed_forward,
     layer_norm,
+    linear,
     matmul,
     mean_all,
     mean_rows,
@@ -123,6 +126,19 @@ class TestCriterion01Gradients:
         for kind, groups, width in (("rnn", 1, 2), ("gru", 3, 2), ("lstm", 1, 8)):
             params = [mat(6, 3)] + [m for _ in range(groups) for m in (mat(3, width), mat(2, width), mat(1, width))]
             cases.append((lambda p, k=kind: sum_all(square(recurrent_scan(k, p[0], p[1:], 2))), params))
+        # the fused transformer sublayers: 2 sequences of 2 rows, 2 heads.
+        # The key bias adds the same score to every key of a row, which the
+        # softmax cancels: its gradient is exactly zero, and a finite
+        # difference of it measures only rounding, so it enters as a constant
+        key_bias = Tensor(rng.uniform(-1.0, 1.0, (1, 4)))
+        cases += [
+            (lambda p: sum_all(square(linear(*p))), [mat(3, 4), mat(4, 2), mat(1, 2)]),
+            (
+                lambda p: sum_all(square(attention_layer(*p[:4], key_bias, *p[4:], 2, 2))),
+                [mat(4, 4), mat(4, 4), mat(1, 4), mat(4, 4), mat(4, 4), mat(1, 4), mat(4, 4), mat(1, 4)],
+            ),
+            (lambda p: sum_all(square(feed_forward(*p))), [mat(3, 4), mat(4, 8), mat(1, 8), mat(8, 4), mat(1, 4)]),
+        ]
         for build, params in cases:
             bound = (lambda b=build, p=params: b(p))
             worst_prim = max(worst_prim, check_gradients(bound, params, tol=1e-4))

@@ -4,10 +4,13 @@ backbone kind, cell semantics, and the Adam update against hand formulas."""
 import numpy as np
 import pytest
 
-from blindtrack import nn, tensor as tz
+from blindtrack import checkpoint as ck, nn, pipeline as pl, tensor as tz
+from blindtrack.config import TrainConfig
 from blindtrack.errors import MissingGradient, ShapeMismatch, UnknownCellKind
 from blindtrack.tensor import Tensor
 
+from test_pipeline import TINY, tiny_scenes
+from test_tensor import composite_attention_layer, composite_feed_forward, composite_linear, same_bits
 from util_grad import check_gradients
 
 
@@ -83,6 +86,42 @@ class TestBlocks:
         enc = nn.TransformerEncoder(8, 2, 2, rng)
         out = enc(Tensor(rng.normal(size=(5, 8))), 5)
         assert out.data.shape == (5, 8)
+
+
+def composite_attention_call(self, x, steps):
+    q, k, v, o = self.wq, self.wk, self.wv, self.wo
+    params = (q.weight, q.bias, k.weight, k.bias, v.weight, v.bias, o.weight, o.bias)
+    return composite_attention_layer(x, *params, steps, self.heads)
+
+
+def composite_block_call(self, x, steps):
+    x = tz.add(x, self.attn(self.norm_attn(x), steps))
+    ff = (self.ff_in.weight, self.ff_in.bias, self.ff_out.weight, self.ff_out.bias)
+    return tz.add(x, composite_feed_forward(self.norm_ff(x), *ff))
+
+
+def train_three_steps() -> tuple[list[np.ndarray], nn.Adam]:
+    model = pl.VisionPipeline(TINY, np.random.default_rng(8))
+    optimizer = nn.Adam(model.parameters(), lr=1e-2)
+    pl.train_model(model, tiny_scenes(6, noise="default"), [], TrainConfig(epochs=1, batch_size=2, seed=3), optimizer)
+    return [p.data for p in model.parameters()], optimizer
+
+
+class TestFusedBlocks:
+    def test_training_equals_the_composite_blocks_bit_for_bit(self, monkeypatch):
+        """Three Adam steps of a tiny `full` model with fused sublayers and
+        with the composites they replace, in one process so both use one
+        BLAS: parameters and moments keep every bit."""
+        fused_params, fused_opt = train_three_steps()
+        assert fused_opt.t == 3
+        monkeypatch.setattr(nn.Linear, "__call__", lambda self, x: composite_linear(x, self.weight, self.bias))
+        monkeypatch.setattr(nn.MultiHeadSelfAttention, "__call__", composite_attention_call)
+        monkeypatch.setattr(nn.TransformerBlock, "__call__", composite_block_call)
+        composite_params, composite_opt = train_three_steps()
+        fused = fused_params + fused_opt.m + fused_opt.v
+        composite = composite_params + composite_opt.m + composite_opt.v
+        for got, want in zip(fused, composite, strict=True):
+            assert same_bits(got, want)
 
 
 class TestCells:
@@ -241,6 +280,33 @@ class TestAdam:
             p.grad = g.copy()
             opt.step()
         assert np.allclose(p.data, expect, atol=1e-15)
+
+    def test_in_place_step_is_the_formula_bit_for_bit(self, tmp_path):
+        """Five steps on random gradients, then five more from a restored
+        checkpoint, against the update written as fresh arrays."""
+        rng = np.random.default_rng(13)
+        model = pl.VisionPipeline(TINY, np.random.default_rng(0))
+        opt = nn.Adam(model.parameters(), lr=1e-2)
+        want = [p.data.copy() for p in model.parameters()]
+        m = [np.zeros_like(p) for p in want]
+        v = [np.zeros_like(p) for p in want]
+        b1, b2, eps, lr = nn.Adam.BETA1, nn.Adam.BETA2, nn.Adam.EPS, 1e-2
+        for t in range(1, 11):
+            if t == 6:
+                path = tmp_path / "adam.ckpt"
+                ck.save_checkpoint(path, model, opt, TrainConfig(lr=lr))
+                model = pl.VisionPipeline(TINY, np.random.default_rng(1))
+                opt = ck.restore_model(model, *ck.load_checkpoint(path))
+            for i, p in enumerate(model.parameters()):
+                g = rng.normal(size=p.data.shape)
+                g[rng.random(g.shape) < 0.2] = 0.0
+                p.grad = g
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                want[i] = want[i] - lr * (m[i] / (1.0 - b1**t)) / (np.sqrt(v[i] / (1.0 - b2**t)) + eps)
+            opt.step()
+            for p, w, got_m, got_v, want_m, want_v in zip(model.parameters(), want, opt.m, opt.v, m, v, strict=True):
+                assert same_bits(p.data, w) and same_bits(got_m, want_m) and same_bits(got_v, want_v)
 
     def test_zero_gradient_is_fixed_point(self):
         p = Tensor(np.array([[2.0, 3.0]]), requires_grad=True)

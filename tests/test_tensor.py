@@ -369,6 +369,147 @@ class TestKernelBits:
         assert np.signbit(out.data).sum() == 0
 
 
+# The transformer sublayers as the composites of primitive nodes they
+# replace: the fused ops must give their values and cotangents exactly.
+
+
+def composite_linear(x, w, b):
+    return tz.add(tz.matmul(x, w), b)
+
+
+def composite_attention_layer(x, wq, bq, wk, bk, wv, bv, wo, bo, segment, heads):
+    q, k, v = composite_linear(x, wq, bq), composite_linear(x, wk, bk), composite_linear(x, wv, bv)
+    return composite_linear(tz.attention_block(q, k, v, segment, heads=heads), wo, bo)
+
+
+def composite_feed_forward(x, w1, b1, w2, b2):
+    return composite_linear(tz.relu(composite_linear(x, w1, b1)), w2, b2)
+
+
+def affine_params(rng, widths) -> list[Tensor]:
+    """(w, b) per consecutive pair of widths, biases off zero."""
+    return [
+        Tensor(rng.normal(scale=scale, size=(rows, cols)), requires_grad=True)
+        for n, p in zip(widths[:-1], widths[1:])
+        for rows, cols, scale in ((n, p, 1.0 / np.sqrt(n)), (1, p, 0.3))
+    ]
+
+
+class TestFusedSublayers:
+    """linear, attention_layer and feed_forward against the composites
+    above: forward values, the input's and every parameter's gradient,
+    bit for bit."""
+
+    @staticmethod
+    def run(build, leaves, weight, calls=1):
+        for leaf in leaves:
+            leaf.grad = None
+        out = build()
+        loss = tz.sum_all(tz.mul(out, Tensor(weight)))
+        for _ in range(calls):
+            loss.backward()
+        return out, [leaf.grad for leaf in leaves]
+
+    def check(self, fused, composite, leaves, rng, calls=1):
+        weight = rng.normal(size=composite().shape)
+        weight[0, 0] = -0.0  # a -0.0 cotangent keeps its sign through add
+        got, got_grads = self.run(fused, leaves, weight, calls)
+        want, want_grads = self.run(composite, leaves, weight, calls)
+        assert same_bits(got.data, want.data)
+        for leaf, a, b in zip(leaves, got_grads, want_grads, strict=True):
+            assert (a is None) == (b is None) == (not leaf.requires_grad)
+            assert a is None or same_bits(a, b)
+        return got
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("rows", [1, 5, 60])
+    def test_linear(self, rows, x_grad):
+        rng = np.random.default_rng(40 + rows)
+        x = Tensor(rng.normal(size=(rows, 7)), requires_grad=x_grad)
+        params = affine_params(rng, (7, 5))
+        fused = self.check(lambda: tz.linear(x, *params), lambda: composite_linear(x, *params), [x] + params, rng)
+        assert fused._parents == (x, *params)
+
+    @pytest.mark.parametrize("steps", [20, 100])
+    @pytest.mark.parametrize("segments", [1, 2, 3])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_layer(self, heads, segments, steps):
+        rng = np.random.default_rng(heads * 1000 + segments * 100 + steps)
+        width = 12  # 1/sqrt(12 / heads) is inexact for every head count
+        x = Tensor(rng.normal(size=(segments * steps, width)), requires_grad=True)
+        params = affine_params(rng, (width,) * 5)  # q, k, v and output projections
+        self.check(
+            lambda: tz.attention_layer(x, *params, steps, heads),
+            lambda: composite_attention_layer(x, *params, steps, heads),
+            [x] + params,
+            rng,
+        )
+
+    @pytest.mark.parametrize("rows", [1, 20, 300])
+    def test_feed_forward(self, rows):
+        rng = np.random.default_rng(50 + rows)
+        x = Tensor(rng.normal(size=(rows, 8)), requires_grad=True)
+        params = affine_params(rng, (8, 32, 8))
+        x.data[0] = 0.0
+        params[1].data[0, :16] = 0.0  # hidden entries exactly 0.0 sit on relu's kink
+        self.check(
+            lambda: tz.feed_forward(x, *params), lambda: composite_feed_forward(x, *params), [x] + params, rng
+        )
+
+    def test_repeated_backward_accumulates(self):
+        rng = np.random.default_rng(60)
+        x = Tensor(rng.normal(size=(40, 8)), requires_grad=True)
+        embed, attn, ff = affine_params(rng, (8, 8)), affine_params(rng, (8,) * 5), affine_params(rng, (8, 32, 8))
+
+        def fused():
+            return tz.feed_forward(tz.attention_layer(tz.linear(x, *embed), *attn, 20, 2), *ff)
+
+        def composite():
+            mixed = composite_attention_layer(composite_linear(x, *embed), *attn, 20, 2)
+            return composite_feed_forward(mixed, *ff)
+
+        leaves = [x] + embed + attn + ff
+        _, once = self.run(fused, leaves, np.ones((40, 8)))
+        self.check(fused, composite, leaves, rng, calls=2)
+        _, twice = self.run(fused, leaves, np.ones((40, 8)), calls=2)
+        for a, b in zip(once, twice):
+            assert same_bits(b, a + a)
+
+    def test_no_grad_keeps_the_bits_and_records_nothing(self):
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.normal(size=(40, 8)), requires_grad=True)
+        attn, ff = affine_params(rng, (8,) * 5), affine_params(rng, (8, 32, 8))
+        builds = [
+            lambda: tz.linear(x, *ff[:2]),
+            lambda: tz.attention_layer(x, *attn, 20, 4),
+            lambda: tz.feed_forward(x, *ff),
+        ]
+        for build in builds:
+            with tz.no_grad():
+                quiet = build()
+            assert quiet._parents == () and quiet._backward is None and not quiet.requires_grad
+            assert same_bits(quiet.data, build().data)
+
+    def test_shapes_checked(self):
+        rng = np.random.default_rng(62)
+        x = Tensor(np.zeros((6, 4)))
+        w, b = affine_params(rng, (4, 4))
+        wide, wide_b = affine_params(rng, (4, 6))
+        narrow, narrow_b = affine_params(rng, (6, 4))
+        with pytest.raises(ShapeMismatch):
+            tz.linear(x, wide, b)
+        with pytest.raises(ShapeMismatch):
+            tz.linear(Tensor(np.zeros((6, 3))), w, b)
+        with pytest.raises(ShapeMismatch):
+            tz.attention_layer(x, w, b, w, b, w, b, narrow, narrow_b, 3, 2)  # wo takes 6-wide rows, the mix is 4-wide
+        with pytest.raises(ShapeMismatch):
+            tz.attention_layer(x, w, b, wide, wide_b, w, b, w, b, 3, 2)  # keys wider than queries
+        with pytest.raises(ShapeMismatch):
+            tz.attention_layer(x, w, b, w, b, w, b, w, b, 4, 2)  # 6 rows are no segments of 4
+        with pytest.raises(ShapeMismatch):
+            tz.feed_forward(x, w, b, narrow, narrow_b)  # w2 takes 6-wide rows, the hidden rows are 4-wide
+
+
 def scan_params(rng, kind: str, n: int, d: int) -> list[Tensor]:
     """Random (wx, wh, b) groups for recurrent_scan: n-wide rows, d-wide state."""
     groups, width = {"rnn": (1, d), "gru": (3, d), "lstm": (1, 4 * d)}[kind]

@@ -1,9 +1,21 @@
 """The benchmark's trace points (bench/harness.py) wrap package attributes
 by name; each one must exist, and uninstalling must put back the exact
-object that was there."""
+object that was there. The ones that span a transformer's sublayers must
+also fire where the work is: once per attention and layer norm of every
+block a forward runs, and never on a model without one."""
 
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from blindtrack import nn
+from blindtrack.baselines import make_model
+from blindtrack.tensor import Tensor
+
+from test_pipeline import TINY, tiny_scenes
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
@@ -30,3 +42,41 @@ def test_every_trace_point_exists_and_is_restored():
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
     wrapped = {(owner.__name__, attr) for owner, attr, _ in installed}
     assert {("blindtrack.pipeline", "estimator_features"), ("CameraEstimator", "__call__")} <= wrapped
+
+
+def submodules(module):
+    yield module
+    for value in vars(module).values():
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, nn.Module):
+                yield from submodules(item)
+
+
+@pytest.mark.parametrize("name, blocks", [("full", 2), ("two_stage:gru", 0)])
+def test_sublayer_trace_points_fire_once_per_block(monkeypatch, name, blocks):
+    """harness spans nn.MultiHeadSelfAttention.__call__ and
+    nn.LayerNorm.__call__: a forward must call each module once."""
+    calls = Counter()
+    for owner in (nn.MultiHeadSelfAttention, nn.LayerNorm):
+        original = owner.__call__
+
+        def counted(self, *args, original=original):
+            calls[id(self)] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, "__call__", counted)
+    model = make_model(name, TINY, np.random.default_rng(0))
+    model.loss_terms(tiny_scenes(2))
+    found = [m for m in submodules(model) if isinstance(m, nn.TransformerBlock)]
+    assert len(found) == blocks
+    assert calls == Counter(id(m) for block in found for m in (block.norm_attn, block.attn, block.norm_ff))
+
+
+def test_a_transformer_block_adds_six_graph_nodes():
+    """norm, attention, add, norm, feed-forward, add: the nodes harness
+    counts in tensor.nodes_per_scene, besides the block's parameters."""
+    rng = np.random.default_rng(11)
+    block = nn.TransformerBlock(8, 2, rng)
+    x = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
+    added = harness.graph_nodes(block(x, 5)) - harness.graph_nodes(x)
+    assert added == 6 + len(block.parameters())
