@@ -70,35 +70,20 @@ class EvalReport:
             raise ValueError(f"negative error in report for {self.method}")
 
 
-# observed rows (scenes x t_obs) per predict call when scoring (see
-# score_scenes). Swept with the in-place attention and layer-norm kernels
-# on a 2-core x86-64 box (numpy 2.4, OpenBLAS 0.3.31), ms per scene, best
-# of 9 after a warm-up pass, range over two sweeps: `full` at T = 20
-# (96 desk scenes) takes 0.41-0.44 at 320 rows, 16 scenes, against
-# 0.42-0.44 at 160 and 0.36-0.40 at 480; `full` at T = 100 (24 arc
-# scenes) takes 2.26-2.35 at 320 rows, 3 scenes, against 2.37-2.45 at 200
-# and 2.27-2.29 at 400; two_stage:gru, which has no attention and runs
-# each recurrent trunk as one fused scan, takes 0.12-0.20 at 320 and
-# 0.10-0.14 at 640. Larger chunks now gain up to a tenth at T = 20;
-# the value stays 320, which keeps every chunk, and so every report bit,
-# as it was.
-SCORE_ROWS = 320
-
-
 def score_scenes(predict, scenes, method: str, split: str, config_hash: str = "", seed: int = 0) -> EvalReport:
     """Score a method on a split: the mean over scenes of each scene's
     mse_t over the observed window (MSE-D) and the prediction window
-    (MSE-P), taken by one track_errors pass per chunk and window. This
-    is the one scorer; every report comes from it.
+    (MSE-P), taken by one track_errors pass per shape group and window.
+    This is the one scorer; every report comes from it.
 
     predict(batch) takes a list of B scenes of one shape (Scene.shape)
     and returns their observed and future pixel tracks, (B, t_obs, 2) and
-    (B, t_pred, 2). Scenes are sorted by seed, grouped by shape, and each
-    group is cut into chunks of at most SCORE_ROWS observed rows, one
-    predict call each, so a learned model scores a chunk as one
-    row-stacked forward pass. Each scene's errors keep its place in seed
-    order, so reports do not depend on input ordering. A scene whose
-    error is NaN or inf (its prediction is, or overflows) raises
+    (B, t_pred, 2). Scenes are sorted by seed and grouped by shape, and
+    each group is one predict call, its scenes in seed order; a learned
+    model cuts the group into its own forward passes
+    (pipeline.TrajectoryModel.predict). Each scene's errors keep its place
+    in seed order, so reports do not depend on input ordering. A scene
+    whose error is NaN or inf (its prediction is, or overflows) raises
     NonFiniteLoss naming its seed.
     """
     if not scenes:
@@ -106,18 +91,15 @@ def score_scenes(predict, scenes, method: str, split: str, config_hash: str = ""
     ordered = sorted(scenes, key=lambda s: s.seed)
     d_errors, p_errors = np.empty(len(ordered)), np.empty(len(ordered))
     for group in shape_groups(ordered):
-        per_call = max(1, SCORE_ROWS // ordered[group[0]].t_obs)
-        for start in range(0, len(group), per_call):
-            chunk = group[start:start + per_call]
-            visual, future = predict([ordered[i] for i in chunk])
-            if len(visual) != len(chunk) or len(future) != len(chunk):
-                raise LengthMismatch(
-                    f"{method}: predicted {len(visual)} and {len(future)} tracks for {len(chunk)} scenes"
-                )
-            pixel = np.stack([ordered[i].pixel[ordered[i].hidden] for i in chunk])
-            t_obs = ordered[chunk[0]].t_obs
-            d_errors[chunk] = track_errors(visual, pixel[:, :t_obs])
-            p_errors[chunk] = track_errors(future, pixel[:, t_obs:])
+        visual, future = predict([ordered[i] for i in group])
+        if len(visual) != len(group) or len(future) != len(group):
+            raise LengthMismatch(
+                f"{method}: predicted {len(visual)} and {len(future)} tracks for {len(group)} scenes"
+            )
+        pixel = np.stack([ordered[i].pixel[ordered[i].hidden] for i in group])
+        t_obs = ordered[group[0]].t_obs
+        d_errors[group] = track_errors(visual, pixel[:, :t_obs])
+        p_errors[group] = track_errors(future, pixel[:, t_obs:])
     bad = np.flatnonzero(~np.isfinite(d_errors + p_errors))
     if bad.size:
         raise NonFiniteLoss(f"{method}: non-finite pixel error on scene seed {ordered[bad[0]].seed}")

@@ -19,11 +19,15 @@ supervised.
 
 A forward pass takes a batch of scenes of one shape (t_obs, t_pred, image
 size) and row-stacks them, scene-major, so a training minibatch is one
-autodiff graph (see the tensor module), and a chunk of scenes scored by
-metrics.score_scenes is one forward pass with no graph. The camera fit
-stacks a batch's new scenes by pair count (fit_cameras), bit for bit the
-per-scene fit. A scene whose horizon is not the model's t_pred is refused
-with SchemaError (TrajectoryModel.batch).
+autodiff graph (see the tensor module). metrics.score_scenes hands
+predict a whole shape group, which predict cuts into forward passes with
+no graph of at most SCORE_ROWS observed rows each. Before those passes,
+and before training's first epoch, the model prepares the scenes
+(TrajectoryModel.prepare): the pipeline fits every new scene's camera
+there, stacked by pair count (fit_cameras), bit for bit the per-scene
+fit, so one predict call or one training run fits each (shape group,
+pair count) once. A scene whose horizon is not the model's t_pred is
+refused with SchemaError (TrajectoryModel.batch).
 
 The method name alone is a pipeline's architecture (pipeline_layout);
 ModelConfig holds only its dimensions.
@@ -85,33 +89,50 @@ ARENA_HALF = np.array(
 )
 
 
-def estimator_features(scene: Scene) -> np.ndarray:
+def estimator_features(scenes: Scene | list[Scene]) -> np.ndarray | list[np.ndarray]:
     """The camera fit's input: each visible agent's (pixel, sensor) pair
-    averaged over the observation window, (n, 5).
+    averaged over the observation window, (n, 5) for a Scene and one such
+    array per scene for a list.
 
     Rows are the scene's agent rows except the hidden one (Scene.hidden),
     taken in ascending agent_id; an agent never visible inside the window
-    is dropped, so n may be 0.
+    is dropped, so n may be 0. A scene with no agent but the hidden one
+    raises NoInSightAgents naming its seed.
     Each row holds the image-centered pixel [u/W - 1/2, v/H - 1/2] and the
     arena-normalized sensor position. Averaging over the window shrinks
     the sensor noise, which would otherwise bias a fit toward a camera
     that sees the agents closer together than they are.
+
+    Scenes of one agent count and one shape are stacked and averaged in
+    one array pass; every scene gets the bits it would get alone.
     """
-    rows = np.argsort(scene.agent_ids)
-    rows = rows[rows != scene.hidden]
-    if not len(rows):
-        raise NoInSightAgents(f"scene seed {scene.seed} has no visible agents")
-    t_obs = scene.t_obs
-    visible = scene.visible[rows, :t_obs]
-    pixel = scene.pixel[rows, :t_obs] / np.asarray(scene.image_size) - 0.5
-    sensor = (scene.sensor[rows] - ARENA_MID) / ARENA_HALF
-    values = np.where(visible[:, :, None], np.concatenate([pixel, sensor], axis=2), 0.0)
-    # summing over the step axis adds each agent's rows in sequence, and
-    # adding the zeros of a hidden step is exact: the same bits as the mean
-    # over the agent's visible rows alone
-    counts = visible.sum(axis=1)
-    seen = counts > 0
-    return values.sum(axis=1)[seen] / counts[seen, None]
+    if isinstance(scenes, Scene):
+        return estimator_features([scenes])[0]
+    rows, stacks = [], {}
+    for position, scene in enumerate(scenes):
+        order = np.argsort(scene.agent_ids)
+        order = order[order != scene.hidden]
+        if not len(order):
+            raise NoInSightAgents(f"scene seed {scene.seed} has no visible agents")
+        rows.append(order)
+        stacks.setdefault((len(order), scene.shape), []).append(position)
+    out: list = [None] * len(scenes)
+    for positions in stacks.values():
+        stack = [scenes[i] for i in positions]
+        t_obs, _, size = stack[0].shape
+        picked = np.arange(len(stack))[:, None], np.array([rows[i] for i in positions])
+        visible = np.stack([scene.visible for scene in stack])[picked][..., :t_obs]
+        pixel = np.stack([scene.pixel for scene in stack])[picked][..., :t_obs, :] / np.asarray(size) - 0.5
+        sensor = (np.stack([scene.sensor for scene in stack])[picked] - ARENA_MID) / ARENA_HALF
+        values = np.where(visible[..., None], np.concatenate([pixel, sensor], axis=3), 0.0)
+        # summing over the step axis adds each agent's rows in sequence, and
+        # adding the zeros of a hidden step is exact: the same bits as the mean
+        # over the agent's visible rows alone
+        counts = visible.sum(axis=2)
+        means = values.sum(axis=2) / np.maximum(counts, 1)[..., None]
+        for position, scene_means, scene_counts in zip(positions, means, counts):
+            out[position] = scene_means[scene_counts > 0]
+    return out
 
 
 def project_rows(matrix_rows: Tensor, points: Tensor) -> Tensor:
@@ -159,6 +180,20 @@ def hidden_sensor(scenes: list[Scene]) -> Tensor:
     return Tensor(np.concatenate([scene.sensor[scene.hidden] for scene in scenes]))
 
 
+# observed rows (scenes x t_obs) per forward pass of predict. Swept with
+# the in-place attention and layer-norm kernels on a 2-core x86-64 box
+# (numpy 2.4, OpenBLAS 0.3.31), ms per scene, best of 9 after a warm-up
+# pass, range over two sweeps: `full` at T = 20 (96 desk scenes) takes
+# 0.41-0.44 at 320 rows, 16 scenes, against 0.42-0.44 at 160 and
+# 0.36-0.40 at 480; `full` at T = 100 (24 arc scenes) takes 2.26-2.35 at
+# 320 rows, 3 scenes, against 2.37-2.45 at 200 and 2.27-2.29 at 400;
+# two_stage:gru, which has no attention and runs each recurrent trunk as
+# one fused scan, takes 0.12-0.20 at 320 and 0.10-0.14 at 640. Larger
+# passes now gain up to a tenth at T = 20; the value stays 320, which
+# keeps every pass, and so every report bit, as it was.
+SCORE_ROWS = 320
+
+
 class TrajectoryModel(Module):
     """Interface shared by the pipeline and the learned baselines: a
     forward pass from scenes to raw-pixel tracks, with losses and metrics
@@ -203,17 +238,33 @@ class TrajectoryModel(Module):
             loss_p = group_p if loss_p is None else add(loss_p, group_p)
         return loss_d, loss_p
 
+    def prepare(self, scenes: list[Scene]) -> None:
+        """Work that depends only on the scenes, never on the weights, done
+        once for a list of scenes before forward passes over them: predict
+        calls it on its whole list, train_model on the training and
+        validation scenes. Nothing here; VisionPipeline fits cameras."""
+
     def predict(self, scenes: Scene | list[Scene]) -> tuple[np.ndarray, np.ndarray]:
-        """Observed and future pixel tracks from one forward pass that
-        builds no graph: (t_obs, 2) and (t_pred, 2) for a Scene, (B,
-        t_obs, 2) and (B, t_pred, 2) for a list of B equal-shape scenes.
-        The batch form is what metrics.score_scenes calls."""
+        """Observed and future pixel tracks from forward passes that build
+        no graph: (t_obs, 2) and (t_pred, 2) for a Scene, (B, t_obs, 2) and
+        (B, t_pred, 2) for a list of B equal-shape scenes. The list form is
+        what metrics.score_scenes calls, once per shape group: after
+        prepare(scenes), it cuts the list, in order, into forward passes of
+        at most SCORE_ROWS observed rows (scenes x t_obs) and concatenates
+        their rows."""
+        batch, t_obs, _ = self.batch(scenes)
+        self.prepare(batch)
+        per_pass = max(1, SCORE_ROWS // t_obs)
+        visual, future = [], []
         with no_grad():
-            visual, future = self.forward(scenes)
+            for start in range(0, len(batch), per_pass):
+                observed, ahead = self.forward(batch[start:start + per_pass])
+                visual.append(observed.data)
+                future.append(ahead.data)
         if isinstance(scenes, Scene):
-            return visual.data, future.data
-        count = len(scenes)
-        return visual.data.reshape(count, -1, 2), future.data.reshape(count, -1, 2)
+            return visual[0], future[0]
+        count = len(batch)
+        return np.concatenate(visual).reshape(count, -1, 2), np.concatenate(future).reshape(count, -1, 2)
 
 
 def pixel_losses(scenes: list[Scene], visual: Tensor, future: Tensor) -> tuple[Tensor, Tensor]:
@@ -426,7 +477,9 @@ class CameraEstimator:
     it in `fits`, keyed by the fit's exact input (the pairs' bytes and the
     image size): later epochs, validation passes and predictions reuse the
     same float64 rows, and a scene whose visible agents change gets a fit
-    of its own.
+    of its own. With steps 0 a call only fits and returns no rows; that is
+    how VisionPipeline.prepare fits a whole list of scenes ahead of the
+    forward passes that read their rows.
     """
 
     def __init__(self, focal: float):
@@ -520,6 +573,16 @@ class VisionPipeline(TrajectoryModel):
         if drop != "predictor":
             self.predictor = FuturePixelPredictor(cfg, rng, kind)
 
+    def prepare(self, scenes: list[Scene]) -> None:
+        """Fit the camera of every scene the estimator has not seen yet, in
+        one fit_cameras call per shape group and pair count, so the
+        forward passes over the scenes only look their cameras up."""
+        if self.drop in ("estimator", "projection"):
+            return
+        for positions in shape_groups(scenes):
+            group = [scenes[i] for i in positions]
+            self.estimator(estimator_features(group), group[0].image_size, 0)
+
     def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
         """Returns (denoised pixel tracks (B*t_obs, 2), future tracks
         (B*t_pred, 2)), row-stacked in batch order."""
@@ -531,7 +594,7 @@ class VisionPipeline(TrajectoryModel):
 
         if drop != "projection":
             if drop != "estimator":
-                rows = self.estimator([estimator_features(s) for s in scenes], size, t_obs)
+                rows = self.estimator(estimator_features(scenes), size, t_obs)
             else:
                 static = add(col_scale(self.static_rows, self.static_spread), self.static_nominal)
                 rows = tile_rows(static, len(scenes) * t_obs)
@@ -603,13 +666,17 @@ def train_model(
     """Joint training on the summed pixel losses, one autodiff graph per
     minibatch (TrajectoryModel.loss_terms on the whole batch).
 
-    The scene order is reshuffled each epoch from a generator keyed by
-    (seed, epoch) alone, so resuming from a checkpoint replays the exact
-    batch sequence; stop_epoch pauses a run early for checkpointing. The
-    model is left holding the parameters of its best validation epoch
-    (by summed error); without validation scenes, the final epoch wins.
+    Before the first epoch the model prepares every training and
+    validation scene (TrajectoryModel.prepare): the pipeline fits all
+    their cameras there. The scene order is reshuffled each epoch from a
+    generator keyed by (seed, epoch) alone, so resuming from a checkpoint
+    replays the exact batch sequence; stop_epoch pauses a run early for
+    checkpointing. The model is left holding the parameters of its best
+    validation epoch (by summed error); without validation scenes, the
+    final epoch wins.
     """
     optimizer = optimizer or Adam(model.parameters(), lr=tcfg.lr)
+    model.prepare(train_scenes + val_scenes)
     result = TrainResult()
     best: dict[str, np.ndarray] | None = None
     end_epoch = tcfg.epochs if stop_epoch is None else min(stop_epoch, tcfg.epochs)

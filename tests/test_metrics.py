@@ -6,6 +6,7 @@ import pytest
 
 from blindtrack import baselines as bl
 from blindtrack import metrics as mt
+from blindtrack import pipeline as pl
 from blindtrack import simulator as sim
 from blindtrack.errors import EmptyInput, EmptyTrajectory, LengthMismatch
 
@@ -144,6 +145,25 @@ def per_scene_scores(predict_one, scenes):
     return float(np.mean(d_errors)), float(np.mean(p_errors))
 
 
+def chunked_report(predict, scenes, rows):
+    """The scorer as it was when each chunk of at most `rows` observed rows
+    of a shape group was one predict call: the reference score_scenes, one
+    predict call per group, must equal bit for bit."""
+    ordered = sorted(scenes, key=lambda s: s.seed)
+    d_errors, p_errors = np.empty(len(ordered)), np.empty(len(ordered))
+    for group in sim.shape_groups(ordered):
+        t_obs = ordered[group[0]].t_obs
+        per_call = max(1, rows // t_obs)
+        for start in range(0, len(group), per_call):
+            chunk = group[start:start + per_call]
+            visual, future = predict([ordered[i] for i in chunk])
+            pixel = np.stack([ordered[i].pixel[ordered[i].hidden] for i in chunk])
+            d_errors[chunk] = mt.track_errors(visual, pixel[:, :t_obs])
+            p_errors[chunk] = mt.track_errors(future, pixel[:, t_obs:])
+    mse_d, mse_p = float(np.mean(d_errors)), float(np.mean(p_errors))
+    return mt.EvalReport("m", "test", len(scenes), mse_d, mse_p, mse_d + mse_p)
+
+
 @pytest.fixture(scope="module")
 def mixed_scenes():
     """Nine scenes with observation windows of 6 and 5 steps, interleaved."""
@@ -153,22 +173,35 @@ def mixed_scenes():
 
 
 class TestBatchedScoring:
-    def test_chunks_hold_one_shape_within_the_row_budget(self, mixed_scenes, monkeypatch):
-        monkeypatch.setattr(mt, "SCORE_ROWS", 18)
+    def test_one_predict_call_per_shape_group_in_seed_order(self, mixed_scenes):
         calls = []
 
         def predict(batch):
-            calls.append(batch)
+            calls.append([scene.seed for scene in batch])
             return FixedOffsetMethod(3.0, 4.0).predict(batch)
 
         report = mt.score_scenes(predict, mixed_scenes, "m", "test")
         assert report.mse_d == pytest.approx(5.0, abs=1e-12)
-        assert all(len({scene.shape for scene in batch}) == 1 for batch in calls)
-        assert all(len(batch) * batch[0].t_obs <= 18 for batch in calls)
-        # 5 scenes of 6 rows in chunks of 3, then 4 of 5 rows in chunks of 3
-        assert [len(batch) for batch in calls] == [3, 2, 3, 1]
-        scored = [scene.seed for batch in calls for scene in batch]
-        assert sorted(scored) == sorted(scene.seed for scene in mixed_scenes)
+        long = sorted(scene.seed for scene in mixed_scenes if scene.t_obs == 6)
+        short = sorted(scene.seed for scene in mixed_scenes if scene.t_obs == 5)
+        assert calls == [long, short]
+
+    def test_predict_cuts_forward_passes_within_the_row_budget(self, mixed_scenes, monkeypatch):
+        monkeypatch.setattr(pl, "SCORE_ROWS", 18)
+        model = bl.make_model("full", TINY, np.random.default_rng(20))
+        forward, passes = model.forward, []
+
+        def counting(batch):
+            passes.append(batch)
+            return forward(batch)
+
+        model.forward = counting
+        mt.score_scenes(model.predict, mixed_scenes, "full", "test")
+        assert all(len({scene.shape for scene in batch}) == 1 for batch in passes)
+        assert all(len(batch) * batch[0].t_obs <= 18 for batch in passes)
+        # 5 scenes of 6 rows in passes of 3, then 4 of 5 rows in passes of 3:
+        # the chunks the scorer cut when each chunk was one predict call
+        assert [[scene.seed for scene in batch] for batch in passes] == [[40, 41, 42], [43, 44], [60, 61, 62], [63]]
 
     def test_input_order_does_not_matter(self, mixed_scenes):
         model = bl.make_model("full", TINY, np.random.default_rng(20))
@@ -192,6 +225,20 @@ class TestBatchedScoring:
         reference = bl.make_reference(name)
         report = mt.score_scenes(reference.predict, mixed_scenes, name, "test")
         assert (report.mse_d, report.mse_p) == per_scene_scores(reference.predict, mixed_scenes)
+
+    @pytest.mark.parametrize("name", ["full", "two_stage:gru", "direct:lstm"])
+    def test_learned_reports_equal_the_chunked_scorers_bit_for_bit(self, mixed_scenes, monkeypatch, name):
+        monkeypatch.setattr(pl, "SCORE_ROWS", 18)
+        want = chunked_report(bl.make_model(name, TINY, np.random.default_rng(22)).predict, mixed_scenes, 18)
+        got = mt.score_scenes(bl.make_model(name, TINY, np.random.default_rng(22)).predict, mixed_scenes, "m", "test")
+        assert got == want
+
+    @pytest.mark.parametrize("name", bl.REFERENCE_METHODS)
+    def test_reference_reports_equal_the_chunked_scorers_bit_for_bit(self, mixed_scenes, name):
+        reference = bl.make_reference(name)
+        assert mt.score_scenes(reference.predict, mixed_scenes, "m", "test") == chunked_report(
+            reference.predict, mixed_scenes, 18
+        )
 
     def test_a_predict_that_drops_scenes_is_rejected(self, scenes):
         with pytest.raises(LengthMismatch):

@@ -142,16 +142,29 @@ class TestFeatures:
         scenes = tiny_scenes(4, noise="hard", t_obs=12) + [
             sim.make_scene(sim.SimulatorConfig(t_obs=30, t_pred=5, camera_motion="arc"), seed) for seed in (1, 2)
         ]
+        edited = []
         for scene in scenes:
             for _ in range(5):
-                edited = copy.deepcopy(scene)
+                copied = copy.deepcopy(scene)
                 t = scene.t_obs
-                for row in in_sight_rows(edited):
-                    edited.visible[row, :t] &= rng.random(t) < rng.random()
-                    edited.pixel[row, :t][~edited.visible[row, :t]] = np.nan
-                want = loop_estimator_features(edited)
-                got = pl.estimator_features(edited)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                for row in in_sight_rows(copied):
+                    copied.visible[row, :t] &= rng.random(t) < rng.random()
+                    copied.pixel[row, :t][~copied.visible[row, :t]] = np.nan
+                edited.append(copied)
+        blind = edited[0]  # one agent never visible inside the window
+        gone = in_sight_rows(blind)[0]
+        blind.visible[gone, : blind.t_obs] = False
+        blind.pixel[gone, : blind.t_obs] = np.nan
+        # one list, its agent counts and shapes interleaved
+        order = rng.permutation(len(edited))
+        edited = [edited[i] for i in order]
+        assert len({len(scene.agent_ids) for scene in edited}) == 2
+        got = pl.estimator_features(edited)
+        assert len(got) == len(edited)
+        for scene, pairs in zip(edited, got):
+            want = loop_estimator_features(scene)
+            assert pairs.shape == want.shape and pairs.tobytes() == want.tobytes()
+        assert len(got[np.flatnonzero(order == 0)[0]]) < len(in_sight_rows(blind))
 
     def test_slots_filled_in_agent_order(self):
         scene = tiny_scenes(1)[0]
@@ -206,8 +219,11 @@ class TestFeatures:
         rows = [scene.hidden]
         lone = dataclasses.replace(scene, agent_ids=[scene.out_of_sight_id], world=scene.world[rows],
                                    sensor=scene.sensor[rows], pixel=scene.pixel[rows], visible=scene.visible[rows])
-        with pytest.raises(NoInSightAgents):
+        with pytest.raises(NoInSightAgents, match=f"scene seed {scene.seed} "):
             pl.estimator_features(lone)
+        lone.seed = 77
+        with pytest.raises(NoInSightAgents, match="scene seed 77 "):
+            pl.estimator_features([scene, lone])
 
 
 def fit_rows(estimator, scene):
@@ -502,6 +518,40 @@ class TestCameraMemo:
         assert sorted(len(call) for call in calls) == [2, 2]
         model.forward(scenes)
         assert len(calls) == 2
+
+    def test_a_predict_over_many_forward_passes_fits_once_per_pair_count(self, monkeypatch):
+        calls = self.count_fits(monkeypatch)
+        monkeypatch.setattr(pl, "SCORE_ROWS", 12)  # two 6-step scenes per forward pass
+        scenes = tiny_scenes(6, seed0=40, noise="default")
+        for scene in scenes[1::2]:  # three of the six scenes lose a visible agent
+            gone = in_sight_rows(scene)[0]
+            scene.visible[gone, : scene.t_obs] = False
+            scene.pixel[gone, : scene.t_obs] = np.nan
+        assert [len(pairs) for pairs in pl.estimator_features(scenes)] == [3, 2] * 3
+        model = pl.VisionPipeline(TINY, np.random.default_rng(22))
+        forward, passes = model.forward, []
+
+        def counting(batch):
+            passes.append(len(batch))
+            return forward(batch)
+
+        model.forward = counting
+        model.predict(scenes)
+        assert passes == [2, 2, 2]
+        assert sorted(len(call) for call in calls) == [3, 3]
+        model.predict(scenes)
+        assert len(calls) == 2
+
+    def test_training_fits_every_camera_once_before_its_first_step(self, monkeypatch):
+        events = []
+        fit, step = pl.fit_cameras, Adam.step
+        monkeypatch.setattr(pl, "fit_cameras", lambda *args: events.append("fit") or fit(*args))
+        monkeypatch.setattr(Adam, "step", lambda self: events.append("step") or step(self))
+        scenes = tiny_scenes(6, noise="default")
+        assert len({len(pairs) for pairs in pl.estimator_features(scenes)}) == 1
+        model = pl.VisionPipeline(TINY, np.random.default_rng(20))
+        pl.train_model(model, scenes[:4], scenes[4:], TrainConfig(epochs=2, batch_size=2, seed=0))
+        assert events == ["fit"] + ["step"] * 4
 
     def test_memoized_predictions_equal_a_fresh_models(self):
         scenes = tiny_scenes(5, noise="default")

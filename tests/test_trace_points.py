@@ -1,8 +1,9 @@
 """The benchmark's trace points (bench/harness.py) wrap package attributes
 by name; each one must exist, and uninstalling must put back the exact
-object that was there. The ones that span a transformer's sublayers must
-also fire where the work is: once per attention and layer norm of every
-block a forward runs, and never on a model without one."""
+object that was there. The ones that span a transformer's sublayers and
+the camera stage must also fire where the work is: once per attention and
+layer norm of every block a forward runs, the camera stage on every
+pipeline predict and loss, and neither on a model without them."""
 
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindtrack import nn
+from blindtrack import nn, pipeline
 from blindtrack.baselines import make_model
 from blindtrack.tensor import Tensor
 
@@ -70,6 +71,24 @@ def test_sublayer_trace_points_fire_once_per_block(monkeypatch, name, blocks):
     found = [m for m in submodules(model) if isinstance(m, nn.TransformerBlock)]
     assert len(found) == blocks
     assert calls == Counter(id(m) for block in found for m in (block.norm_attn, block.attn, block.norm_ff))
+
+
+@pytest.mark.parametrize("name, fires", [("full", True), ("two_stage:gru", False)])
+def test_camera_trace_points_fire_on_the_camera_stage_alone(monkeypatch, name, fires):
+    """harness spans pipeline.estimator_features and
+    CameraEstimator.__call__: a full predict and a full loss_terms must
+    call both, and a model without the camera stage neither."""
+    calls = Counter()
+    features, estimate = pipeline.estimator_features, pipeline.CameraEstimator.__call__
+    monkeypatch.setattr(pipeline, "estimator_features", lambda scenes: calls.update(["features"]) or features(scenes))
+    monkeypatch.setattr(
+        pipeline.CameraEstimator, "__call__", lambda self, *args: calls.update(["estimator"]) or estimate(self, *args)
+    )
+    model = make_model(name, TINY, np.random.default_rng(0))
+    for run in (model.predict, model.loss_terms):
+        calls.clear()
+        run(tiny_scenes(2))
+        assert set(calls) == ({"features", "estimator"} if fires else set()), run.__name__
 
 
 def test_a_transformer_block_adds_six_graph_nodes():
