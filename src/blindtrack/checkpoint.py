@@ -5,11 +5,16 @@ canonical-JSON header, then each array as raw little-endian float64 in the
 order the header lists them. No timestamps or other ambient state, so the
 same model bytes always produce the same file.
 
-The header's "kind" (the method name) alone names the architecture,
+A checkpoint is the model: its arrays are the parameters, and nothing
+else. The header's "kind" (the method name) alone names the architecture,
 "model" holds only the ModelConfig dimensions (t_pred, width, layers,
-heads and the rig's focal length), "train" the TrainConfig and "adam"
-the optimizer's step count and lr. A header of another format, or with
-"model" or "train" values that fail validation, is refused with SchemaError.
+heads and the rig's focal length) and "train" the TrainConfig. "epoch",
+"best_val_sum" and "adam" (the optimizer's step count and lr) record the
+run and are never read back. A header of another format, or with "model"
+or "train" values that fail validation, is refused with SchemaError, and
+so is a file that stores arrays the model lacks: a checkpoint of the
+older format, which also held Adam's moments as "adam.m:"/"adam.v:"
+arrays, is refused naming its first "adam.m:" array.
 """
 
 from __future__ import annotations
@@ -28,12 +33,8 @@ from .nn import Adam
 
 MAGIC = b"BTCKPT01"
 
-ADAM_M = "adam.m:"
-ADAM_V = "adam.v:"
 # header entries every reader relies on
-HEADER_KEYS = ("kind", "model", "train", "adam", "arrays")
-# the optimizer state restore_model reads from header["adam"]
-ADAM_KEYS = ("t", "lr")
+HEADER_KEYS = ("kind", "model", "train", "arrays")
 
 
 def save_checkpoint(
@@ -50,9 +51,7 @@ def save_checkpoint(
         opt_p is not p for opt_p, (_, p) in zip(optimizer.params, named)
     ):
         raise ValueError("optimizer does not track exactly the model parameters, in order")
-    arrays: list[tuple[str, np.ndarray]] = [(name, p.data) for name, p in named]
-    arrays += [(ADAM_M + name, m) for (name, _), m in zip(named, optimizer.m)]
-    arrays += [(ADAM_V + name, v) for (name, _), v in zip(named, optimizer.v)]
+    arrays = [(name, p.data) for name, p in named]
     header = {
         "kind": model.name,
         "model": asdict(model.cfg),
@@ -60,7 +59,7 @@ def save_checkpoint(
         "config_hash": config_hash,
         "epoch": int(epoch),
         "best_val_sum": best_val_sum,
-        "adam": {key: getattr(optimizer, key) for key in ADAM_KEYS},
+        "adam": {"t": optimizer.t, "lr": optimizer.lr},
         "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]} for n, a in arrays],
     }
     blob = canonical_json(header).encode()
@@ -130,41 +129,31 @@ def train_config_from_header(header: dict) -> TrainConfig:
     return _section(header, "train", TrainConfig)
 
 
-def restore_model(model, header: dict, arrays: dict[str, np.ndarray]) -> Adam:
-    """Copy parameters into a freshly built model and rebuild its
-    optimizer, including moment estimates and step count. Every stored
-    array must have a place in the model, and hold finite values only: a
-    checkpoint written by another version of the architecture is refused,
-    not silently trimmed, and so is one holding NaN or inf."""
-    names = [name for name, _ in model.named_parameters()]
-    expected = {key for name in names for key in (name, ADAM_M + name, ADAM_V + name)}
-    unknown = sorted({key.removeprefix(ADAM_M).removeprefix(ADAM_V) for key in set(arrays) - expected})
+def restore_model(model, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Copy parameters into a freshly built model; takes (header, arrays)
+    as load_checkpoint returns them, though the model was built from the
+    header already. Every stored array must have a place in the model, and
+    hold finite values only: a checkpoint written by another version of
+    the architecture is refused, not silently trimmed, and so is one
+    holding NaN or inf."""
+    named = list(model.named_parameters())
+    unknown = sorted(set(arrays) - {name for name, _ in named})
     if unknown:
         raise SchemaError(
             f"checkpoint holds parameters a {model.name!r} model does not have: {', '.join(unknown)}",
             field=unknown[0],
         )
-    adam = header["adam"] if isinstance(header.get("adam"), dict) else {}
-    for key in ADAM_KEYS:
-        value = adam.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            what = "missing" if key not in adam else "non-numeric"
-            raise SchemaError(f"checkpoint header 'adam': {what} field {key!r}", field=f"adam.{key}")
-    optimizer = Adam(model.parameters(), lr=adam["lr"])
-    optimizer.t = adam["t"]
-    for i, (name, p) in enumerate(model.named_parameters()):
-        for key, dest in ((name, p.data), (ADAM_M + name, optimizer.m[i]), (ADAM_V + name, optimizer.v[i])):
-            if key not in arrays:
-                raise SchemaError(f"checkpoint missing array {key!r}", field=key)
-            if arrays[key].shape != dest.shape:
-                raise SchemaError(
-                    f"array {key!r} has shape {arrays[key].shape}, model needs {dest.shape}",
-                    field=key,
-                )
-            if not np.isfinite(arrays[key]).all():
-                raise SchemaError(f"array {key!r} holds a non-finite value", field=key)
-            dest[...] = arrays[key]
-    return optimizer
+    for name, p in named:
+        if name not in arrays:
+            raise SchemaError(f"checkpoint missing array {name!r}", field=name)
+        if arrays[name].shape != p.data.shape:
+            raise SchemaError(
+                f"array {name!r} has shape {arrays[name].shape}, model needs {p.data.shape}",
+                field=name,
+            )
+        if not np.isfinite(arrays[name]).all():
+            raise SchemaError(f"array {name!r} holds a non-finite value", field=name)
+        p.data[...] = arrays[name]
 
 
 def require_hash(header: dict, expected: str, what: str) -> None:

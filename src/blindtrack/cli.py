@@ -124,7 +124,7 @@ def cmd_train(args) -> int:
         optimizer,
         tcfg,
         config_hash=cfg_hash,
-        epoch=tcfg.epochs - 1,
+        epoch=result.best_epoch,
         best_val_sum=result.best_val_sum,
     )
     (out / "training_log.csv").write_text(history_to_csv(result.history))

@@ -659,8 +659,6 @@ def train_model(
     val_scenes: list[Scene],
     tcfg: TrainConfig,
     optimizer: Adam | None = None,
-    start_epoch: int = 0,
-    stop_epoch: int | None = None,
     on_epoch=None,
 ) -> TrainResult:
     """Joint training on the summed pixel losses, one autodiff graph per
@@ -669,18 +667,15 @@ def train_model(
     Before the first epoch the model prepares every training and
     validation scene (TrajectoryModel.prepare): the pipeline fits all
     their cameras there. The scene order is reshuffled each epoch from a
-    generator keyed by (seed, epoch) alone, so resuming from a checkpoint
-    replays the exact batch sequence; stop_epoch pauses a run early for
-    checkpointing. The model is left holding the parameters of its best
-    validation epoch (by summed error); without validation scenes, the
-    final epoch wins.
+    generator keyed by (seed, epoch) alone. The model is left holding the
+    parameters of its best validation epoch (by summed error); without
+    validation scenes, the final epoch wins.
     """
     optimizer = optimizer or Adam(model.parameters(), lr=tcfg.lr)
     model.prepare(train_scenes + val_scenes)
     result = TrainResult()
     best: dict[str, np.ndarray] | None = None
-    end_epoch = tcfg.epochs if stop_epoch is None else min(stop_epoch, tcfg.epochs)
-    for epoch in range(start_epoch, end_epoch):
+    for epoch in range(tcfg.epochs):
         order = _shuffle(tcfg.seed, epoch, len(train_scenes))
         sum_d = sum_p = 0.0
         for batch_no, start in enumerate(range(0, len(order), tcfg.batch_size)):

@@ -1,5 +1,5 @@
-"""Checkpoints: exact round trips, byte determinism, bitwise training
-resume, and corruption guards."""
+"""Checkpoints: exact round trips, byte determinism and corruption
+guards."""
 
 import copy
 import hashlib
@@ -50,15 +50,13 @@ class TestRoundTrip:
         assert ck.model_config_from_header(header) == TINY
         assert ck.train_config_from_header(header) == tcfg
 
+        assert header["adam"] == {"t": optimizer.t, "lr": tcfg.lr}  # a record of the run
+        assert list(arrays) == [name for name, _ in model.named_parameters()]
+
         rebuilt = bl.make_model(header["kind"], ck.model_config_from_header(header), np.random.default_rng(99))
-        restored_opt = ck.restore_model(rebuilt, header, arrays)
+        ck.restore_model(rebuilt, header, arrays)
         for (name, p), (_, q) in zip(model.named_parameters(), rebuilt.named_parameters()):
             assert np.array_equal(p.data, q.data), name
-        assert restored_opt.t == optimizer.t
-        for m_old, m_new in zip(optimizer.m, restored_opt.m):
-            assert np.array_equal(m_old, m_new)
-        for v_old, v_new in zip(optimizer.v, restored_opt.v):
-            assert np.array_equal(v_old, v_new)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         model, optimizer, tcfg, _ = small_trained_model()
@@ -68,43 +66,21 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
     def test_untrained_checkpoint_keeps_its_sha256(self, tmp_path):
-        # PCG64 draws and zero moments: the bytes do not depend on BLAS
+        # PCG64 draws only: the bytes do not depend on BLAS
         model = pl.VisionPipeline(TINY, np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
         tcfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=0)
         ck.save_checkpoint(path, model, Adam(model.parameters(), lr=1e-3), tcfg, config_hash="abc123")
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "c582f63355fd5090f7950e49d1cde8254016e02960c6e2b1c49ebf7964b14260"
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "cddfc86175eea9093bcbc4d620674bd4b5bb2a6b5205fd847cdd78ab0322170b"
         )
-
-
-class TestResume:
-    def test_resumed_training_is_bitwise_identical(self, tmp_path):
-        scenes = tiny_scenes(4, noise="default")
-        tcfg = TrainConfig(epochs=4, batch_size=2, lr=1e-3, seed=11)
-
-        # uninterrupted run
-        model_a = pl.VisionPipeline(TINY, np.random.default_rng(1))
-        opt_a = Adam(model_a.parameters(), lr=tcfg.lr)
-        result_a = pl.train_model(model_a, scenes, [], tcfg, optimizer=opt_a)
-
-        # interrupted at epoch 2, checkpointed, resumed
-        model_b = pl.VisionPipeline(TINY, np.random.default_rng(1))
-        opt_b = Adam(model_b.parameters(), lr=tcfg.lr)
-        result_b1 = pl.train_model(model_b, scenes, [], tcfg, optimizer=opt_b, stop_epoch=2)
-        path = tmp_path / "half.ckpt"
-        ck.save_checkpoint(path, model_b, opt_b, tcfg, epoch=1)
-
-        header, arrays = ck.load_checkpoint(path)
-        model_c = bl.make_model(header["kind"], ck.model_config_from_header(header), np.random.default_rng(77))
-        opt_c = ck.restore_model(model_c, header, arrays)
-        result_c = pl.train_model(model_c, scenes, [], tcfg, optimizer=opt_c, start_epoch=2)
-
-        losses_a = [(s.loss_denoise, s.loss_pred) for s in result_a.history]
-        losses_bc = [(s.loss_denoise, s.loss_pred) for s in result_b1.history + result_c.history]
-        assert losses_a == losses_bc
-        for (name, p), (_, q) in zip(model_a.named_parameters(), model_c.named_parameters()):
-            assert np.array_equal(p.data, q.data), name
+        # the parameter blocks alone, as the first 40 arrays of the format
+        # that also stored Adam's moments wrote them: no parameter byte moved
+        (length,) = struct.unpack("<Q", blob[8:16])
+        assert hashlib.sha256(blob[16 + length :]).hexdigest() == (
+            "3afe2a1fe59297c4e3551443328dadc6617c74ed7a7d0f8ceffbeddb03cc0ed9"
+        )
 
 
 class TestGuards:
@@ -165,7 +141,7 @@ class TestGuards:
         with pytest.raises(SchemaError, match=f"missing field '{dropped}'"):
             read(short)
 
-    @pytest.mark.parametrize("key", ["kind", "model", "train", "adam", "arrays"])
+    @pytest.mark.parametrize("key", ["kind", "model", "train", "arrays"])
     def test_header_without_an_entry_rejected(self, tmp_path, key):
         model, optimizer, tcfg, _ = small_trained_model()
         path = tmp_path / "model.ckpt"

@@ -17,6 +17,7 @@ import pytest
 
 from blindtrack.baselines import make_model
 from blindtrack.checkpoint import (
+    MAGIC,
     load_checkpoint,
     model_config_from_header,
     restore_model,
@@ -107,6 +108,14 @@ def fill_array(source: Path, dest: Path, value: float, name: str | None = None) 
             return entry["name"]
         offset += 8 * size
     raise KeyError(name)
+
+
+def write_arrays(path: Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write a checkpoint of header whose arrays are exactly `arrays`, in order."""
+    header = {**header, "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]} for n, a in arrays.items()]}
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = b"".join(a.astype("<f8").tobytes() for a in arrays.values())
+    path.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text + body)
 
 
 def _set(target, key, value):
@@ -202,6 +211,17 @@ class TestTrain:
         log = (workdir / "run" / "training_log.csv").read_text().strip().splitlines()
         assert log[0].startswith("epoch,") and len(log) == 1 + TINY["epochs"]
 
+    def test_header_epoch_is_the_best_validation_epoch(self, tmp_path, capsys):
+        # a run whose val_sum is lowest before its last epoch
+        cfg = write_config(tmp_path / "tiny.json", epochs=4, lr=1e-2)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        assert main(["train", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "run")]) == 0
+        printed = int(capsys.readouterr().out.split("(best epoch ")[1].split(")")[0])
+        log = (tmp_path / "run" / "training_log.csv").read_text().strip().splitlines()[1:]
+        val_sums = [float(line.split(",")[5]) for line in log]
+        header, _ = load_checkpoint(tmp_path / "run" / "checkpoint.ckpt")
+        assert header["epoch"] == printed == int(np.argmin(val_sums)) < len(log) - 1
+
     def test_mismatched_config_exits_4(self, workdir, tmp_path):
         cfg = write_config(tmp_path / "other.json", data_seed=99)
         assert main(["train", "--dataset", str(workdir / "data"), "--config", str(cfg),
@@ -264,6 +284,12 @@ class TestEval:
                         config_hash=header["config_hash"])
         assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
         assert "legacy_stage.weight" in capsys.readouterr().err
+        # the older format: the parameters, then Adam's moments of each
+        path = tmp_path / "with_moments.ckpt"
+        moments = {f"adam.{key}:{name}": np.zeros_like(a) for key in "mv" for name, a in arrays.items()}
+        write_arrays(path, header, {**arrays, **moments})
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
+        assert "does not have: adam.m:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -272,7 +298,6 @@ class TestEval:
             # a header written before the method name alone named the model
             (lambda header: header["model"].update(use_denoiser=True), "'use_denoiser'"),
             (lambda header: header.pop("train"), "'train'"),
-            (lambda header: header["adam"].pop("lr"), "'adam': missing field 'lr'"),
             (lambda header: header["arrays"][0].pop("rows"), "arrays[0]"),
             (lambda header: header.update(arrays=5), "'arrays' is not a list"),
             (lambda header: header["model"].update(width="x"), "field 'width' holds str"),
@@ -293,7 +318,7 @@ class TestEval:
             # a header written while the prediction loss had a weight
             (lambda header: header["train"].update(pred_weight=1.0), "'train': unknown field 'pred_weight'"),
         ],
-        ids=["extra_model_field", "use_denoiser", "missing_train", "missing_adam_lr", "array_without_rows",
+        ids=["extra_model_field", "use_denoiser", "missing_train", "array_without_rows",
              "arrays_not_a_list", "width_not_an_int", "negative_rows", "rows_past_the_end", "n_in_max_no_focal",
              "heads_0", "heads_3_width_16", "width_0", "width_negative", "focal_0", "focal_negative", "focal_nan",
              "train_empty", "train_a_list", "seed_a_string", "batch_size_0", "train_names_pred_weight"],

@@ -4,7 +4,7 @@ backbone kind, cell semantics, and the Adam update against hand formulas."""
 import numpy as np
 import pytest
 
-from blindtrack import checkpoint as ck, nn, pipeline as pl, tensor as tz
+from blindtrack import nn, pipeline as pl, tensor as tz
 from blindtrack.config import TrainConfig
 from blindtrack.errors import MissingGradient, ShapeMismatch, UnknownCellKind
 from blindtrack.tensor import Tensor
@@ -281,9 +281,9 @@ class TestAdam:
             opt.step()
         assert np.allclose(p.data, expect, atol=1e-15)
 
-    def test_in_place_step_is_the_formula_bit_for_bit(self, tmp_path):
-        """Five steps on random gradients, then five more from a restored
-        checkpoint, against the update written as fresh arrays."""
+    def test_in_place_step_is_the_formula_bit_for_bit(self):
+        """Ten steps on random gradients against the update written as
+        fresh arrays."""
         rng = np.random.default_rng(13)
         model = pl.VisionPipeline(TINY, np.random.default_rng(0))
         opt = nn.Adam(model.parameters(), lr=1e-2)
@@ -292,11 +292,6 @@ class TestAdam:
         v = [np.zeros_like(p) for p in want]
         b1, b2, eps, lr = nn.Adam.BETA1, nn.Adam.BETA2, nn.Adam.EPS, 1e-2
         for t in range(1, 11):
-            if t == 6:
-                path = tmp_path / "adam.ckpt"
-                ck.save_checkpoint(path, model, opt, TrainConfig(lr=lr))
-                model = pl.VisionPipeline(TINY, np.random.default_rng(1))
-                opt = ck.restore_model(model, *ck.load_checkpoint(path))
             for i, p in enumerate(model.parameters()):
                 g = rng.normal(size=p.data.shape)
                 g[rng.random(g.shape) < 0.2] = 0.0
