@@ -140,7 +140,8 @@ def restore_model(model, header: dict, arrays: dict[str, np.ndarray]) -> None:
     unknown = sorted(set(arrays) - {name for name, _ in named})
     if unknown:
         raise SchemaError(
-            f"checkpoint holds parameters a {model.name!r} model does not have: {', '.join(unknown)}",
+            f"checkpoint holds {len(unknown)} parameters a {model.name!r} model does not have: "
+            f"{', '.join(unknown[:3])}{', ...' if len(unknown) > 3 else ''}",
             field=unknown[0],
         )
     for name, p in named:

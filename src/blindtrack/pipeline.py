@@ -3,13 +3,13 @@ track, fit the camera to the visible agents' (pixel, sensor) pairs,
 project the denoised track into the image with a differentiable pinhole
 map, and predict future pixels from the projected track. The camera is a
 geometric fit with no learned parameters: one matrix per observation
-window, tiled over the window's steps. It never depends on the weights,
-so a model fits each scene's camera once and reuses it in every later
-epoch, validation pass and prediction (CameraEstimator). The fit reads the
-rig it is given: the focal length is a model dimension (ModelConfig.focal,
-filled from the run config's sim.focal and kept in the checkpoint header),
-and the principal point is the centre of each scene's image. The denoiser
-and the predictor are trained end to end on the hidden agent's pixels
+window, tiled over the window's steps. It is a pure function of the
+scene, so a model fits a scene's camera on first sight and then looks it
+up by the scene (CameraEstimator). The fit reads the rig it is given: the
+focal length is a model dimension (ModelConfig.focal, filled from the run
+config's sim.focal and kept in the checkpoint header), and the principal
+point is the centre of each scene's image. The denoiser and the predictor
+are trained end to end on the hidden agent's pixels
 (scene.pixel[scene.hidden], in pixel_losses): the denoising loss compares
 the projected denoised track with them over the observation window, the
 prediction loss the forecast over the prediction window, and training
@@ -24,10 +24,10 @@ predict a whole shape group, which predict cuts into forward passes with
 no graph of at most SCORE_ROWS observed rows each. Before those passes,
 and before training's first epoch, the model prepares the scenes
 (TrajectoryModel.prepare): the pipeline fits every new scene's camera
-there, stacked by pair count (fit_cameras), bit for bit the per-scene
-fit, so one predict call or one training run fits each (shape group,
-pair count) once. A scene whose horizon is not the model's t_pred is
-refused with SchemaError (TrajectoryModel.batch).
+there, stacked by image size and pair count (fit_cameras), bit for bit
+the per-scene fit, so the forward passes only look cameras up. A scene
+whose horizon is not the model's t_pred is refused with SchemaError
+(TrajectoryModel.batch).
 
 The method name alone is a pipeline's architecture (pipeline_layout);
 ModelConfig holds only its dimensions.
@@ -40,6 +40,7 @@ pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -54,7 +55,6 @@ from .simulator import (
     ARENA_X,
     ARENA_Y,
     HEIGHT_RANGE,
-    IMAGE_SIZE,
     POSE_BOX,
     Scene,
     shape_groups,
@@ -298,6 +298,7 @@ def pose_camera(pose: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     return intrinsics.matrix() @ look_at(pose[..., :3], pose[..., 3:])
 
 
+@functools.lru_cache(maxsize=16)
 def nominal_camera(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Camera rows of the nominal rig mount, with per-element spreads.
 
@@ -307,12 +308,16 @@ def nominal_camera(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray
     unit raw output span the plausible cameras, so the projection is well
     conditioned from the first optimizer step: denominators start at true
     scene depths, far from the clamp, instead of at random near-zero
-    values. Both arrays are (1, 12), row-major.
+    values. Both arrays are (1, 12), row-major. Built once per intrinsics
+    and returned read-only.
     """
     nominal = pose_camera(POSE_MID, intrinsics)
     corners = pose_camera(np.array(list(itertools.product(*POSE_BOX))), intrinsics)
     spread = np.maximum(np.abs(corners - nominal).max(axis=0), 1e-2)
-    return nominal.reshape(1, 12), spread.reshape(1, 12)
+    rows = nominal.reshape(1, 12), spread.reshape(1, 12)
+    for array in rows:
+        array.setflags(write=False)
+    return rows
 
 
 def _roots(values: np.ndarray) -> np.ndarray:
@@ -465,40 +470,35 @@ class SensorDenoiser(Module):
 
 
 class CameraEstimator:
-    """The camera fitted to each scene's visible agents, as matrix rows
-    tiled over the observation window: a batch's (n, 5) pairs from
-    estimator_features -> (B*steps, 12), scene-major.
+    """The camera fitted to each scene's visible agents: a list of scenes
+    -> (B, 12), one row-major 3x4 matrix per scene, in list order.
 
-    It fits one look-at camera per scene to the pairs, with the rig's focal
-    length and the principal point at the image centre, in one fit_cameras
-    call per distinct pair count n. It has no parameters
-    and passes no gradient: the camera is a pure function of the visible
-    agents' inputs. So each estimator fits a scene's camera once and keeps
-    it in `fits`, keyed by the fit's exact input (the pairs' bytes and the
-    image size): later epochs, validation passes and predictions reuse the
-    same float64 rows, and a scene whose visible agents change gets a fit
-    of its own. With steps 0 a call only fits and returns no rows; that is
-    how VisionPipeline.prepare fits a whole list of scenes ahead of the
-    forward passes that read their rows.
+    One look-at camera per scene, fitted to its pairs (estimator_features)
+    with the rig's focal length and the principal point at the centre of
+    the scene's image. It has no parameters and passes no gradient: the
+    camera is a pure function of the scene. So a call fits only the scenes
+    not yet in `fits`, which is keyed by the Scene object itself: one
+    estimator_features call over them and one fit_cameras call per image
+    size and pair count. A scene edited in place keeps its first fit; an
+    edited copy is a new scene and gets its own.
     """
 
     def __init__(self, focal: float):
         self.focal = focal
-        self.fits: dict[tuple[bytes, tuple[int, int]], np.ndarray] = {}
+        self.fits: dict[Scene, np.ndarray] = {}
 
-    def __call__(self, features: list[np.ndarray], image_size: tuple[int, int], steps: int) -> Tensor:
-        keys = [(pairs.tobytes(), tuple(image_size)) for pairs in features]
-        new: dict[int, dict] = {}  # the unfitted scenes' pairs by key, grouped by pair count
-        for key, pairs in zip(keys, features):
-            if key not in self.fits:
-                new.setdefault(len(pairs), {})[key] = pairs
-        intrinsics = CameraIntrinsics.centered(self.focal, image_size)
-        for group in new.values():
+    def __call__(self, scenes: list[Scene]) -> Tensor:
+        new = list(dict.fromkeys(scene for scene in scenes if scene not in self.fits))
+        groups: dict[tuple, dict[Scene, np.ndarray]] = {}  # by (image size, pair count)
+        for scene, pairs in zip(new, estimator_features(new) if new else []):
+            groups.setdefault((tuple(scene.image_size), len(pairs)), {})[scene] = pairs
+        for (size, _), group in groups.items():
             pairs = np.stack(list(group.values()))
-            pixel = (pairs[..., :2] + 0.5) * np.asarray(image_size, dtype=np.float64)
+            pixel = (pairs[..., :2] + 0.5) * np.asarray(size, dtype=np.float64)
             world = pairs[..., 2:] * ARENA_HALF + ARENA_MID
-            self.fits.update(zip(group, fit_cameras(world, pixel, intrinsics).reshape(-1, 1, 12)))
-        return Tensor(np.repeat(np.concatenate([self.fits[key] for key in keys]), steps, axis=0))
+            cameras = fit_cameras(world, pixel, CameraIntrinsics.centered(self.focal, size))
+            self.fits.update(zip(group, cameras.reshape(-1, 12)))
+        return Tensor(np.array([self.fits[scene] for scene in scenes]).reshape(-1, 12))
 
 
 class FuturePixelPredictor(Module):
@@ -563,11 +563,8 @@ class VisionPipeline(TrajectoryModel):
                 self.estimator = CameraEstimator(cfg.focal)
             else:
                 # scene-independent camera: a learned correction to the
-                # nominal mount at the standard image centre, starting there
-                nominal, spread = nominal_camera(CameraIntrinsics.centered(cfg.focal, IMAGE_SIZE))
+                # nominal mount of the batch's rig (forward), starting there
                 self.static_rows = Tensor(np.zeros((1, 12)), requires_grad=True)
-                self.static_nominal = Tensor(nominal)
-                self.static_spread = spread.ravel()
         else:
             self.visual_head = Linear(3, 2, rng)
         if drop != "predictor":
@@ -575,13 +572,10 @@ class VisionPipeline(TrajectoryModel):
 
     def prepare(self, scenes: list[Scene]) -> None:
         """Fit the camera of every scene the estimator has not seen yet, in
-        one fit_cameras call per shape group and pair count, so the
-        forward passes over the scenes only look their cameras up."""
-        if self.drop in ("estimator", "projection"):
-            return
-        for positions in shape_groups(scenes):
-            group = [scenes[i] for i in positions]
-            self.estimator(estimator_features(group), group[0].image_size, 0)
+        one estimator call over the whole list, so the forward passes over
+        the scenes only look their cameras up."""
+        if self.drop not in ("estimator", "projection"):
+            self.estimator(scenes)
 
     def forward(self, scenes: Scene | list[Scene]) -> tuple[Tensor, Tensor]:
         """Returns (denoised pixel tracks (B*t_obs, 2), future tracks
@@ -594,9 +588,10 @@ class VisionPipeline(TrajectoryModel):
 
         if drop != "projection":
             if drop != "estimator":
-                rows = self.estimator(estimator_features(scenes), size, t_obs)
+                rows = tile_rows(self.estimator(scenes), t_obs)
             else:
-                static = add(col_scale(self.static_rows, self.static_spread), self.static_nominal)
+                nominal, spread = nominal_camera(CameraIntrinsics.centered(self.cfg.focal, size))
+                static = add(col_scale(self.static_rows, spread.ravel()), Tensor(nominal))
                 rows = tile_rows(static, len(scenes) * t_obs)
             visual = project_rows(rows, denoised)
         else:

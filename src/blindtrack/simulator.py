@@ -148,10 +148,11 @@ class SimulatorConfig:
         return CameraIntrinsics.centered(self.focal, self.image_size)
 
 
-@dataclass
+@dataclass(eq=False)
 class Scene:
     """One scene: its camera and its agents, stacked as rows. Row i of
-    world, sensor, pixel and visible belongs to agent agent_ids[i]."""
+    world, sensor, pixel and visible belongs to agent agent_ids[i]. A
+    scene equals and hashes only to itself (pipeline.CameraEstimator)."""
 
     seed: int
     t_obs: int

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def in_sight_rows(scene):
 def loop_estimator_features(scene):
     """estimator_features as a loop over agents, each averaged over its
     visible steps alone: the reference the vectorized form must match bit
-    for bit, since its bytes key the camera memo."""
+    for bit, since the camera fit reads them and its pins are digests."""
     size = np.asarray(scene.image_size)
     pairs = []
     for row in in_sight_rows(scene):
@@ -211,8 +212,8 @@ class TestFeatures:
             blind.visible[row, : scene.t_obs] = False
         pairs = pl.estimator_features(blind)
         assert pairs.shape == (0, 5)
-        rows = pl.CameraEstimator(sim.FOCAL)([pairs], blind.image_size, blind.t_obs).data
-        assert np.all(np.isfinite(rows))
+        rows = pl.CameraEstimator(sim.FOCAL)([blind]).data
+        assert rows.shape == (1, 12) and np.all(np.isfinite(rows))
 
     def test_no_visible_agents_rejected(self):
         scene = tiny_scenes(1)[0]
@@ -227,14 +228,23 @@ class TestFeatures:
 
 
 def fit_rows(estimator, scene):
-    return estimator([pl.estimator_features(scene)], scene.image_size, scene.t_obs).data
+    """The estimator's (1, 12) camera row of one scene."""
+    return estimator([scene]).data
 
 
 def fitted_camera(scene, focal=sim.FOCAL):
     rows = fit_rows(pl.CameraEstimator(focal), scene)
-    assert rows.shape == (scene.t_obs, 12)
-    assert np.all(rows == rows[0])  # one matrix for the whole window
+    assert rows.shape == (1, 12)
     return rows[0].reshape(3, 4)
+
+
+def keep_pairs(scene, count):
+    """The scene with every in-sight agent after the first `count` unseen
+    in the window, so its pairs are the first `count` of the original."""
+    for row in in_sight_rows(scene)[count:]:
+        scene.visible[row, : scene.t_obs] = False
+        scene.pixel[row, : scene.t_obs] = np.nan
+    return scene
 
 
 def hidden_track_error(scene, camera):
@@ -332,13 +342,14 @@ def fit_points(cfg, pairs):
 
 
 def assert_fits_equal_the_loop(cfg, features):
-    """One estimator call on a batch's pairs gives each scene the camera
-    loop_fit_camera fits it alone, bit for bit, tiled over its steps."""
-    steps = 2
-    rows = pl.CameraEstimator(cfg.focal)(features, cfg.image_size, steps).data
-    for pairs, got in zip(features, rows.reshape(len(features), steps, 12)):
-        want = loop_fit_camera(*fit_points(cfg, pairs), cfg.intrinsics()).reshape(12)
-        assert all(np.array_equal(step, want) for step in got)
+    """One fit_cameras call per pair count of a batch's pairs, as the
+    estimator stacks them, gives each scene the camera loop_fit_camera
+    fits it alone, bit for bit."""
+    for count in {len(pairs) for pairs in features}:
+        stack = [pairs for pairs in features if len(pairs) == count]
+        got = pl.fit_cameras(*fit_points(cfg, np.stack(stack)), cfg.intrinsics())
+        for pairs, camera in zip(stack, got):
+            assert np.array_equal(camera, loop_fit_camera(*fit_points(cfg, pairs), cfg.intrinsics()))
 
 
 class TestCameraFit:
@@ -361,9 +372,14 @@ class TestCameraFit:
         # arithmetic (np.sqrt for pow, say) moves at least one camera
         cfg = FIT_RIGS[rig]
         rng = np.random.default_rng(5)
-        features = [pl.estimator_features(scene) for scene in sim.make_split(cfg, 4242, 48)]
-        features = [pairs[: rng.integers(1, len(pairs) + 1)] for pairs in features]
+        scenes = sim.make_split(cfg, 4242, 48)
+        scenes = [keep_pairs(s, rng.integers(1, len(pl.estimator_features(s)) + 1)) for s in scenes]
+        features = pl.estimator_features(scenes)
         assert_fits_equal_the_loop(cfg, features)
+        # the estimator, on the scenes themselves
+        rows = pl.CameraEstimator(cfg.focal)(scenes).data
+        for pairs, got in zip(features, rows):
+            assert np.array_equal(got, loop_fit_camera(*fit_points(cfg, pairs), cfg.intrinsics()).reshape(12))
         # and fit_cameras itself, on the stack of every scene's first pair
         world, pixel = fit_points(cfg, np.stack([pairs[:1] for pairs in features]))
         got = pl.fit_cameras(world, pixel, cfg.intrinsics())
@@ -450,9 +466,10 @@ class TestFitPins:
 
     def test_a_batch_of_two_pair_counts_keeps_its_digest(self):
         cfg = sim.SimulatorConfig()
-        features = [pl.estimator_features(scene) for scene in sim.make_split(cfg, 900, 6)]
-        features = [pairs[: 3 if i % 2 else 7] for i, pairs in enumerate(features)]
-        rows = pl.CameraEstimator(cfg.focal)(features, cfg.image_size, 2).data
+        scenes = [keep_pairs(scene, 3 if i % 2 else 7) for i, scene in enumerate(sim.make_split(cfg, 900, 6))]
+        assert [len(pairs) for pairs in pl.estimator_features(scenes)] == [7, 3] * 3
+        # each camera tiled over two steps, as a forward pass over T = 2 tiles it
+        rows = np.repeat(pl.CameraEstimator(cfg.focal)(scenes).data, 2, axis=0)
         assert digest(rows) == "761fa699a9ee7653098473ff59b05bfbbf55d567ad712a8ccc0bb4ff143c9028"
 
     def test_an_arc_t100_hard_batch_keeps_its_digest(self):
@@ -565,6 +582,29 @@ class TestCameraMemo:
             for got, want in zip(model.predict(scene), fresh.predict(scene)):
                 assert np.array_equal(got, want)
 
+    def test_each_scene_is_averaged_once_across_training_and_predictions(self, monkeypatch):
+        seen = Counter()
+        features = pl.estimator_features
+        monkeypatch.setattr(
+            pl, "estimator_features", lambda scenes: seen.update(map(id, scenes)) or features(scenes)
+        )
+        scenes = tiny_scenes(8, noise="default")
+        model = pl.VisionPipeline(TINY, np.random.default_rng(20))
+        result = pl.train_model(model, scenes[:4], scenes[4:6], TrainConfig(epochs=2, batch_size=2, seed=0))
+        assert result.history[-1].val_sum is not None
+        model.predict(scenes)
+        model.predict(scenes)
+        assert seen == Counter(map(id, scenes))
+
+    def test_a_scene_listed_twice_in_one_call_is_fitted_once(self, monkeypatch):
+        calls = self.count_fits(monkeypatch)
+        scene, other = tiny_scenes(2, seed0=50, noise="default")
+        estimator = pl.CameraEstimator(sim.FOCAL)
+        rows = estimator([scene, other, scene]).data
+        assert sum(len(call) for call in calls) == 2 and len(estimator.fits) == 2
+        assert rows.shape == (3, 12) and np.array_equal(rows[0], rows[2])
+        assert np.array_equal(rows[:1], fit_rows(pl.CameraEstimator(sim.FOCAL), scene))
+
     def test_moved_agents_get_their_own_fit(self):
         scene = tiny_scenes(1, noise="default")[0]
         estimator = pl.CameraEstimator(sim.FOCAL)
@@ -615,6 +655,16 @@ class TestForward:
         assert future.data.shape == (scene.t_pred, 2)
         loss_d, loss_p = model.loss_terms(scene)
         assert np.isfinite(loss_d.item()) and np.isfinite(loss_p.item())
+
+    def test_no_estimator_starts_at_the_nominal_camera_of_the_scenes_rig(self, monkeypatch):
+        cfg = sim.SimulatorConfig(image_size=(1280, 960), focal=1000.0, t_pred=TINY.t_pred)
+        scenes = sim.make_split(cfg, 30, 2)
+        model = pl.VisionPipeline(dataclasses.replace(TINY, focal=cfg.focal), np.random.default_rng(0), "no_estimator")
+        seen, project = [], pl.project_rows
+        monkeypatch.setattr(pl, "project_rows", lambda rows, points: seen.append(rows.data) or project(rows, points))
+        model.forward(scenes)
+        nominal = pl.nominal_camera(cfg.intrinsics())[0]
+        assert np.array_equal(seen[0], np.repeat(nominal, 2 * cfg.t_obs, axis=0))
 
     def test_no_predictor_carries_last_pixel(self):
         model = without("predictor", 1)

@@ -99,3 +99,22 @@ def test_a_transformer_block_adds_six_graph_nodes():
     x = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
     added = harness.graph_nodes(block(x, 5)) - harness.graph_nodes(x)
     assert added == 6 + len(block.parameters())
+
+
+def test_a_second_predict_over_the_same_scenes_only_looks_cameras_up(monkeypatch):
+    """The camera memo is keyed by the scene: a predict over scenes the
+    model has seen enters the camera stage (pipeline.cpe) but averages no
+    pairs (pipeline.cpe_features)."""
+    calls = Counter()
+    features, estimate = pipeline.estimator_features, pipeline.CameraEstimator.__call__
+    monkeypatch.setattr(pipeline, "estimator_features", lambda scenes: calls.update(["features"]) or features(scenes))
+    monkeypatch.setattr(
+        pipeline.CameraEstimator, "__call__", lambda self, *args: calls.update(["estimator"]) or estimate(self, *args)
+    )
+    model = make_model("full", TINY, np.random.default_rng(0))
+    scenes = tiny_scenes(2)
+    model.predict(scenes)
+    assert calls["features"] == 1
+    calls.clear()
+    model.predict(scenes)
+    assert set(calls) == {"estimator"}
