@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError, TooShort
-from .geometry import EPS_DEPTH, homogeneous_apply
+from .geometry import clamped_project
 from .nn import SEQUENCE_KINDS, Linear, SequenceTrunk
 from .pipeline import (
     FuturePixelPredictor,
@@ -102,16 +102,6 @@ def make_model(name: str, cfg: ModelConfig, rng: np.random.Generator) -> Traject
     if family == "two_stage":
         return TwoStageBaseline(cfg, rng, kind)
     return VisionPipeline(cfg, rng, name)
-
-
-def clamped_project(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Pixel projection with the same sign-preserving denominator clamp the
-    pipeline uses; never raises for degenerate depths."""
-    rows = homogeneous_apply(matrices, points)
-    den = rows[:, 2]
-    sign = np.where(den < 0.0, -1.0, 1.0)
-    den = np.where(np.abs(den) >= EPS_DEPTH, den, sign * EPS_DEPTH)
-    return rows[:, :2] / den[:, None]
 
 
 def const_velocity_extrapolate(

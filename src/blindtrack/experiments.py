@@ -12,10 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baselines import REFERENCE_METHODS, clamped_project, make_model, make_reference
+from .baselines import REFERENCE_METHODS, make_model, make_reference
 from .config import RunConfig
 from .errors import DepthNonPositive, InsufficientCorrespondences
-from .geometry import MIN_CORRESPONDENCES, dlt_estimate, project_trajectory
+from .geometry import MIN_CORRESPONDENCES, clamped_project, dlt_estimate, project_trajectory
 from .metrics import EvalReport, score_scenes
 from .pipeline import train_model
 from .simulator import Scene

@@ -1,7 +1,9 @@
 """The vision-positioning pipeline: denoise the hidden agent's sensor
 track, fit the camera to the visible agents' (pixel, sensor) pairs,
 project the denoised track into the image with a differentiable pinhole
-map, and predict future pixels from the projected track. The camera is a
+map, and predict future pixels from the projected track. This module
+holds the stages; the camera math they call (the look-at fit, its
+pose-box prior, the nominal camera) is in geometry. The camera is a
 geometric fit with no learned parameters: one matrix per observation
 window, tiled over the window's steps. It is a pure function of the
 scene, so a model fits a scene's camera on first sight and then looks it
@@ -24,10 +26,10 @@ predict a whole shape group, which predict cuts into forward passes with
 no graph of at most SCORE_ROWS observed rows each. Before those passes,
 and before training's first epoch, the model prepares the scenes
 (TrajectoryModel.prepare): the pipeline fits every new scene's camera
-there, stacked by image size and pair count (fit_cameras), bit for bit
-the per-scene fit, so the forward passes only look cameras up. A scene
-whose horizon is not the model's t_pred is refused with SchemaError
-(TrajectoryModel.batch).
+there, stacked by image size and pair count (geometry.fit_cameras),
+bit for bit the per-scene fit, so the forward passes only look cameras
+up. A scene whose horizon is not the model's t_pred is refused with
+SchemaError (TrajectoryModel.batch).
 
 The method name alone is a pipeline's architecture (pipeline_layout);
 ModelConfig holds only its dimensions.
@@ -40,25 +42,16 @@ pass.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents, SchemaError
-from .geometry import EPS_DEPTH, CameraIntrinsics, look_at
+from .geometry import EPS_DEPTH, CameraIntrinsics, fit_cameras, nominal_camera
 from .metrics import score_scenes
 from .nn import SEQUENCE_KINDS, Adam, Linear, Module, SequenceTrunk
-from .simulator import (
-    ARENA_X,
-    ARENA_Y,
-    HEIGHT_RANGE,
-    POSE_BOX,
-    Scene,
-    shape_groups,
-)
+from .simulator import ARENA_X, ARENA_Y, HEIGHT_RANGE, Scene, shape_groups
 from .tensor import (
     Tensor,
     add,
@@ -89,10 +82,9 @@ ARENA_HALF = np.array(
 )
 
 
-def estimator_features(scenes: Scene | list[Scene]) -> np.ndarray | list[np.ndarray]:
+def estimator_features(scenes: list[Scene]) -> list[np.ndarray]:
     """The camera fit's input: each visible agent's (pixel, sensor) pair
-    averaged over the observation window, (n, 5) for a Scene and one such
-    array per scene for a list.
+    averaged over the observation window, one (n, 5) array per scene.
 
     Rows are the scene's agent rows except the hidden one (Scene.hidden),
     taken in ascending agent_id; an agent never visible inside the window
@@ -106,8 +98,6 @@ def estimator_features(scenes: Scene | list[Scene]) -> np.ndarray | list[np.ndar
     Scenes of one agent count and one shape are stacked and averaged in
     one array pass; every scene gets the bits it would get alone.
     """
-    if isinstance(scenes, Scene):
-        return estimator_features([scenes])[0]
     rows, stacks = [], {}
     for position, scene in enumerate(scenes):
         order = np.argsort(scene.agent_ids)
@@ -277,176 +267,6 @@ def pixel_losses(scenes: list[Scene], visual: Tensor, future: Tensor) -> tuple[T
     observed = np.concatenate([p[:t_obs] for p in pixels]) * norm
     ahead = np.concatenate([p[t_obs:] for p in pixels]) * norm
     return mse_loss(col_scale(visual, norm), Tensor(observed)), mse_loss(col_scale(future, norm), Tensor(ahead))
-
-
-# the camera prior, shared by nominal_camera() and the camera fit: the
-# mean and standard deviation of the uniform look-at pose draws of the
-# simulator's POSE_BOX
-POSE_MID = POSE_BOX.mean(axis=1)
-POSE_STD = (POSE_BOX[:, 1] - POSE_BOX[:, 0]) / np.sqrt(12.0)
-
-# variance of a pixel coordinate rounded to the integer grid; the least
-# residual variance the camera fit assumes, so its prior never vanishes
-ROUNDING_VAR = 1.0 / 12.0
-# Gauss-Newton steps per fit: on the default rig, three put the hidden
-# agent's projection within 0.02 px of where ten would
-FIT_ITERATIONS = 3
-
-
-def pose_camera(pose: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """The (..., 3, 4) cameras of look-at poses (..., 6): mount xyz, aim xyz."""
-    return intrinsics.matrix() @ look_at(pose[..., :3], pose[..., 3:])
-
-
-@functools.lru_cache(maxsize=16)
-def nominal_camera(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Camera rows of the nominal rig mount, with per-element spreads.
-
-    The no-estimator ablation parameterizes its learned camera as a
-    correction to this matrix: row = nominal + spread * raw. The spread
-    of each element over the corners of the published mount box makes a
-    unit raw output span the plausible cameras, so the projection is well
-    conditioned from the first optimizer step: denominators start at true
-    scene depths, far from the clamp, instead of at random near-zero
-    values. Both arrays are (1, 12), row-major. Built once per intrinsics
-    and returned read-only.
-    """
-    nominal = pose_camera(POSE_MID, intrinsics)
-    corners = pose_camera(np.array(list(itertools.product(*POSE_BOX))), intrinsics)
-    spread = np.maximum(np.abs(corners - nominal).max(axis=0), 1e-2)
-    rows = nominal.reshape(1, 12), spread.reshape(1, 12)
-    for array in rows:
-        array.setflags(write=False)
-    return rows
-
-
-def _roots(values: np.ndarray) -> np.ndarray:
-    """Square roots as Python's float ** 0.5 (libm pow) takes them; np.sqrt
-    rounds some differently, which moves the fitted cameras' bits."""
-    return np.array([value**0.5 for value in values.tolist()])
-
-
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row dot products of (B, k) arrays, as BLAS dots (see geometry.row_norms)."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def look_at_residuals(
-    pose: np.ndarray, world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reprojection residuals of a stack of look-at poses, and their Jacobians.
-
-    pose is (B, 6), rows of mount xyz, aim xyz; world is (B, n, 3) and
-    pixel (B, n, 2). The residuals are (B, 2n), projected minus observed
-    pixels, u and v interleaved. The Jacobian, (B, 2n, 6), is analytic:
-    the rotation depends on the pose only through the heading and
-    elevation of the view axis aim - mount, so it is differentiated
-    through those two angles. Depths are clamped at EPS_DEPTH, which keeps
-    both finite for a point behind the camera.
-    """
-    gx, gy, gz = (pose[:, 3:] - pose[:, :3]).T
-    rho2 = gx * gx + gy * gy
-    rho = _roots(rho2)
-    norm2 = rho2 + gz * gz
-    norm = _roots(norm2)
-    sin_h, cos_h = gx / rho, gy / rho  # heading
-    sin_e, cos_e = gz / norm, rho / norm  # elevation
-    zero = np.zeros_like(gx)
-    # per scene, rows: right, down, forward, as in geometry.look_at; then
-    # the rows' derivatives by heading and by elevation. Contiguous, so the
-    # matmul below runs in BLAS as one scene's does: numpy's strided loop
-    # rounds differently
-    frames = np.array(
-        [
-            [[cos_h, -sin_h, zero], [sin_e * sin_h, sin_e * cos_h, -cos_e], [cos_e * sin_h, cos_e * cos_h, sin_e]],
-            [[-sin_h, -cos_h, zero], [sin_e * cos_h, -sin_e * sin_h, zero], [cos_e * cos_h, -cos_e * sin_h, zero]],
-            [[zero, zero, zero], [cos_e * sin_h, cos_e * cos_h, sin_e], [-sin_e * sin_h, -sin_e * cos_h, cos_e]],
-        ]
-    ).transpose(3, 0, 1, 2).copy()
-    # per scene, (heading, elevation) by the view axis
-    d_angles = np.array(
-        [[gy / rho2, -gx / rho2, zero], [-gz * gx / (rho * norm2), -gz * gy / (rho * norm2), rho / norm2]]
-    ).transpose(2, 0, 1)
-    # (B, n, 9): camera coords, then their angle derivatives
-    cam = (world - pose[:, None, :3]) @ np.swapaxes(frames.reshape(-1, 9, 3), 1, 2)
-    depth = np.maximum(cam[..., 2], EPS_DEPTH)
-    focal = np.array([intrinsics.fx, intrinsics.fy])
-    image = cam[..., 0:2] / depth[..., None]  # (B, n, 2) normalized image coords
-    res = (focal * image + np.array([intrinsics.cx, intrinsics.cy]) - pixel).reshape(len(pose), -1)
-    # d(pixel)/d(camera coords), applied to the rotation rows and to their
-    # angle derivatives
-    gain = focal / depth[..., None]
-    d_world = gain[..., None] * (frames[:, None, 0, 0:2] - image[..., None] * frames[:, None, 0, 2:3])
-    d_heading = gain * (cam[..., 3:5] - image * cam[..., 5:6])
-    d_elevation = gain * (cam[..., 6:8] - image * cam[..., 8:9])
-    d_aim = d_heading[..., None] * d_angles[:, None, None, 0] + d_elevation[..., None] * d_angles[:, None, None, 1]
-    jac = np.concatenate([-d_world - d_aim, d_aim], axis=3)
-    return res, jac.reshape(len(pose), -1, 6)
-
-
-def _fit_pose(
-    world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics, start: np.ndarray, prior_weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton per scene of a (B, n, ·) stack, from the (B, 6) poses
-    `start`, on the squared reprojection error plus prior_weight (B,) times
-    the squared pose offset from POSE_MID in units of POSE_STD. A step that
-    does not lower a scene's energy is halved; a scene whose four trials
-    all fail stops. Returns the poses and their residuals."""
-    precision = prior_weight[:, None] / POSE_STD**2
-
-    def energy(pose, res, precision):
-        return _dot_rows(res, res) + _dot_rows(precision, (pose - POSE_MID) ** 2)
-
-    pose = start.copy()
-    res, jac = look_at_residuals(pose, world, pixel, intrinsics)
-    current = energy(pose, res, precision)
-    active = np.ones(len(pose), dtype=bool)
-    for _ in range(FIT_ITERATIONS):
-        fit = np.flatnonzero(active)
-        jac_fit = jac[fit]
-        jac_t = np.swapaxes(jac_fit, 1, 2)  # one array on both sides, as in a single scene's jac.T @ jac
-        normal = jac_t @ jac_fit + precision[fit, :, None] * np.eye(6)
-        gradient = (jac_t @ res[fit, :, None])[..., 0] + precision[fit] * (pose[fit] - POSE_MID)
-        step = np.linalg.solve(normal, gradient[..., None])[..., 0]  # rows follow `trying`
-        trying = fit
-        for _ in range(4):
-            trial = pose[trying] - step
-            trial_res, trial_jac = look_at_residuals(trial, world[trying], pixel[trying], intrinsics)
-            trial_energy = energy(trial, trial_res, precision[trying])
-            lower = trial_energy < current[trying]
-            moved = trying[lower]
-            pose[moved], res[moved], jac[moved], current[moved] = (
-                trial[lower], trial_res[lower], trial_jac[lower], trial_energy[lower]
-            )
-            trying, step = trying[~lower], step[~lower] / 2.0
-            if not len(trying):
-                break
-        active[trying] = False
-        if not active.any():
-            break
-    return pose, res
-
-
-def fit_cameras(world: np.ndarray, pixel: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Look-at cameras of the given intrinsics, one per scene, fitted to
-    (B, n, 3) world points and their (B, n, 2) pixels and shrunk toward
-    the pose box; returns (B, 3, 4). Scenes share the pair count n, and
-    each scene's camera has the bits it would get fitted alone.
-
-    A first fit, from the box centre with the weakest prior, gives the
-    residual variance per pixel coordinate (never below ROUNDING_VAR); a
-    second fit from there weighs the prior by that variance, so noisy
-    pairs lean on the box and exact ones ignore it. The prior also fixes
-    what the pairs leave open (the aim's distance along the view axis,
-    or everything when there are fewer pairs than unknowns), so the fit
-    returns a finite camera for any number of pairs.
-    """
-    count = len(world)
-    pose, res = _fit_pose(world, pixel, intrinsics, np.tile(POSE_MID, (count, 1)), np.full(count, ROUNDING_VAR))
-    # five of the six pose coordinates move the image
-    variance = np.maximum(_dot_rows(res, res) / max(res.shape[1] - 5, 1), ROUNDING_VAR)
-    pose, _ = _fit_pose(world, pixel, intrinsics, pose, variance)
-    return pose_camera(pose, intrinsics)
 
 
 class SensorDenoiser(Module):

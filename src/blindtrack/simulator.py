@@ -11,7 +11,8 @@ of all three splits, sliced into train, val and test. Within it:
   runs numpy's SeedSequence hash over the (rows, words) uint32 entropy of
   all (seed, *stream) rows, and each PCG64 seeds itself from its row;
 - every scene's camera rig is one intrinsics-times-look_at product on
-  (scenes, T, 3) mount positions (`camera_rigs`);
+  (scenes, T, 3) mount positions (`camera_rigs`), its pose drawn from
+  the camera model's box (geometry.POSE_BOX);
 - every agent's first attempt of every scene walks in one lockstep pass
   (`walk_tracks`) and is rendered in one projection; only agents still
   out of frame walk again, one pass per attempt index.
@@ -31,13 +32,14 @@ the same sigma as horizontal for simplicity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, SceneGenerationFailed, SchemaError
-from .geometry import EPS_DEPTH, CameraIntrinsics, look_at, row_norms
+from .geometry import EPS_DEPTH, POSE_BOX, CameraIntrinsics, look_at, row_norms
 
 DT = 0.1  # seconds per timestep
 # per-agent sensor height range; distinct heights keep the set of world
@@ -54,20 +56,6 @@ SMOOTH_WINDOW = 5
 CAMERA_SPEED = 0.5  # m/s for moving-camera presets
 RETRY_BUDGET = 100
 RETRY_SCENES = 16  # scenes whose unplaced agents retry together
-
-# camera rig jitter: each scene draws its look-at pose uniformly from
-# this box, (low, high) rows for mount x, y, z then aim x, y, z; the
-# camera fit's prior reads the same box. Aim jitter is what makes the
-# per-scene camera genuinely different: rotating the view by an aim
-# offset d moves pixels by roughly FOCAL*d/range, tens of pixels here,
-# while mount translation alone is largely cancelled by the re-aiming.
-# The sideways aim range is kept wide and the other two narrow so the
-# variation a model must infer stays low-dimensional enough to learn
-# from a desk-scale training set.
-POSE_BOX = np.array([
-    [-0.6, 0.6], [-0.25, 0.25], [2.35, 2.65],  # mount
-    [-1.2, 1.2], [15.8, 16.2], [0.95, 1.05],  # aim
-])
 
 NOISE_KINDS = ("gps", "odometer", "combined")
 MOTION_KINDS = ("static", "linear", "arc")
@@ -134,10 +122,10 @@ class SimulatorConfig:
             raise ConfigError(
                 f"camera_motion {self.camera_motion!r} not in {MOTION_KINDS}", field="camera_motion"
             )
-        if len(self.image_size) != 2 or min(self.image_size) < 1:
-            raise ConfigError(f"image_size {self.image_size} invalid", field="image_size")
-        if self.focal <= 0:
-            raise ConfigError(f"focal {self.focal} must be positive", field="focal")
+        if len(self.image_size) != 2 or not set(map(type, self.image_size)) <= {int} or min(self.image_size) < 1:
+            raise ConfigError(f"image_size {self.image_size} must be two positive integers", field="image_size")
+        if not (math.isfinite(self.focal) and self.focal > 0):
+            raise ConfigError(f"focal must be finite and positive, got {self.focal}", field="focal")
         self.noise.validate()
 
     @property

@@ -72,8 +72,8 @@ def gate(number: int, label: str, ok: bool, detail: str) -> None:
 
 
 def random_camera(rng) -> np.ndarray:
-    mount = np.array([rng.uniform(*box) for box in sim.POSE_BOX[:3]])
-    aim = np.array([rng.uniform(*box) for box in sim.POSE_BOX[3:]])
+    mount = np.array([rng.uniform(*box) for box in geometry.POSE_BOX[:3]])
+    aim = np.array([rng.uniform(*box) for box in geometry.POSE_BOX[3:]])
     return SimulatorConfig().intrinsics().matrix() @ geometry.look_at(mount, aim)
 
 

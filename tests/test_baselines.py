@@ -219,10 +219,10 @@ class TestOracles:
     def test_clamped_project_matches_reference_when_safe(self):
         scene = tiny_scenes(1)[0]
         sensor = scene.sensor[scene.hidden]
-        got = bl.clamped_project(scene.camera[: scene.t_obs], sensor)
+        got = geo.clamped_project(scene.camera[: scene.t_obs], sensor)
         want = geo.project_trajectory(scene.camera[: scene.t_obs], sensor)
         assert np.allclose(got, want, atol=1e-12)
-        behind = bl.clamped_project(scene.camera[:1], np.array([[0.0, -50.0, 1.0]]))
+        behind = geo.clamped_project(scene.camera[:1], np.array([[0.0, -50.0, 1.0]]))
         assert np.all(np.isfinite(behind))
 
     def test_const_velocity_oracle_near_truth_on_clean_scene(self):

@@ -8,7 +8,6 @@ import pytest
 
 from blindtrack import geometry as geo
 from blindtrack import simulator as sim
-from blindtrack.baselines import clamped_project
 from blindtrack.errors import DepthNonPositive, InsufficientCorrespondences
 from blindtrack.experiments import calibrate_scene
 
@@ -36,7 +35,7 @@ def loop_calibrate(scene):
         world = np.array([sensor for _, sensor, _ in window])
         pixel = np.array([exact for _, _, exact in window])
         estimate = geo.dlt_estimate(world, pixel)
-        distances.append(np.linalg.norm(clamped_project(estimate, world) - pixel, axis=1))
+        distances.append(np.linalg.norm(geo.clamped_project(estimate, world) - pixel, axis=1))
     dist = np.concatenate(distances)
     return "static" if static else "moving", len(dist), float(dist.mean()), float(dist.max())
 

@@ -1,5 +1,9 @@
 """Camera geometry: hand-worked pinhole arithmetic, look-at pose contracts,
-projective invariances, and matrix recovery from correspondences."""
+projective invariances, matrix recovery from correspondences, and the
+camera model's single home in the package."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +262,45 @@ class TestDLT:
     def test_reprojection_error_empty_rejected(self):
         with pytest.raises(EmptyInput):
             geo.reprojection_error(np.zeros((3, 4)), np.zeros((0, 3)), np.zeros((0, 2)))
+
+
+# the camera model: the rig's pose box and the fit's prior, poses, the fit
+# and the clamped projection
+CAMERA_NAMES = (
+    "POSE_BOX", "POSE_MID", "POSE_STD", "look_at", "pose_camera", "nominal_camera", "fit_cameras",
+    "look_at_residuals", "clamped_project",
+)
+
+
+def package_trees():
+    """Each package module's parsed source, by module name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in Path(geo.__file__).parent.glob("*.py")}
+
+
+def top_level_names(tree):
+    """The names a module's top-level statements define (an import defines none)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+class TestOneCameraModule:
+    def test_the_camera_is_defined_in_geometry_alone(self):
+        defined = {module: top_level_names(tree) for module, tree in package_trees().items()}
+        homes = {name: sorted(module for module, names in defined.items() if name in names) for name in CAMERA_NAMES}
+        assert homes == {name: ["geometry"] for name in CAMERA_NAMES}
+
+    def test_geometry_reads_no_package_module_but_errors(self):
+        imported = set()
+        for node in ast.walk(package_trees()["geometry"]):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "blindtrack"):
+                imported.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names if alias.name.split(".")[0] == "blindtrack")
+        assert imported == {".errors"}

@@ -169,7 +169,7 @@ class TestFeatures:
 
     def test_slots_filled_in_agent_order(self):
         scene = tiny_scenes(1)[0]
-        pairs = pl.estimator_features(scene)
+        pairs = pl.estimator_features([scene])[0]
         in_sight = in_sight_rows(scene)
         w, h = scene.image_size
         t = scene.t_obs
@@ -187,14 +187,14 @@ class TestFeatures:
 
     def test_only_visible_steps_are_averaged(self):
         scene = tiny_scenes(1)[0]
-        base = pl.estimator_features(scene)
+        base = pl.estimator_features([scene])[0]
         edited = copy.deepcopy(scene)
         first, second = in_sight_rows(edited)[:2]
         edited.visible[first, :2] = False
         edited.pixel[first, :2] = np.nan
         edited.visible[second, : scene.t_obs] = False
         edited.pixel[second, : scene.t_obs] = np.nan
-        pairs = pl.estimator_features(edited)
+        pairs = pl.estimator_features([edited])[0]
         # the agent never visible in the window is dropped; the other two
         # keep their slot order
         assert pairs.shape == (2, 5)
@@ -210,7 +210,7 @@ class TestFeatures:
         blind = copy.deepcopy(scene)
         for row in in_sight_rows(blind):
             blind.visible[row, : scene.t_obs] = False
-        pairs = pl.estimator_features(blind)
+        pairs = pl.estimator_features([blind])[0]
         assert pairs.shape == (0, 5)
         rows = pl.CameraEstimator(sim.FOCAL)([blind]).data
         assert rows.shape == (1, 12) and np.all(np.isfinite(rows))
@@ -221,7 +221,7 @@ class TestFeatures:
         lone = dataclasses.replace(scene, agent_ids=[scene.out_of_sight_id], world=scene.world[rows],
                                    sensor=scene.sensor[rows], pixel=scene.pixel[rows], visible=scene.visible[rows])
         with pytest.raises(NoInSightAgents, match=f"scene seed {scene.seed} "):
-            pl.estimator_features(lone)
+            pl.estimator_features([lone])
         lone.seed = 77
         with pytest.raises(NoInSightAgents, match="scene seed 77 "):
             pl.estimator_features([scene, lone])
@@ -294,16 +294,16 @@ def loop_look_at_residuals(pose, world, pixel, intrinsics):
 def loop_fit_pose(world, pixel, intrinsics, start, prior_weight):
     """One scene's Gauss-Newton with its step-halving line search, as a
     loop: the reference for the stacked fit's masks."""
-    precision = prior_weight / pl.POSE_STD**2
+    precision = prior_weight / geo.POSE_STD**2
 
     def energy(pose, res):
-        return float(res @ res + precision @ (pose - pl.POSE_MID) ** 2)
+        return float(res @ res + precision @ (pose - geo.POSE_MID) ** 2)
 
     pose = start
     res, jac = loop_look_at_residuals(pose, world, pixel, intrinsics)
     current = energy(pose, res)
-    for _ in range(pl.FIT_ITERATIONS):
-        step = np.linalg.solve(jac.T @ jac + np.diag(precision), jac.T @ res + precision * (pose - pl.POSE_MID))
+    for _ in range(geo.FIT_ITERATIONS):
+        step = np.linalg.solve(jac.T @ jac + np.diag(precision), jac.T @ res + precision * (pose - geo.POSE_MID))
         for _ in range(4):
             trial = pose - step
             trial_res, trial_jac = loop_look_at_residuals(trial, world, pixel, intrinsics)
@@ -321,10 +321,10 @@ def loop_fit_camera(world, pixel, intrinsics):
     """One scene's (3, 4) camera, fitted alone: the reference fit_cameras
     must match bit for bit, since criterion 6 amplifies a one-ulp change
     of a camera into a visible move of its error."""
-    pose, res = loop_fit_pose(world, pixel, intrinsics, pl.POSE_MID, pl.ROUNDING_VAR)
-    variance = max(float(res @ res) / max(len(res) - 5, 1), pl.ROUNDING_VAR)
+    pose, res = loop_fit_pose(world, pixel, intrinsics, geo.POSE_MID, geo.ROUNDING_VAR)
+    variance = max(float(res @ res) / max(len(res) - 5, 1), geo.ROUNDING_VAR)
     pose, _ = loop_fit_pose(world, pixel, intrinsics, pose, variance)
-    return pl.pose_camera(pose, intrinsics)
+    return geo.pose_camera(pose, intrinsics)
 
 
 FIT_RIGS = {
@@ -347,7 +347,7 @@ def assert_fits_equal_the_loop(cfg, features):
     fits it alone, bit for bit."""
     for count in {len(pairs) for pairs in features}:
         stack = [pairs for pairs in features if len(pairs) == count]
-        got = pl.fit_cameras(*fit_points(cfg, np.stack(stack)), cfg.intrinsics())
+        got = geo.fit_cameras(*fit_points(cfg, np.stack(stack)), cfg.intrinsics())
         for pairs, camera in zip(stack, got):
             assert np.array_equal(camera, loop_fit_camera(*fit_points(cfg, pairs), cfg.intrinsics()))
 
@@ -362,7 +362,7 @@ class TestCameraFit:
         cfg = FIT_RIGS[rig]
         features = []
         for seed, count in batch:
-            pairs = pl.estimator_features(sim.make_scene(cfg, seed))
+            pairs = pl.estimator_features([sim.make_scene(cfg, seed)])[0]
             features.append(pairs[np.arange(count) % len(pairs)])  # repeat rows to reach the count
         assert_fits_equal_the_loop(cfg, features)
 
@@ -373,7 +373,8 @@ class TestCameraFit:
         cfg = FIT_RIGS[rig]
         rng = np.random.default_rng(5)
         scenes = sim.make_split(cfg, 4242, 48)
-        scenes = [keep_pairs(s, rng.integers(1, len(pl.estimator_features(s)) + 1)) for s in scenes]
+        counts = [len(pairs) for pairs in pl.estimator_features(scenes)]
+        scenes = [keep_pairs(s, rng.integers(1, count + 1)) for s, count in zip(scenes, counts)]
         features = pl.estimator_features(scenes)
         assert_fits_equal_the_loop(cfg, features)
         # the estimator, on the scenes themselves
@@ -382,15 +383,15 @@ class TestCameraFit:
             assert np.array_equal(got, loop_fit_camera(*fit_points(cfg, pairs), cfg.intrinsics()).reshape(12))
         # and fit_cameras itself, on the stack of every scene's first pair
         world, pixel = fit_points(cfg, np.stack([pairs[:1] for pairs in features]))
-        got = pl.fit_cameras(world, pixel, cfg.intrinsics())
+        got = geo.fit_cameras(world, pixel, cfg.intrinsics())
         assert all(np.array_equal(g, loop_fit_camera(w, p, cfg.intrinsics())) for g, w, p in zip(got, world, pixel))
 
     def test_nominal_rows_and_spreads_equal_the_per_corner_loop(self):
         for cfg in FIT_RIGS.values():
             intrinsics = cfg.intrinsics()
-            nominal, spread = pl.nominal_camera(intrinsics)
-            want = pl.pose_camera(pl.POSE_MID, intrinsics)
-            corners = np.array([pl.pose_camera(np.array(c), intrinsics) for c in itertools.product(*pl.POSE_BOX)])
+            nominal, spread = geo.nominal_camera(intrinsics)
+            want = geo.pose_camera(geo.POSE_MID, intrinsics)
+            corners = np.array([geo.pose_camera(np.array(c), intrinsics) for c in itertools.product(*geo.POSE_BOX)])
             assert np.array_equal(nominal, want.reshape(1, 12))
             assert np.array_equal(spread, np.maximum(np.abs(corners - want).max(axis=0), 1e-2).reshape(1, 12))
 
@@ -407,7 +408,7 @@ class TestCameraFit:
     def test_beats_the_nominal_camera_at_default_noise(self):
         cfg = sim.SimulatorConfig(noise=sim.NoiseModel.preset("default"))
         scenes = sim.make_split(cfg, 700, 12)
-        nominal = pl.nominal_camera(cfg.intrinsics())[0].reshape(3, 4)
+        nominal = geo.nominal_camera(cfg.intrinsics())[0].reshape(3, 4)
         fitted = np.mean([hidden_track_error(s, fitted_camera(s)) for s in scenes])
         assert fitted < np.mean([hidden_track_error(s, nominal) for s in scenes])
 
@@ -432,21 +433,21 @@ class TestCameraFit:
         rng = np.random.default_rng(3)
         world = rng.uniform([-4.0, 10.0, 0.8], [4.0, 22.0, 1.9], (3, 7, 3))
         pixel = rng.uniform(0.0, 480.0, (3, 7, 2))
-        pose = rng.uniform(pl.POSE_BOX[:, 0], pl.POSE_BOX[:, 1], (3, 6))
+        pose = rng.uniform(geo.POSE_BOX[:, 0], geo.POSE_BOX[:, 1], (3, 6))
         k = geo.CameraIntrinsics.centered(700.0, (800, 600))
-        res, jac = pl.look_at_residuals(pose, world, pixel, k)
+        res, jac = geo.look_at_residuals(pose, world, pixel, k)
         numeric = np.empty_like(jac)
         for i in range(6):
             step = np.zeros(6)
             step[i] = 1e-6
-            up = pl.look_at_residuals(pose + step, world, pixel, k)[0]
-            down = pl.look_at_residuals(pose - step, world, pixel, k)[0]
+            up = geo.look_at_residuals(pose + step, world, pixel, k)[0]
+            down = geo.look_at_residuals(pose - step, world, pixel, k)[0]
             numeric[:, :, i] = (up - down) / 2e-6
         for b in range(3):
-            want = geo.project_trajectory(pl.pose_camera(pose[b], k), world[b]) - pixel[b]
+            want = geo.project_trajectory(geo.pose_camera(pose[b], k), world[b]) - pixel[b]
             assert np.allclose(res[b], want.ravel(), atol=1e-9)
             assert np.abs(jac[b] - numeric[b]).max() < 1e-6 * np.abs(numeric[b]).max()
-            alone_res, alone_jac = pl.look_at_residuals(pose[b : b + 1], world[b : b + 1], pixel[b : b + 1], k)
+            alone_res, alone_jac = geo.look_at_residuals(pose[b : b + 1], world[b : b + 1], pixel[b : b + 1], k)
             assert np.array_equal(alone_res[0], res[b]) and np.array_equal(alone_jac[0], jac[b])
             loop_res, loop_jac = loop_look_at_residuals(pose[b], world[b], pixel[b], k)
             assert np.array_equal(loop_res, res[b]) and np.array_equal(loop_jac, jac[b])
@@ -474,17 +475,17 @@ class TestFitPins:
 
     def test_an_arc_t100_hard_batch_keeps_its_digest(self):
         cfg = FIT_RIGS["arc_hard"]
-        world, pixel = fit_points(cfg, np.stack([pl.estimator_features(s) for s in sim.make_split(cfg, 910, 4)]))
-        cameras = pl.fit_cameras(world, pixel, cfg.intrinsics())
+        world, pixel = fit_points(cfg, np.stack(pl.estimator_features(sim.make_split(cfg, 910, 4))))
+        cameras = geo.fit_cameras(world, pixel, cfg.intrinsics())
         assert digest(cameras) == "577e818bb281f938cd6fcaedd231a75d56739abb4b6d80e54c65e03dff6e43cf"
 
     def test_seeded_poses_keep_their_cameras(self):
-        poses = np.random.default_rng(20).uniform(pl.POSE_BOX[:, 0], pl.POSE_BOX[:, 1], (50, 6))
+        poses = np.random.default_rng(20).uniform(geo.POSE_BOX[:, 0], geo.POSE_BOX[:, 1], (50, 6))
         intrinsics = sim.SimulatorConfig().intrinsics()
-        assert digest(pl.pose_camera(poses, intrinsics)) == (
+        assert digest(geo.pose_camera(poses, intrinsics)) == (
             "5bf64b3ea8dddbb70f5b0198cbb3102845c030e5cedfae0ad260e0cbcbca6e7e"
         )
-        assert digest(pl.pose_camera(poses[0], intrinsics)) == (
+        assert digest(geo.pose_camera(poses[0], intrinsics)) == (
             "c11e24699f921dcc47d47267ae0fb2d57960b188225f72a812b5d20a16bc5352"
         )
 
@@ -493,7 +494,7 @@ class TestFitPins:
         ("1280x960", "b6795ab666d138f83d816ddf34853e840c7c9a182048a389ef5c8b3b68f69221"),
     ])
     def test_nominal_camera_keeps_its_digest(self, rig, want):
-        assert digest(*pl.nominal_camera(FIT_RIGS[rig].intrinsics())) == want
+        assert digest(*geo.nominal_camera(FIT_RIGS[rig].intrinsics())) == want
 
 
 class TestCameraMemo:
@@ -529,7 +530,7 @@ class TestCameraMemo:
             gone = in_sight_rows(scene)[0]
             scene.visible[gone, : scene.t_obs] = False
             scene.pixel[gone, : scene.t_obs] = np.nan
-        assert [len(pl.estimator_features(s)) for s in scenes] == [3, 2, 3, 2]
+        assert [len(pairs) for pairs in pl.estimator_features(scenes)] == [3, 2, 3, 2]
         model = pl.VisionPipeline(TINY, np.random.default_rng(22))
         model.forward(scenes)
         assert sorted(len(call) for call in calls) == [2, 2]
@@ -663,7 +664,7 @@ class TestForward:
         seen, project = [], pl.project_rows
         monkeypatch.setattr(pl, "project_rows", lambda rows, points: seen.append(rows.data) or project(rows, points))
         model.forward(scenes)
-        nominal = pl.nominal_camera(cfg.intrinsics())[0]
+        nominal = geo.nominal_camera(cfg.intrinsics())[0]
         assert np.array_equal(seen[0], np.repeat(nominal, 2 * cfg.t_obs, axis=0))
 
     def test_no_predictor_carries_last_pixel(self):
@@ -770,10 +771,10 @@ class TestBlindness:
 
     def test_features_ignore_hidden_agent(self):
         scene = tiny_scenes(1)[0]
-        base = pl.estimator_features(scene)
+        base = pl.estimator_features([scene])[0]
         tampered = copy.deepcopy(scene)
         tampered.pixel[tampered.hidden] = -1.0
-        assert np.array_equal(base, pl.estimator_features(tampered))
+        assert np.array_equal(base, pl.estimator_features([tampered])[0])
 
 
 class TestEndToEndGradients:

@@ -80,8 +80,8 @@ def camera_sequence(cfg: sim.SimulatorConfig, rng: np.random.Generator, steps: i
     """One scene's rig, (steps, 3, 4): mount, gaze point and, for moving
     presets, a direction drawn one by one with rng.uniform and rng.choice,
     then each step's pose composed alone."""
-    base = np.array([rng.uniform(*box) for box in sim.POSE_BOX[:3]])
-    aim = np.array([rng.uniform(*box) for box in sim.POSE_BOX[3:]])
+    base = np.array([rng.uniform(*box) for box in geo.POSE_BOX[:3]])
+    aim = np.array([rng.uniform(*box) for box in geo.POSE_BOX[3:]])
     positions = np.tile(base, (steps, 1))
     if cfg.camera_motion == "linear":
         direction = np.array([rng.choice([-1.0, 1.0]), 0.0, 0.0])
@@ -330,6 +330,22 @@ class TestScenes:
             small_config(t_obs=1).validate()
         with pytest.raises(ConfigError):
             small_config(camera_motion="drone").validate()
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [({"focal": math.nan}, "focal"), ({"focal": math.inf}, "focal"), ({"focal": -math.inf}, "focal"),
+         ({"focal": 0.0}, "focal"), ({"image_size": (640.5, 480)}, "image_size"),
+         ({"image_size": (640, 480.0)}, "image_size"), ({"image_size": (True, 480)}, "image_size"),
+         ({"image_size": (640,)}, "image_size"), ({"image_size": (0, 480)}, "image_size")],
+    )
+    def test_rig_refused_before_any_track_is_walked(self, monkeypatch, changes, field):
+        def walk(*args):
+            raise AssertionError("a track was walked")
+
+        monkeypatch.setattr(sim, "walk_tracks", walk)
+        with pytest.raises(ConfigError) as err:
+            sim.make_split(small_config(**changes), 0, 2)
+        assert err.value.field == field and err.value.exit_code == 2 and field in str(err.value)
 
 
 class TestCameraMotion:
