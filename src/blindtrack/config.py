@@ -11,11 +11,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dataset import hash_of
 from .errors import ConfigError
-from .simulator import FOCAL, NoiseModel, SimulatorConfig
+from .simulator import FOCAL, NoiseModel, SimulatorConfig, is_int, require_ints
 
-# the JSON values a config field of each annotated type accepts: a bool is
-# no number, and an int is accepted as a float
-JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}}
+# whether a JSON value fits a config field of each annotated type: a bool
+# is no number, and an int is accepted as a float
+JSON_TYPES = {"int": is_int, "float": lambda v: type(v) in (int, float), "str": lambda v: type(v) is str}
 # the fields that hold a config of their own, read from an object
 NESTED = {"SimulatorConfig": SimulatorConfig, "NoiseModel": NoiseModel}
 
@@ -42,9 +42,9 @@ def from_json(cls, raw, where: str = "", required: bool = False):
             raise ConfigError(f"unknown field {name!r}", field=name)
         if kind in NESTED:
             value = from_json(NESTED[kind], value, name)
-        elif kind == "tuple[int, int]" and type(value) is list and set(map(type, value)) <= JSON_TYPES["int"]:
+        elif kind == "tuple[int, int]" and type(value) is list and all(map(is_int, value)):
             value = tuple(value)
-        elif type(value) not in JSON_TYPES.get(kind, ()):
+        elif kind not in JSON_TYPES or not JSON_TYPES[kind](value):
             raise ConfigError(f"field {name!r} holds {type(value).__name__}, not {kind}", field=name)
         values[key] = value
     return cls(**values)
@@ -62,9 +62,7 @@ class ModelConfig:
     focal: float = FOCAL  # the rig's focal length in pixels, which the camera fit reads
 
     def validate(self) -> None:
-        for name in ("t_pred", "width", "layers", "heads"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
+        require_ints(self, t_pred=1, width=1, layers=1, heads=1)
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}", field="heads")
         if not (math.isfinite(self.focal) and self.focal > 0):
@@ -81,9 +79,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
+        require_ints(self, epochs=1, batch_size=1)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}", field="lr")
 
@@ -96,19 +92,15 @@ class RunConfig:
     n_val: int = 8
     n_test: int = 8
     sim: SimulatorConfig = field(default_factory=SimulatorConfig)
-    width: int = 64
-    layers: int = 2
-    heads: int = 4
-    epochs: int = 200
-    batch_size: int = 16
-    lr: float = 1e-3
+    width: int = ModelConfig.width
+    layers: int = ModelConfig.layers
+    heads: int = ModelConfig.heads
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
 
     def validate(self) -> None:
-        if self.n_train < 1 or self.n_val < 0 or self.n_test < 1:
-            raise ConfigError(
-                f"split sizes train={self.n_train} val={self.n_val} test={self.n_test} invalid",
-                field="splits",
-            )
+        require_ints(self, n_train=1, n_val=0, n_test=1)
         self.train_config().validate()
         for name in ("data_seed", "train_seed"):
             if getattr(self, name) < 0:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HashMismatch, SchemaError
-from .simulator import Scene
+from .simulator import Scene, is_int
 
 SCENE_SCHEMA = "blindtrack-scene-v2"
 MANIFEST_SCHEMA = "blindtrack-manifest-v1"
@@ -124,9 +124,9 @@ def record_to_scene(record: dict, line: int = 0) -> Scene:
             _fail(line, key, f"must be >= {least}, got {record[key]}")
     seed, t_obs, t_pred, size, ids, hidden = map(
         record.get, ("seed", "t_obs", "t_pred", "image_size", "agent_ids", "out_of_sight_id"))
-    if len(size) != 2 or not set(map(type, size)) <= {int} or min(size) < 1:
+    if len(size) != 2 or not all(map(is_int, size)) or min(size) < 1:
         _fail(line, "image_size", "expected two positive integers")
-    if not ids or not set(map(type, ids)) <= {int}:
+    if not ids or not all(map(is_int, ids)):
         _fail(line, "agent_ids", "expected integers" if ids else "empty")
     if len(set(ids)) != len(ids):
         _fail(line, "agent_ids", "duplicate agent id")

@@ -233,13 +233,16 @@ class SequenceTrunk(Module):
 
 
 class Adam:
-    """Adam with bias correction. step() consumes and clears gradients.
-
-    The moments are updated in place, and the step is formed in one
-    (2, largest parameter size) scratch shared by every parameter, with
-    the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    p -= lr*(m/c1) / (sqrt(v/c2) + eps) in their order, so the bits are
-    that formula's.
+    """Adam with bias correction over one flat float64 store of the
+    parameters, in list order. Packing rebinds each parameter's data to a
+    view of its slot (m and v are views of two more flat arrays), so an
+    in-place write such as restore_model's lands in the store. Nothing may
+    rebind a packed parameter's data; a second Adam over the same
+    parameters re-packs them, and the first stops backing them. step()
+    consumes and clears the gradients: it gathers them and applies the
+    operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) in place, in their order, once
+    over the store, so the bits are that formula's.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -248,9 +251,13 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
+        ends = np.cumsum([p.data.size for p in self.params])
+        slots = [(slice(end - p.data.size, end), p.data.shape) for p, end in zip(self.params, ends)]
+        self.store = np.concatenate([p.data for p in self.params], axis=None)
+        self._m, self._v, self._grad, self._step = np.zeros((4, self.store.size))
+        self.m, self.v = ([flat[slot].reshape(shape) for slot, shape in slots] for flat in (self._m, self._v))
+        for p, (slot, shape) in zip(self.params, slots):
+            p.data = self.store[slot].reshape(shape)
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
@@ -259,18 +266,19 @@ class Adam:
         self.t += 1
         correct1 = 1.0 - self.BETA1 ** self.t
         correct2 = 1.0 - self.BETA2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            step, root = (row[:g.size].reshape(g.shape) for row in self._scratch)
-            m *= self.BETA1
-            m += np.multiply(1.0 - self.BETA1, g, out=step)
-            v *= self.BETA2
-            v += np.multiply(np.multiply(g, g, out=root), 1.0 - self.BETA2, out=root)
-            np.divide(m, correct1, out=step)
-            step *= self.lr
-            np.divide(v, correct2, out=root)
-            np.sqrt(root, out=root)
-            root += self.EPS
-            step /= root
-            p.data -= step
+        m, v, g, step = self._m, self._v, self._grad, self._step
+        np.concatenate([p.grad for p in self.params], axis=None, out=g)
+        m *= self.BETA1
+        m += np.multiply(1.0 - self.BETA1, g, out=step)
+        v *= self.BETA2
+        root = np.multiply(g, g, out=g)  # the gradient is not read again
+        v += np.multiply(root, 1.0 - self.BETA2, out=root)
+        np.divide(m, correct1, out=step)
+        step *= self.lr
+        np.divide(v, correct2, out=root)
+        np.sqrt(root, out=root)
+        root += self.EPS
+        step /= root
+        self.store -= step
+        for p in self.params:
             p.grad = None

@@ -170,17 +170,17 @@ def hidden_sensor(scenes: list[Scene]) -> Tensor:
     return Tensor(np.concatenate([scene.sensor[scene.hidden] for scene in scenes]))
 
 
-# observed rows (scenes x t_obs) per forward pass of predict. Swept with
-# the in-place attention and layer-norm kernels on a 2-core x86-64 box
-# (numpy 2.4, OpenBLAS 0.3.31), ms per scene, best of 9 after a warm-up
-# pass, range over two sweeps: `full` at T = 20 (96 desk scenes) takes
-# 0.41-0.44 at 320 rows, 16 scenes, against 0.42-0.44 at 160 and
-# 0.36-0.40 at 480; `full` at T = 100 (24 arc scenes) takes 2.26-2.35 at
-# 320 rows, 3 scenes, against 2.37-2.45 at 200 and 2.27-2.29 at 400;
-# two_stage:gru, which has no attention and runs each recurrent trunk as
-# one fused scan, takes 0.12-0.20 at 320 and 0.10-0.14 at 640. Larger
-# passes now gain up to a tenth at T = 20; the value stays 320, which
-# keeps every pass, and so every report bit, as it was.
+# observed rows (scenes x t_obs) per forward pass of predict. A sweep on a
+# 2-core x86-64 box (numpy 2.4, OpenBLAS 0.3.31; ms per scene, best of 9)
+# found larger passes up to a tenth faster at T = 20 (full, 96 desk
+# scenes: 0.41-0.44 at 320 rows, 0.36-0.40 at 480; two_stage:gru:
+# 0.12-0.20 at 320, 0.10-0.14 at 640) and none faster at T = 100 (full,
+# 24 arc scenes: 2.26-2.35 at 320, 2.27-2.29 at 400). A cut changes a
+# scene's bits only when it leaves the scene alone in a pass, whose
+# one-row products (predictor head, GRU step) take numpy's matrix-vector
+# path: passes of 2 or more scenes gave the same predictions at 320 to
+# 100000 rows (96 desk and 24 long_arc scenes), and 17 desk scenes at 320
+# rows left the 17th alone, and it differed.
 SCORE_ROWS = 320
 
 
@@ -446,21 +446,6 @@ def _shuffle(seed: int, epoch: int, count: int) -> np.ndarray:
     return rng.permutation(count)
 
 
-def snapshot_parameters(model: Module) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in model.named_parameters()}
-
-
-def restore_parameters(model: Module, arrays: dict[str, np.ndarray]) -> None:
-    for name, p in model.named_parameters():
-        if name not in arrays:
-            raise KeyError(f"missing parameter {name!r} in snapshot")
-        if arrays[name].shape != p.data.shape:
-            raise LengthMismatch(
-                f"parameter {name!r}: stored {arrays[name].shape} vs model {p.data.shape}"
-            )
-        p.data[...] = arrays[name]
-
-
 def evaluate_split(model, scenes: list[Scene]) -> tuple[float, float]:
     """Mean denoising and prediction errors (raw pixels) over scenes, from
     the one scorer (metrics.score_scenes)."""
@@ -483,13 +468,14 @@ def train_model(
     validation scene (TrajectoryModel.prepare): the pipeline fits all
     their cameras there. The scene order is reshuffled each epoch from a
     generator keyed by (seed, epoch) alone. The model is left holding the
-    parameters of its best validation epoch (by summed error); without
-    validation scenes, the final epoch wins.
+    parameters of its best validation epoch (by summed error), kept as a
+    copy of the optimizer's store (nn.Adam), which holds every parameter
+    training changes; without validation scenes, the final epoch wins.
     """
     optimizer = optimizer or Adam(model.parameters(), lr=tcfg.lr)
     model.prepare(train_scenes + val_scenes)
     result = TrainResult()
-    best: dict[str, np.ndarray] | None = None
+    best: np.ndarray | None = None
     for epoch in range(tcfg.epochs):
         order = _shuffle(tcfg.seed, epoch, len(train_scenes))
         sum_d = sum_p = 0.0
@@ -516,12 +502,12 @@ def train_model(
             if result.best_val_sum is None or stats.val_sum < result.best_val_sum:
                 result.best_val_sum = stats.val_sum
                 result.best_epoch = epoch
-                best = snapshot_parameters(model)
+                best = optimizer.store.copy()
         result.history.append(stats)
         if on_epoch is not None:
             on_epoch(stats)
     if best is not None:
-        restore_parameters(model, best)
+        optimizer.store[...] = best
     elif result.history:
         result.best_epoch = result.history[-1].epoch
     return result

@@ -33,7 +33,7 @@ the same sigma as horizontal for simplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -59,6 +59,22 @@ RETRY_SCENES = 16  # scenes whose unplaced agents retry together
 
 NOISE_KINDS = ("gps", "odometer", "combined")
 MOTION_KINDS = ("static", "linear", "arc")
+
+
+def is_int(value) -> bool:
+    """The int rule of every config: a bool or a float is no int."""
+    return type(value) is int
+
+
+def require_ints(config, **least: int) -> None:
+    """ConfigError naming config's first int field that holds no int, then
+    the first field named in least that holds less than its value there."""
+    for f in fields(config):
+        if f.type == "int" and not is_int(getattr(config, f.name)):
+            raise ConfigError(f"{f.name} must be an int, got {getattr(config, f.name)!r}", field=f.name)
+    for name, low in least.items():
+        if getattr(config, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(config, name)}", field=name)
 
 
 @dataclass(frozen=True)
@@ -112,17 +128,12 @@ class SimulatorConfig:
     focal: float = FOCAL
 
     def validate(self) -> None:
-        if self.n_agents < 2:
-            raise ConfigError(f"n_agents {self.n_agents} < 2 (one hidden plus one visible)", field="n_agents")
-        if self.t_obs < 2:
-            raise ConfigError(f"t_obs {self.t_obs} < 2", field="t_obs")
-        if self.t_pred < 1:
-            raise ConfigError(f"t_pred {self.t_pred} < 1", field="t_pred")
+        require_ints(self, n_agents=2, t_obs=2, t_pred=1)  # n_agents: one hidden plus one visible
         if self.camera_motion not in MOTION_KINDS:
             raise ConfigError(
                 f"camera_motion {self.camera_motion!r} not in {MOTION_KINDS}", field="camera_motion"
             )
-        if len(self.image_size) != 2 or not set(map(type, self.image_size)) <= {int} or min(self.image_size) < 1:
+        if len(self.image_size) != 2 or not all(map(is_int, self.image_size)) or min(self.image_size) < 1:
             raise ConfigError(f"image_size {self.image_size} must be two positive integers", field="image_size")
         if not (math.isfinite(self.focal) and self.focal > 0):
             raise ConfigError(f"focal must be finite and positive, got {self.focal}", field="focal")

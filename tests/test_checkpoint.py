@@ -58,6 +58,17 @@ class TestRoundTrip:
         for (name, p), (_, q) in zip(model.named_parameters(), rebuilt.named_parameters()):
             assert np.array_equal(p.data, q.data), name
 
+    def test_restore_lands_in_the_optimizers_store(self, tmp_path):
+        model, optimizer, tcfg, _ = small_trained_model()
+        path = tmp_path / "model.ckpt"
+        ck.save_checkpoint(path, model, optimizer, tcfg)
+        header, arrays = ck.load_checkpoint(path)
+        rebuilt = bl.make_model(header["kind"], ck.model_config_from_header(header), np.random.default_rng(99))
+        held = Adam(rebuilt.parameters())
+        ck.restore_model(rebuilt, header, arrays)
+        assert np.array_equal(held.store, optimizer.store)
+        assert all(np.shares_memory(p.data, held.store) for p in rebuilt.parameters())
+
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         model, optimizer, tcfg, _ = small_trained_model()
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

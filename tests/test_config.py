@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from blindtrack.config import ModelConfig, RunConfig
+from blindtrack.config import ModelConfig, RunConfig, TrainConfig
 from blindtrack.errors import ConfigError
 from blindtrack.simulator import NoiseModel, SimulatorConfig
 
@@ -32,6 +32,12 @@ class TestRoundTrip:
             base.override(sim=SimulatorConfig(noise=NoiseModel(gps_sigma=3.0))),
         ):
             assert variant.config_hash() != base.config_hash()
+
+    def test_default_hash_is_pinned(self):
+        # the digest of the defaults when RunConfig spelled out the model and
+        # training defaults as literals, before it took them from
+        # ModelConfig and TrainConfig
+        assert RunConfig().config_hash() == "ea25faa1d59c0be2984e1c25ad036b8a9a8af76bfa6ac568fe300f5fd8403a9a"
 
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(n_train=5, n_val=1, n_test=2)
@@ -82,6 +88,21 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict({name: value})
         assert err.value.field == name
+
+    @pytest.mark.parametrize(
+        "cls, changes, field",
+        [(SimulatorConfig, {"t_obs": 10.5}, "t_obs"), (SimulatorConfig, {"n_agents": 4.0}, "n_agents"),
+         (SimulatorConfig, {"t_pred": True}, "t_pred"), (ModelConfig, {"width": 16.0, "heads": 4}, "width"),
+         (TrainConfig, {"epochs": 2.5}, "epochs"), (TrainConfig, {"seed": False}, "seed"),
+         (RunConfig, {"n_train": 3.5}, "n_train"), (RunConfig, {"data_seed": 1.5}, "data_seed"),
+         (RunConfig, {"sim": SimulatorConfig(t_obs=10.5)}, "t_obs")],
+    )
+    def test_an_int_field_holds_an_int(self, cls, changes, field):
+        # a float or a bool in an int field reaches range() or a shape
+        # downstream; every config refuses it at validate()
+        with pytest.raises(ConfigError) as err:
+            cls(**changes).validate()
+        assert err.value.field == field
 
     def test_split_sizes(self):
         with pytest.raises(ConfigError):

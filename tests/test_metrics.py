@@ -233,6 +233,17 @@ class TestBatchedScoring:
         got = mt.score_scenes(bl.make_model(name, TINY, np.random.default_rng(22)).predict, mixed_scenes, "m", "test")
         assert got == want
 
+    @pytest.mark.parametrize("name", ["full", "two_stage:gru"])
+    def test_budgets_that_leave_no_scene_alone_give_one_report(self, mixed_scenes, monkeypatch, name):
+        # 20 rows cut the 6-step scenes 3 + 2 and keep the 5-step ones in one
+        # pass; 1000 keep each group whole. A lone scene would change bits.
+        model = bl.make_model(name, TINY, np.random.default_rng(22))
+        reports = []
+        for budget in (20, 1000):
+            monkeypatch.setattr(pl, "SCORE_ROWS", budget)
+            reports.append(mt.score_scenes(model.predict, mixed_scenes, name, "test"))
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("name", bl.REFERENCE_METHODS)
     def test_reference_reports_equal_the_chunked_scorers_bit_for_bit(self, mixed_scenes, name):
         reference = bl.make_reference(name)

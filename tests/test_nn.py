@@ -1,6 +1,9 @@
 """Neural blocks: initialization bounds, gradient flow through every
 backbone kind, cell semantics, and the Adam update against hand formulas."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -253,6 +256,48 @@ class TestRecurrentScan:
         out = trunk(x, 20)
         assert len(out._parents) == 1 + len(trunk.cell.parameters())
         assert np.array_equal(step_major(out.data, 20), composite_unroll(trunk.cell, trunk.embed(x), 20).data)
+
+
+def data_rebinders():
+    """module:qualified.function of every statement in the package that
+    binds an attribute named data (x.data = ..., x.data += ...)."""
+    found = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, f"{where}.{child.name}" if where else child.name)
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "data" and isinstance(child.ctx, ast.Store):
+                    found.add(f"{module}:{where}")
+                visit(child, module, where)
+
+    for path in Path(nn.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+class TestOneParameterStore:
+    def test_packing_keeps_values_and_backs_every_parameter(self):
+        model = pl.VisionPipeline(TINY, np.random.default_rng(0))
+        before = [p.data.copy() for p in model.parameters()]
+        opt = nn.Adam(model.parameters())
+        assert opt.store.size == model.parameter_count()
+        for p, want in zip(model.parameters(), before, strict=True):
+            assert same_bits(p.data, want) and np.shares_memory(p.data, opt.store)
+        assert same_bits(opt.store, np.concatenate(before, axis=None))
+
+    def test_a_second_adam_repacks_and_the_first_stops_backing(self):
+        model = pl.VisionPipeline(TINY, np.random.default_rng(0))
+        first = nn.Adam(model.parameters())
+        second = nn.Adam(model.parameters())
+        assert all(np.shares_memory(p.data, second.store) for p in model.parameters())
+        assert not any(np.shares_memory(p.data, first.store) for p in model.parameters())
+
+    def test_only_the_constructors_and_the_optimizer_rebind_data(self):
+        # every other writer copies into the array it finds (p.data[...] =),
+        # so a packed parameter stays a view of its optimizer's store
+        assert data_rebinders() == {"tensor:Tensor.__init__", "tensor:_node", "nn:Adam.__init__"}
 
 
 class TestAdam:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from blindtrack import geometry as geo
 from blindtrack import pipeline as pl
 from blindtrack import simulator as sim
+from blindtrack.checkpoint import restore_model
 from blindtrack.config import ModelConfig, TrainConfig
 from blindtrack.errors import ConfigError, LengthMismatch, NoInSightAgents, NonFiniteLoss, SchemaError
 from blindtrack.nn import Adam
@@ -577,7 +578,7 @@ class TestCameraMemo:
         pl.train_model(model, scenes[:3], scenes[3:], TrainConfig(epochs=2, batch_size=2, seed=1))
         assert len(model.estimator.fits) == 5
         fresh = pl.VisionPipeline(TINY, np.random.default_rng(0))
-        pl.restore_parameters(fresh, pl.snapshot_parameters(model))
+        restore_model(fresh, {}, {name: p.data for name, p in model.named_parameters()})
         assert not fresh.estimator.fits
         for scene in scenes:
             for got, want in zip(model.predict(scene), fresh.predict(scene)):
@@ -813,7 +814,7 @@ class TestTrainer:
             model = pl.VisionPipeline(TINY, np.random.default_rng(7))
             tcfg = TrainConfig(epochs=5, batch_size=2, lr=1e-3, seed=3)
             result = pl.train_model(model, scenes, [], tcfg)
-            return result, pl.snapshot_parameters(model)
+            return result, {name: p.data.copy() for name, p in model.named_parameters()}
 
         res_a, params_a = run()
         res_b, params_b = run()
@@ -825,8 +826,15 @@ class TestTrainer:
     def test_best_validation_parameters_are_restored(self):
         scenes = tiny_scenes(4, noise="clean")
         model = pl.VisionPipeline(TINY, np.random.default_rng(8))
-        tcfg = TrainConfig(epochs=8, batch_size=2, lr=3e-3, seed=1)
-        result = pl.train_model(model, scenes, scenes[:2], tcfg)
+        tcfg = TrainConfig(epochs=6, batch_size=2, lr=3e-3, seed=1)
+        optimizer = Adam(model.parameters(), lr=tcfg.lr)
+        stores = []
+        result = pl.train_model(
+            model, scenes, scenes[:2], tcfg, optimizer=optimizer, on_epoch=lambda _: stores.append(optimizer.store.copy())
+        )
+        assert result.best_epoch != len(stores) - 1  # the restore has something to undo
+        assert np.array_equal(optimizer.store, stores[result.best_epoch])
+        assert all(np.shares_memory(p.data, optimizer.store) for p in model.parameters())
         got_d, got_p = pl.evaluate_split(model, scenes[:2])
         assert got_d + got_p == pytest.approx(result.best_val_sum, abs=1e-9)
 
