@@ -141,11 +141,10 @@ def cmd_eval(args) -> int:
     model = make_model(header["kind"], model_config_from_header(header), np.random.default_rng(0))
     seed = train_config_from_header(header).seed
     restore_model(model, header, arrays)
-    names = (
-        [s.strip() for s in args.methods.split(",") if s.strip()]
-        if args.methods
-        else [header["kind"], *REFERENCE_METHODS]
-    )
+    default = [header["kind"], *REFERENCE_METHODS]
+    names = default if args.methods is None else [s.strip() for s in args.methods.split(",") if s.strip()]
+    if not names:
+        raise ConfigError(f"--methods {args.methods!r} names no method; valid: {', '.join(default)}", field="methods")
     reports = []
     for name in names:
         if name == header["kind"]:
@@ -153,8 +152,7 @@ def cmd_eval(args) -> int:
         elif name in REFERENCE_METHODS:
             scorer = make_reference(name)
         else:
-            valid = ", ".join([header["kind"], *REFERENCE_METHODS])
-            raise ConfigError(f"method {name!r} not available here; valid: {valid}", field="methods")
+            raise ConfigError(f"method {name!r} not available here; valid: {', '.join(default)}", field="methods")
         reports.append(
             evaluate_model(scorer, scenes, args.split, manifest["config_hash"], seed)
         )

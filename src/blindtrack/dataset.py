@@ -11,10 +11,10 @@ frame; `visible` is not stored but read back as "pixel is not NaN".
 
 Every read checks what it reads: a record that breaks the schema raises
 SchemaError naming its file, line and field (CLI exit 7), and
-`load_dataset` refuses a split file whose sha256 is not its manifest's
-with HashMismatch (exit 4). `blindtrack import` of the directory
-re-admits an edited split: it reads the files through the same checks and
-writes a fresh manifest.
+`load_dataset` refuses a config or split file whose hash is not its
+manifest's with HashMismatch (exit 4). `blindtrack import` of the
+directory re-admits an edited dataset: it reads the files through the
+same checks and writes a fresh manifest.
 """
 
 from __future__ import annotations
@@ -230,17 +230,21 @@ def read_manifest(dataset_dir) -> dict:
     return manifest
 
 
+def _check_hash(path, what: str, digest: str, recorded: str) -> None:
+    if digest != recorded:
+        raise HashMismatch(f"{path}: {what} {digest[:12]} is not the manifest's {recorded[:12]}; "
+                           "`blindtrack import` re-admits an edited dataset")
+
+
 def load_dataset(dataset_dir) -> tuple[dict, dict[str, list[Scene]]]:
-    """The manifest and every split's scenes. Each split file is read
-    once, and its bytes must hash to the manifest's sha256."""
+    """The manifest and every split's scenes. The manifest's config must
+    hash to its config_hash, and each split file, read once, to its sha256."""
     manifest = read_manifest(dataset_dir)
+    _check_hash(Path(dataset_dir) / "manifest.json", "config hash", hash_of(manifest["config"]), manifest["config_hash"])
     splits = {}
     for name, info in manifest["splits"].items():
         path = Path(dataset_dir) / info["file"]
         data = path.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != info["sha256"]:
-            raise HashMismatch(f"{path}: sha256 {digest[:12]} is not the manifest's {info['sha256'][:12]}; "
-                               "`blindtrack import` re-admits an edited dataset")
+        _check_hash(path, "sha256", hashlib.sha256(data).hexdigest(), info["sha256"])
         splits[name] = _parse(data, path)
     return manifest, splits

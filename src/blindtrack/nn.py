@@ -148,24 +148,23 @@ class GRUCell(Module):
     """Gated recurrent unit; the update gate at 1 keeps the previous state."""
 
     def __init__(self, in_dim: int, dim: int, rng: np.random.Generator):
-        self.wx_update = Tensor(uniform_init(rng, in_dim, (in_dim, dim)), requires_grad=True)
-        self.wh_update = Tensor(uniform_init(rng, dim, (dim, dim)), requires_grad=True)
-        self.b_update = Tensor(np.zeros((1, dim)), requires_grad=True)
-        self.wx_reset = Tensor(uniform_init(rng, in_dim, (in_dim, dim)), requires_grad=True)
-        self.wh_reset = Tensor(uniform_init(rng, dim, (dim, dim)), requires_grad=True)
-        self.b_reset = Tensor(np.zeros((1, dim)), requires_grad=True)
-        self.wx_cand = Tensor(uniform_init(rng, in_dim, (in_dim, dim)), requires_grad=True)
-        self.wh_cand = Tensor(uniform_init(rng, dim, (dim, dim)), requires_grad=True)
-        self.b_cand = Tensor(np.zeros((1, dim)), requires_grad=True)
+        # gate order: update, reset, candidate; each gate's (wx, wh) drawn in turn
+        draws = [(uniform_init(rng, in_dim, (in_dim, dim)), uniform_init(rng, dim, (dim, dim))) for _ in range(3)]
+        self.wx = Tensor(np.concatenate([wx for wx, _ in draws], axis=1), requires_grad=True)
+        self.wh = Tensor(np.concatenate([wh for _, wh in draws], axis=1), requires_grad=True)
+        self.bias = Tensor(np.zeros((1, 3 * dim)), requires_grad=True)
+        self.dim = dim
 
     def step(self, x: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, ...]:
         (h,) = state
-        update = sigmoid(add(add(matmul(x, self.wx_update), matmul(h, self.wh_update)), self.b_update))
-        reset = sigmoid(add(add(matmul(x, self.wx_reset), matmul(h, self.wh_reset)), self.b_reset))
-        cand = tanh(add(add(matmul(x, self.wx_cand), matmul(mul(reset, h), self.wh_cand)), self.b_cand))
-        keep = mul(update, h)
-        take = mul(1.0 - update, cand)
-        return (add(keep, take),)
+        d = self.dim
+        xw = matmul(x, self.wx)
+        gates = sigmoid(add(add(slice_cols(xw, 0, 2 * d), matmul(h, slice_cols(self.wh, 0, 2 * d))),
+                            slice_cols(self.bias, 0, 2 * d)))
+        update, reset = slice_cols(gates, 0, d), slice_cols(gates, d, 2 * d)
+        cand = tanh(add(add(slice_cols(xw, 2 * d, 3 * d), matmul(mul(reset, h), slice_cols(self.wh, 2 * d, 3 * d))),
+                        slice_cols(self.bias, 2 * d, 3 * d)))
+        return (add(mul(update, h), mul(1.0 - update, cand)),)
 
 
 class LSTMCell(Module):
@@ -206,10 +205,11 @@ class SequenceTrunk(Module):
 
     kind "transformer" embeds, adds the fixed position table to every
     sequence, and runs the encoder; recurrent kinds embed and run one
-    fused recurrent_scan of the cell from a zero state over the B
-    sequences at once, one (B, dim) state per step, which returns the
-    hidden rows sequence-major as one graph node. The cell's own step is
-    the single-step definition the scan reproduces bit for bit.
+    fused recurrent_scan of one cell layer (layers and heads shape only
+    the transformer) from a zero state over the B sequences at once, one
+    (B, dim) state per step, which returns the hidden rows sequence-major
+    as one graph node. The cell's own step is the single-step definition
+    the scan reproduces bit for bit.
     """
 
     def __init__(self, kind: str, in_dim: int, dim: int, layers: int, heads: int, rng: np.random.Generator):

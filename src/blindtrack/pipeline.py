@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelConfig, TrainConfig
-from .errors import ConfigError, LengthMismatch, NonFiniteLoss, NoInSightAgents, SchemaError
+from .errors import ConfigError, EmptyInput, LengthMismatch, NonFiniteLoss, NoInSightAgents, SchemaError
 from .geometry import EPS_DEPTH, CameraIntrinsics, fit_cameras, nominal_camera
 from .metrics import score_scenes
 from .nn import SEQUENCE_KINDS, Adam, Linear, Module, SequenceTrunk
@@ -472,6 +472,8 @@ def train_model(
     copy of the optimizer's store (nn.Adam), which holds every parameter
     training changes; without validation scenes, the final epoch wins.
     """
+    if not train_scenes:
+        raise EmptyInput("no training scenes")
     optimizer = optimizer or Adam(model.parameters(), lr=tcfg.lr)
     model.prepare(train_scenes + val_scenes)
     result = TrainResult()

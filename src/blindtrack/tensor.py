@@ -647,22 +647,25 @@ def _previous(hidden: list[np.ndarray]) -> np.ndarray:
     return np.stack([np.zeros_like(hidden[0])] + hidden[:-1])
 
 
-# Each unroll below steps one cell over the step blocks xs from state h and
-# returns its hidden states and a bptt closure. It keeps what bptt needs
-# only when `keep` (a graph is being recorded), so inference holds no more
-# than the hidden states. bptt maps the (T, B, d) cotangent of the hidden
-# states to the (T, B, groups * w) cotangent of every step's
-# pre-activations and, per (wx, wh, b) group, the (T, B, d) rows that
-# multiplied wh. The factors from a state's cotangent to its
-# pre-activations' are formed for all steps at once before the reverse
-# loop, which is left with the products that carry the cotangent back.
+def _products(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """a.T @ g over the rows of every step: (T, B, m) and (T, B, p) -> (m, p)."""
+    return a.reshape(-1, a.shape[2]).T @ g.reshape(-1, g.shape[2])
 
 
-def _rnn_scan(xs, weights, h, keep):
-    wx, wh, b = weights
+# Each unroll below steps one cell from state h over xw, every step's
+# (B, k*d) input products x_t @ wx, adding h @ wh and b in the single step's
+# order, and returns its hidden states and a bptt closure. It keeps what
+# bptt needs only when `keep` (a graph is being recorded). bptt maps the
+# (T, B, d) cotangent of the hidden states to the (T, B, k*d) cotangent of
+# every step's pre-activations and the gradient of wh. The factors from a
+# state's cotangent to its pre-activations' are formed for all steps at
+# once, so the reverse loop holds only the products that carry it back.
+
+
+def _rnn_scan(xw, wh, b, h, keep):
     hidden = []
-    for xt in xs:
-        h = np.tanh((xt @ wx + h @ wh) + b)
+    for xt in xw:
+        h = np.tanh((xt + h @ wh) + b)
         hidden.append(h)
 
     def bptt(gs):
@@ -670,20 +673,21 @@ def _rnn_scan(xs, weights, h, keep):
         slope = 1.0 - slope * slope
         d_pre = np.empty_like(slope)
         dh = np.zeros_like(h)
-        for t in reversed(range(len(xs))):
+        for t in reversed(range(len(xw))):
             dh = np.multiply(dh + gs[t], slope[t], out=d_pre[t]) @ wh.T
-        return d_pre, [_previous(hidden)]
+        return d_pre, _products(_previous(hidden), d_pre)
 
     return hidden, bptt
 
 
-def _gru_scan(xs, weights, h, keep):
-    wx_u, wh_u, b_u, wx_r, wh_r, b_r, wx_c, wh_c, b_c = weights
+def _gru_scan(xw, wh, b, h, keep):
+    d = h.shape[1]
+    wh_ur, wh_c, b_ur, b_c = wh[:, :2 * d], wh[:, 2 * d:], b[:, :2 * d], b[:, 2 * d:]
     hidden, gates = [], []
-    for xt in xs:
-        update = _logistic((xt @ wx_u + h @ wh_u) + b_u)
-        reset = _logistic((xt @ wx_r + h @ wh_r) + b_r)
-        cand = np.tanh((xt @ wx_c + (reset * h) @ wh_c) + b_c)
+    for xt in xw:
+        update_reset = _logistic((xt[:, :2 * d] + h @ wh_ur) + b_ur)
+        update, reset = update_reset[:, :d], update_reset[:, d:]
+        cand = np.tanh((xt[:, 2 * d:] + (reset * h) @ wh_c) + b_c)
         h = update * h + (1.0 - update) * cand
         hidden.append(h)
         if keep:
@@ -692,31 +696,31 @@ def _gru_scan(xs, weights, h, keep):
     def bptt(gs):
         update, reset, cand = (np.stack(a) for a in zip(*gates))
         prev = _previous(hidden)
-        d = prev.shape[2]
         via_update = (prev - cand) * update * (1.0 - update)
         via_reset = prev * reset * (1.0 - reset)  # from the candidate's reset * h_prev
         via_cand = (1.0 - update) * (1.0 - cand * cand)
-        wh_ur = np.concatenate([wh_u, wh_r], axis=1).T
         d_pre = np.empty(prev.shape[:2] + (3 * d,))  # update | reset | candidate
         dh = np.zeros_like(h)
-        for t in reversed(range(len(xs))):
+        for t in reversed(range(len(xw))):
             dh = dh + gs[t]
             d_gated = np.multiply(dh, via_cand[t], out=d_pre[t, :, 2 * d:]) @ wh_c.T
             np.multiply(dh, via_update[t], out=d_pre[t, :, :d])
             np.multiply(d_gated, via_reset[t], out=d_pre[t, :, d:2 * d])
-            dh = dh * update[t] + d_gated * reset[t] + d_pre[t, :, :2 * d] @ wh_ur
-        return d_pre, [prev, prev, reset * prev]
+            dh = dh * update[t] + d_gated * reset[t] + d_pre[t, :, :2 * d] @ wh_ur.T
+        d_wh = np.empty_like(wh)
+        d_wh[:, :2 * d] = _products(prev, d_pre[:, :, :2 * d])
+        d_wh[:, 2 * d:] = _products(reset * prev, d_pre[:, :, 2 * d:])
+        return d_pre, d_wh
 
     return hidden, bptt
 
 
-def _lstm_scan(xs, weights, h, keep):
-    wx, wh, b = weights
+def _lstm_scan(xw, wh, b, h, keep):
     d = h.shape[1]
     c = np.zeros_like(h)
     hidden, saved = [], []
-    for xt in xs:
-        pre = (xt @ wx + h @ wh) + b
+    for xt in xw:
+        pre = (xt + h @ wh) + b
         gate_in = _logistic(np.ascontiguousarray(pre[:, :d]))
         gate_forget = _logistic(np.ascontiguousarray(pre[:, d:2 * d]))
         cand = np.tanh(np.ascontiguousarray(pre[:, 2 * d:3 * d]))
@@ -752,14 +756,14 @@ def _lstm_scan(xs, weights, h, keep):
             np.multiply(dh, via_out[t], out=d_pre[t, :, 3])
             dc = dc * gate_forget[t]
             dh = d_pre[t].reshape(batch, 4 * d) @ wh.T
-        return d_pre.reshape(steps, batch, 4 * d), [_previous(hidden)]
+        d_pre = d_pre.reshape(steps, batch, 4 * d)
+        return d_pre, _products(_previous(hidden), d_pre)
 
     return hidden, bptt
 
 
-# kind -> (unroll, number of (wx, wh, b) groups, pre-activation width per
-# group in state widths)
-_SCANS = {"rnn": (_rnn_scan, 1, 1), "gru": (_gru_scan, 3, 1), "lstm": (_lstm_scan, 1, 4)}
+# kind -> (unroll, pre-activation width in state widths)
+_SCANS = {"rnn": (_rnn_scan, 1), "gru": (_gru_scan, 3), "lstm": (_lstm_scan, 4)}
 
 
 def recurrent_scan(kind: str, x: Tensor, params, segment: int) -> Tensor:
@@ -768,50 +772,40 @@ def recurrent_scan(kind: str, x: Tensor, params, segment: int) -> Tensor:
     x is (B*T, n): B sequences of T = segment rows. From a zero state
     the cell steps over t = 0 .. T-1 with one (B, d) state for all B
     sequences, and the hidden rows come back stacked sequence-major,
-    (B*T, d). params are the cell's weights as (wx, wh, b) groups, in
-    nn's order: rnn one group; gru the update, reset and candidate groups;
-    lstm one group of 4*d columns holding the input, forget, candidate
-    and output gates.
+    (B*T, d). params are the cell's (wx, wh, b), in nn's layout of k*d
+    columns: rnn k = 1; gru k = 3, the update, reset and candidate gates;
+    lstm k = 4, the input, forget, candidate and output gates.
 
-    Each step forms (x_t @ wx + h @ wh) + b from a contiguous (B, n) block
-    x_t, the same products in the same order as the cells' single step, so
-    the forward is bit for bit that of the per-step composite. The
-    backward is backpropagation through time in numpy; the weight
-    gradients and the input gradient are single products over all steps.
+    One stacked product of x's step-major (T, B, n) copy forms every
+    x_t @ wx, the (B, n) products of the cells' single step, so the forward
+    is bit for bit the per-step composite. The backward is backpropagation
+    through time in numpy; the weight and input gradients are single
+    products over all steps.
     """
     if kind not in _SCANS:
         raise UnknownCellKind(f"recurrent_scan: unknown cell kind {kind!r}; expected one of {tuple(_SCANS)}")
-    unroll, groups, widen = _SCANS[kind]
+    unroll, widen = _SCANS[kind]
     rows, n = x.data.shape
     steps = _segment_rows(rows, segment, "recurrent_scan")
-    weights = [p.data for p in params]
-    if len(weights) != 3 * groups:
-        raise ShapeMismatch(f"recurrent_scan: {kind} takes {3 * groups} parameters, got {len(weights)}")
-    dim = weights[1].shape[0]
+    if len(params) != 3:
+        raise ShapeMismatch(f"recurrent_scan: {kind} takes 3 parameters (wx, wh, b), got {len(params)}")
+    wx, wh, b = (p.data for p in params)
+    dim = wh.shape[0]
     width = widen * dim
-    for wx, wh, b in zip(weights[0::3], weights[1::3], weights[2::3]):
-        if wx.shape != (n, width) or wh.shape != (dim, width) or b.shape != (1, width):
-            raise ShapeMismatch(
-                f"recurrent_scan: {kind} weights {wx.shape}, {wh.shape}, {b.shape} "
-                f"for rows of width {n} and a state of width {dim}"
-            )
+    if wx.shape != (n, width) or wh.shape != (dim, width) or b.shape != (1, width):
+        raise ShapeMismatch(f"recurrent_scan: {kind} weights {wx.shape}, {wh.shape}, {b.shape} "
+                            f"for rows of width {n} and a state of width {dim}")
     batch = rows // steps
-    xs = [x.data[t::steps].copy() for t in range(steps)]
+    xs = np.ascontiguousarray(x.data.reshape(batch, steps, n).transpose(1, 0, 2))
     parents = (x, *params)
     keep = _recording and any(p.requires_grad for p in parents)
-    hidden, bptt = unroll(xs, weights, np.zeros((batch, dim)), keep)
+    hidden, bptt = unroll(np.matmul(xs, wx), wh, b, np.zeros((batch, dim)), keep)
 
     def back(g):
-        # everything here is step-major, (T*B, .); dx goes back sequence-major
-        d_pre, h_ins = bptt(g.reshape(batch, steps, dim).transpose(1, 0, 2))
-        d_pre = d_pre.reshape(rows, groups * width)
-        dx = d_pre @ np.concatenate(weights[0::3], axis=1).T
-        dwx = np.concatenate(xs).T @ d_pre
-        grads = []
-        for k, h_in in enumerate(h_ins):
-            cols = slice(k * width, (k + 1) * width)
-            d_group = d_pre[:, cols]
-            grads += [dwx[:, cols], h_in.reshape(rows, dim).T @ d_group, d_group.sum(axis=0, keepdims=True)]
-        return (dx.reshape(steps, batch, n).transpose(1, 0, 2).reshape(rows, n), *grads)
+        # everything here is step-major, (T, B, .); dx goes back sequence-major
+        d_pre, d_wh = bptt(g.reshape(batch, steps, dim).transpose(1, 0, 2))
+        d_flat = d_pre.reshape(rows, width)
+        dx = (d_flat @ wx.T).reshape(steps, batch, n).transpose(1, 0, 2).reshape(rows, n)
+        return dx, _products(xs, d_pre), d_wh, d_flat.sum(axis=0, keepdims=True)
 
     return _node(np.stack(hidden, axis=1).reshape(rows, dim), parents, back)

@@ -122,9 +122,12 @@ class TestCriterion01Gradients:
             (lambda p: sum_all(attention_block(p[0], p[1], p[2], 4)), [mat(4, 6), mat(4, 6), mat(4, 6)]),
         ]
         # one fused recurrent unroll per cell kind: 3 sequences of 2 steps,
-        # a 2-wide state, (wx, wh, b) per gate group
+        # a 2-wide state, one (wx, wh, b) whose column blocks are drawn per
+        # gate group, as (wx, wh, b) in turn
         for kind, groups, width in (("rnn", 1, 2), ("gru", 3, 2), ("lstm", 1, 8)):
-            params = [mat(6, 3)] + [m for _ in range(groups) for m in (mat(3, width), mat(2, width), mat(1, width))]
+            x = mat(6, 3)
+            drawn = [[m.data for m in (mat(3, width), mat(2, width), mat(1, width))] for _ in range(groups)]
+            params = [x] + [Tensor(np.concatenate(blocks, axis=1), requires_grad=True) for blocks in zip(*drawn)]
             cases.append((lambda p, k=kind: sum_all(square(recurrent_scan(k, p[0], p[1:], 2))), params))
         # the fused transformer sublayers: 2 sequences of 2 rows, 2 heads.
         # The key bias adds the same score to every key of a row, which the

@@ -25,7 +25,7 @@ from blindtrack.checkpoint import (
     train_config_from_header,
 )
 from blindtrack.cli import build_parser, main
-from blindtrack.dataset import read_manifest
+from blindtrack.dataset import hash_of, read_manifest
 from blindtrack.metrics import reports_from_csv
 from blindtrack.nn import Adam, Linear
 
@@ -236,10 +236,41 @@ class TestTrain:
         shutil.copytree(workdir / "data", data)
         manifest = json.loads((data / "manifest.json").read_text())
         manifest["config"][key] = value
+        manifest["config_hash"] = hash_of(manifest["config"])  # as the older version wrote it
         (data / "manifest.json").write_text(json.dumps(manifest))
         assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "run")]) == 2
         assert f"unknown field {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_edited_manifest_config_exits_4_until_reimported(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["config"].update(epochs=1, lr=0.5)  # the config_hash is left as it was
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        run = tmp_path / "run"
+        for argv in (["train", "--out", str(run)], ["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt")],
+                     ["ablate", "--out", str(run)], ["calibrate", "--out", str(run / "cal.csv")]):
+            assert main([*argv, "--dataset", str(data)]) == 4, argv
+            err = capsys.readouterr().err
+            assert f"{data / 'manifest.json'}: config hash" in err and "blindtrack import" in err
+        assert not run.exists()
+        assert main(["import", str(data), "--out", str(tmp_path / "fixed")]) == 0
+        assert read_manifest(tmp_path / "fixed")["config_hash"] == hash_of(manifest["config"])
+        assert main(["train", "--dataset", str(tmp_path / "fixed"), "--out", str(run)]) == 0
+        assert "for 1 epochs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_empty_training_split_exits_6_before_any_work(self, workdir, tmp_path, capsys, command):
+        source = tmp_path / "source"
+        shutil.copytree(workdir / "data", source)
+        (source / "train.jsonl").write_bytes(b"")
+        assert main(["import", str(source), "--out", str(tmp_path / "data")]) == 0
+        assert "train=0" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(tmp_path / "data"), "--out", str(out)]) == 6
+        assert "error: no training scenes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_exits_2(self, workdir, tmp_path, capsys):
         code = main(["train", "--dataset", str(workdir / "data"), "--method", "psychic",
@@ -267,6 +298,15 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "full" in err and "const_velocity" in err and "smoother" in err
+
+    @pytest.mark.parametrize("methods", [",", "", " , "])
+    def test_empty_method_list_exits_2(self, workdir, tmp_path, capsys, methods):
+        out = tmp_path / "eval.csv"
+        code = main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+                     "--dataset", str(workdir / "data"), "--methods", methods, "--out", str(out)])
+        assert code == 2
+        assert f"--methods {methods!r} names no method; valid: full, " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_dataset_exits_4(self, workdir, tmp_path):
         cfg = write_config(tmp_path / "other.json", data_seed=99)

@@ -160,10 +160,32 @@ class TestCells:
     def test_gru_saturated_update_gate_keeps_state(self):
         rng = np.random.default_rng(6)
         cell = nn.make_cell("gru", 3, 4, rng)
-        cell.b_update.data[:] = 50.0
+        cell.bias.data[:, :4] = 50.0  # the update gate's columns
         h = Tensor(rng.normal(size=(1, 4)))
         (h_new,) = cell.step(Tensor(rng.normal(size=(1, 3))), (h,))
         assert np.allclose(h_new.data, h.data, atol=1e-9)
+
+    def test_every_cell_holds_one_weight_triple(self):
+        # one (wx, wh, bias) layout for every kind: k gate blocks of the state width
+        gates = {"rnn": 1, "gru": 3, "lstm": 4}
+        assert tuple(gates) == tuple(nn.CELLS)
+        for kind, cls in nn.CELLS.items():
+            width = gates[kind] * 5
+            cell = cls(3, 5, np.random.default_rng(0))
+            shapes = [(name, p.data.shape) for name, p in cell.named_parameters()]
+            assert shapes == [("wx", (3, width)), ("wh", (5, width)), ("bias", (1, width))]
+            assert tz._SCANS[kind][1] == gates[kind]
+
+    def test_gru_blocks_are_the_per_gate_draws(self):
+        # the update, reset and candidate pairs come from the generator in
+        # turn, the numbers each gate drew when it held its own arrays
+        cell = nn.GRUCell(3, 4, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        for gate in range(3):
+            cols = slice(4 * gate, 4 * (gate + 1))
+            assert same_bits(cell.wx.data[:, cols], nn.uniform_init(rng, 3, (3, 4)))
+            assert same_bits(cell.wh.data[:, cols], nn.uniform_init(rng, 4, (4, 4)))
+        assert np.array_equal(cell.bias.data, np.zeros((1, 12)))
 
     def test_lstm_state_is_pair(self):
         cell = nn.make_cell("lstm", 2, 3, np.random.default_rng(7))

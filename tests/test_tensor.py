@@ -1,6 +1,8 @@
 """Autodiff engine: forward values against brute-force oracles, gradients
 against central finite differences, and the graph/shape contracts."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -511,9 +513,9 @@ class TestFusedSublayers:
 
 
 def scan_params(rng, kind: str, n: int, d: int) -> list[Tensor]:
-    """Random (wx, wh, b) groups for recurrent_scan: n-wide rows, d-wide state."""
-    groups, width = {"rnn": (1, d), "gru": (3, d), "lstm": (1, 4 * d)}[kind]
-    shapes = [(n, width), (d, width), (1, width)] * groups
+    """A random (wx, wh, b) for recurrent_scan: n-wide rows, d-wide state."""
+    width = {"rnn": d, "gru": 3 * d, "lstm": 4 * d}[kind]
+    shapes = ((n, width), (d, width), (1, width))
     return [Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True) for shape in shapes]
 
 
@@ -617,6 +619,17 @@ class TestRowStackedOps:
             tz.recurrent_scan("lstm", x, scan_params(rng, "rnn", 2, 3), 3)
         with pytest.raises(ShapeMismatch):
             tz.recurrent_scan("rnn", x, scan_params(rng, "rnn", 3, 3), 3)
+        with pytest.raises(ShapeMismatch, match="takes 3 parameters"):  # per-gate triples
+            tz.recurrent_scan("gru", x, scan_params(rng, "rnn", 2, 3) * 3, 3)
+
+    def test_recurrent_scan_forms_the_input_products_once(self):
+        # the unrolls get every step's x_t @ wx already formed, and nothing
+        # in the scan concatenates weights or inputs
+        unrolls = [unroll for unroll, _ in tz._SCANS.values()]
+        for unroll in unrolls:
+            assert list(inspect.signature(unroll).parameters) == ["xw", "wh", "b", "h", "keep"]
+        source = "".join(inspect.getsource(f) for f in [tz.recurrent_scan, *unrolls])
+        assert "concatenate" not in source
 
 
 class TestNoGrad:
