@@ -20,7 +20,7 @@ cfg = RunConfig(
     n_train=16,
     n_val=4,
     n_test=8,
-    sim=SimulatorConfig(t_obs=12, t_pred=8, noise=NoiseModel(kind="gps", gps_sigma=2.0)),
+    sim=SimulatorConfig(t_obs=12, t_pred=8, noise=NoiseModel(gps_sigma=2.0)),
     width=32,
     layers=1,
     epochs=args.epochs,

@@ -22,7 +22,7 @@ cfg = RunConfig(
     n_train=args.scenes,
     n_val=4,
     n_test=8,
-    sim=SimulatorConfig(t_obs=12, t_pred=8, noise=NoiseModel(kind="gps", gps_sigma=args.gps_sigma)),
+    sim=SimulatorConfig(t_obs=12, t_pred=8, noise=NoiseModel(gps_sigma=args.gps_sigma)),
     width=32,
     layers=2,
     epochs=args.epochs,

@@ -45,10 +45,10 @@ REFERENCE_METHODS = ("const_velocity", "smoother")
 
 
 def method_names() -> list[str]:
+    """The trainable methods; the references (REFERENCE_METHODS) need no training."""
     names = ["full"]
     names += [f"{family}:{kind}" for family in LEARNED_FAMILIES for kind in SEQUENCE_KINDS]
     names += [f"no_{stage}" for stage in STAGES]
-    names += list(REFERENCE_METHODS)
     return names
 
 
@@ -92,9 +92,11 @@ class TwoStageBaseline(TrajectoryModel):
 
 def make_model(name: str, cfg: ModelConfig, rng: np.random.Generator) -> TrajectoryModel:
     """Build any trainable method by its canonical name."""
-    if name in REFERENCE_METHODS or name not in method_names():
+    if name not in method_names():
         raise ConfigError(
-            f"unknown method {name!r}; expected one of {method_names()}", field="method"
+            f"{name!r} is no trainable method; expected one of {method_names()} "
+            f"(the references {' and '.join(REFERENCE_METHODS)} need no training)",
+            field="method",
         )
     family, _, kind = name.partition(":")
     if family == "direct":

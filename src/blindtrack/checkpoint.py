@@ -8,10 +8,13 @@ same model bytes always produce the same file.
 A checkpoint is the model: its arrays are the parameters, and nothing
 else. The header's "kind" (the method name) alone names the architecture,
 "model" holds only the ModelConfig dimensions (t_pred, width, layers,
-heads and the rig's focal length) and "train" the TrainConfig. "epoch",
-"best_val_sum" and "adam" (the optimizer's step count and lr) record the
-run and are never read back. A header of another format, or with "model"
-or "train" values that fail validation, is refused with SchemaError, and
+heads and the rig's focal length) and "train" the TrainConfig.
+"config_hash" is the hash of the run config the model was trained on, or
+"" for a model paired with no dataset. "epoch", "best_val_sum" and "adam"
+(the optimizer's step count and lr) record the run and are never read
+back. A header of another format, a "kind" that names no trainable
+method, a "config_hash" that is no string, or "model" or "train" values
+that fail validation, is refused with SchemaError, and
 so is a file that stores arrays the model lacks: a checkpoint of the
 older format, which also held Adam's moments as "adam.m:"/"adam.v:"
 arrays, is refused naming its first "adam.m:" array.
@@ -26,6 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .baselines import method_names
 from .config import ModelConfig, TrainConfig, from_json
 from .dataset import canonical_json
 from .errors import ConfigError, HashMismatch, SchemaError
@@ -34,7 +38,7 @@ from .nn import Adam
 MAGIC = b"BTCKPT01"
 
 # header entries every reader relies on
-HEADER_KEYS = ("kind", "model", "train", "arrays")
+HEADER_KEYS = ("kind", "model", "train", "config_hash", "arrays")
 
 
 def save_checkpoint(
@@ -89,6 +93,13 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         missing = [key for key in HEADER_KEYS if not isinstance(header, dict) or key not in header]
         if missing:
             raise SchemaError(f"{path}: checkpoint header has no {missing[0]!r}", field=missing[0])
+        kind, config_hash = header["kind"], header["config_hash"]
+        if kind not in method_names():
+            raise SchemaError(f"{path}: checkpoint header 'kind' {kind!r} names no trainable method", field="kind")
+        if type(config_hash) is not str:
+            raise SchemaError(
+                f"{path}: checkpoint header 'config_hash' must be a string, got {config_hash!r}", field="config_hash"
+            )
         if not isinstance(header["arrays"], list):
             raise SchemaError(f"{path}: checkpoint header 'arrays' is not a list", field="arrays")
         arrays = {}

@@ -259,7 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one method on a dataset")
     train.add_argument("--dataset", required=True, help="dataset directory from simulate")
     train.add_argument("--config", help="run config JSON; must hash-match the dataset")
-    train.add_argument("--method", default="full", help=f"one of: {', '.join(method_names())}")
+    train.add_argument(
+        "--method",
+        default="full",
+        help=f"one of: {', '.join(method_names())} (the references "
+        f"{' and '.join(REFERENCE_METHODS)} need no training; eval scores them)",
+    )
     train.add_argument("--seed", type=int, help="override the training seed")
     train.add_argument("--out", required=True, help="output directory for checkpoint and log")
     train.set_defaults(run=cmd_train)

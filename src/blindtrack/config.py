@@ -11,11 +11,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dataset import hash_of
 from .errors import ConfigError
-from .simulator import FOCAL, NoiseModel, SimulatorConfig, is_int, require_ints
+from .simulator import FOCAL, JSON_TYPES, NoiseModel, SimulatorConfig, is_int, require_types
 
-# whether a JSON value fits a config field of each annotated type: a bool
-# is no number, and an int is accepted as a float
-JSON_TYPES = {"int": is_int, "float": lambda v: type(v) in (int, float), "str": lambda v: type(v) is str}
 # the fields that hold a config of their own, read from an object
 NESTED = {"SimulatorConfig": SimulatorConfig, "NoiseModel": NoiseModel}
 
@@ -62,7 +59,7 @@ class ModelConfig:
     focal: float = FOCAL  # the rig's focal length in pixels, which the camera fit reads
 
     def validate(self) -> None:
-        require_ints(self, t_pred=1, width=1, layers=1, heads=1)
+        require_types(self, t_pred=1, width=1, layers=1, heads=1)
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}", field="heads")
         if not (math.isfinite(self.focal) and self.focal > 0):
@@ -79,7 +76,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        require_ints(self, epochs=1, batch_size=1)
+        require_types(self, epochs=1, batch_size=1)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}", field="lr")
 
@@ -100,7 +97,7 @@ class RunConfig:
     lr: float = TrainConfig.lr
 
     def validate(self) -> None:
-        require_ints(self, n_train=1, n_val=0, n_test=1)
+        require_types(self, n_train=1, n_val=0, n_test=1)
         self.train_config().validate()
         for name in ("data_seed", "train_seed"):
             if getattr(self, name) < 0:

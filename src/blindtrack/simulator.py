@@ -57,7 +57,6 @@ CAMERA_SPEED = 0.5  # m/s for moving-camera presets
 RETRY_BUDGET = 100
 RETRY_SCENES = 16  # scenes whose unplaced agents retry together
 
-NOISE_KINDS = ("gps", "odometer", "combined")
 MOTION_KINDS = ("static", "linear", "arc")
 
 
@@ -66,55 +65,57 @@ def is_int(value) -> bool:
     return type(value) is int
 
 
-def require_ints(config, **least: int) -> None:
-    """ConfigError naming config's first int field that holds no int, then
-    the first field named in least that holds less than its value there."""
+# whether a value fits a config field of each annotated type, read from
+# JSON or passed by a caller alike: a bool is no number, an int is accepted
+# as a float, and an image size is a tuple of ints (JSON's list, as read)
+JSON_TYPES = {"int": is_int, "float": lambda v: type(v) in (int, float), "str": lambda v: type(v) is str,
+              "tuple[int, int]": lambda v: type(v) is tuple and all(map(is_int, v))}
+
+
+def require_types(config, where: str = "", **least: int) -> None:
+    """ConfigError naming config's first field whose value is not of its
+    type (JSON_TYPES), then the first field named in least that holds less
+    than its value there; where prefixes every name."""
     for f in fields(config):
-        if f.type == "int" and not is_int(getattr(config, f.name)):
-            raise ConfigError(f"{f.name} must be an int, got {getattr(config, f.name)!r}", field=f.name)
+        name, value = where + f.name, getattr(config, f.name)
+        if f.type in JSON_TYPES and not JSON_TYPES[f.type](value):
+            raise ConfigError(f"field {name!r} holds {type(value).__name__}, not {f.type}", field=name)
     for name, low in least.items():
         if getattr(config, name) < low:
-            raise ConfigError(f"{name} must be >= {low}, got {getattr(config, name)}", field=name)
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(config, name)}", field=where + name)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Sensor corruption: white positional error, integrated drift, or both."""
+    """Sensor corruption: white positional error (GPS-style) plus an
+    integrated drift (odometry-style); a term whose sigma is zero is off."""
 
-    kind: str = "gps"
     gps_sigma: float = 2.0
     drift_step_sigma: float = 0.0
 
     def validate(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"noise kind {self.kind!r} not in {NOISE_KINDS}", field="noise.kind")
-        if not 0.0 <= self.gps_sigma <= 10.0:
-            raise ConfigError(f"gps_sigma {self.gps_sigma} outside [0, 10]", field="noise.gps_sigma")
-        if not 0.0 <= self.drift_step_sigma <= 1.0:
-            raise ConfigError(
-                f"drift_step_sigma {self.drift_step_sigma} outside [0, 1]", field="noise.drift_step_sigma"
-            )
+        require_types(self, "noise.")
+        for name, high in (("gps_sigma", 10.0), ("drift_step_sigma", 1.0)):
+            if not 0.0 <= getattr(self, name) <= high:
+                raise ConfigError(f"{name} {getattr(self, name)} outside [0, {high:g}]", field=f"noise.{name}")
 
     @classmethod
     def preset(cls, name: str) -> "NoiseModel":
-        if name == "clean":
-            return cls(kind="gps", gps_sigma=0.0)
-        if name == "default":
-            return cls(kind="gps", gps_sigma=2.0)
-        if name == "hard":
-            return cls(kind="combined", gps_sigma=2.0, drift_step_sigma=0.05)
-        raise ConfigError(f"unknown noise preset {name!r}", field="noise")
+        presets = {"clean": cls(0.0), "default": cls(2.0), "hard": cls(2.0, 0.05)}
+        if name not in presets:
+            raise ConfigError(f"unknown noise preset {name!r}", field="noise")
+        return presets[name]
 
     def sample(self, rng: np.random.Generator, steps: int) -> np.ndarray:
-        """Additive offsets, (steps, 3): the white error, the cumulative
-        drift, or their sum. Draw order is fixed: white error first, then
-        drift, so 'combined' is reproducible."""
-        if self.kind == "odometer":
-            return np.cumsum(rng.normal(0.0, self.drift_step_sigma, (steps, 3)), axis=0)
-        white = rng.normal(0.0, self.gps_sigma, (steps, 3))
-        if self.kind == "gps":
-            return white
-        return white + np.cumsum(rng.normal(0.0, self.drift_step_sigma, (steps, 3)), axis=0)
+        """Additive offsets, (steps, 3): the white error plus the cumulative
+        drift. A term is drawn only when its sigma is non-zero, white error
+        first, so a model of two zero sigmas draws nothing."""
+        noise = np.zeros((steps, 3))
+        if self.gps_sigma:
+            noise += rng.normal(0.0, self.gps_sigma, (steps, 3))
+        if self.drift_step_sigma:
+            noise += np.cumsum(rng.normal(0.0, self.drift_step_sigma, (steps, 3)), axis=0)
+        return noise
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,10 @@ class SimulatorConfig:
     focal: float = FOCAL
 
     def validate(self) -> None:
-        require_ints(self, n_agents=2, t_obs=2, t_pred=1)  # n_agents: one hidden plus one visible
+        require_types(self, n_agents=2, t_obs=2, t_pred=1)  # n_agents: one hidden plus one visible
         if self.camera_motion not in MOTION_KINDS:
-            raise ConfigError(
-                f"camera_motion {self.camera_motion!r} not in {MOTION_KINDS}", field="camera_motion"
-            )
-        if len(self.image_size) != 2 or not all(map(is_int, self.image_size)) or min(self.image_size) < 1:
+            raise ConfigError(f"camera_motion {self.camera_motion!r} not in {MOTION_KINDS}", field="camera_motion")
+        if len(self.image_size) != 2 or min(self.image_size) < 1:
             raise ConfigError(f"image_size {self.image_size} must be two positive integers", field="image_size")
         if not (math.isfinite(self.focal) and self.focal > 0):
             raise ConfigError(f"focal must be finite and positive, got {self.focal}", field="focal")

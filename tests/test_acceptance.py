@@ -149,7 +149,7 @@ class TestCriterion01Gradients:
         # end to end: every stage of a tiny pipeline in one loss
         cfg = ModelConfig(t_pred=2, width=8, layers=1, heads=2)
         scfg = SimulatorConfig(
-            n_agents=3, t_obs=4, t_pred=2, noise=NoiseModel(kind="gps", gps_sigma=1.0)
+            n_agents=3, t_obs=4, t_pred=2, noise=NoiseModel(gps_sigma=1.0)
         )
         scene = sim.make_scene(scfg, seed=3)
         model = make_model("full", cfg, np.random.default_rng(0))
@@ -294,7 +294,7 @@ BENCH = RunConfig(
     n_train=32,
     n_val=0,
     n_test=8,
-    sim=SimulatorConfig(t_obs=12, t_pred=8, noise=NoiseModel(kind="gps", gps_sigma=2.0)),
+    sim=SimulatorConfig(t_obs=12, t_pred=8, noise=NoiseModel(gps_sigma=2.0)),
     width=32,
     layers=1,
     heads=4,
@@ -405,7 +405,7 @@ class TestCriterion10Reproducibility:
                 "t_obs": 8,
                 "t_pred": 4,
                 "camera_motion": "static",
-                "noise": {"kind": "combined", "gps_sigma": 1.0, "drift_step_sigma": 0.02},
+                "noise": {"gps_sigma": 1.0, "drift_step_sigma": 0.02},
                 "image_size": [640, 480],
                 "focal": 500.0,
             },

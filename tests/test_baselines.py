@@ -17,7 +17,7 @@ from util_grad import check_gradients
 
 class TestFactory:
     def test_all_method_names_construct(self):
-        for name in bl.method_names():
+        for name in [*bl.method_names(), *bl.REFERENCE_METHODS]:
             if name in bl.REFERENCE_METHODS:
                 model = bl.make_reference(name)
             else:

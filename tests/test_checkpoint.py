@@ -152,7 +152,7 @@ class TestGuards:
         with pytest.raises(SchemaError, match=f"missing field '{dropped}'"):
             read(short)
 
-    @pytest.mark.parametrize("key", ["kind", "model", "train", "arrays"])
+    @pytest.mark.parametrize("key", ["kind", "model", "train", "config_hash", "arrays"])
     def test_header_without_an_entry_rejected(self, tmp_path, key):
         model, optimizer, tcfg, _ = small_trained_model()
         path = tmp_path / "model.ckpt"

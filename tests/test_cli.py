@@ -43,7 +43,7 @@ TINY = {
         "t_obs": 8,
         "t_pred": 4,
         "camera_motion": "static",
-        "noise": {"kind": "gps", "gps_sigma": 0.5, "drift_step_sigma": 0.0},
+        "noise": {"gps_sigma": 0.5, "drift_step_sigma": 0.0},
         "image_size": [640, 480],
         "focal": 500.0,
     },
@@ -190,9 +190,10 @@ class TestSimulate:
             # fields older versions wrote
             ({"profile": "desk"}, "unknown field 'profile'"),
             ({"pred_weight": 1.0}, "unknown field 'pred_weight'"),
+            ({"sim": {"noise": {"kind": "gps", "gps_sigma": 2.0}}}, "unknown field 'sim.noise.kind'"),
         ],
         ids=["epochs_a_string", "t_obs_a_string", "lr_null", "gps_sigma_a_string", "image_size_an_int",
-             "names_profile", "names_pred_weight"],
+             "names_profile", "names_pred_weight", "names_noise_kind"],
     )
     def test_config_value_of_the_wrong_json_type_exits_2(self, tmp_path, capsys, raw, named):
         cfg = tmp_path / "bad.json"
@@ -242,6 +243,24 @@ class TestTrain:
         assert f"unknown field {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_dataset_whose_noise_names_a_kind_exits_2_and_still_evaluates(self, workdir, tmp_path, capsys):
+        # the manifest an older version wrote while the noise named a kind,
+        # and a checkpoint trained on it: eval never parses the config
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["config"]["sim"]["noise"]["kind"] = "gps"
+        manifest["config_hash"] = hash_of(manifest["config"])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        for command in ("train", "ablate"):
+            assert main([command, "--dataset", str(data), "--out", str(tmp_path / "run")]) == 2
+            assert "unknown field 'sim.noise.kind'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        checkpoint = tmp_path / "older.ckpt"
+        shutil.copy(workdir / "run" / "checkpoint.ckpt", checkpoint)
+        rewrite_header(checkpoint, lambda header: header.update(config_hash=manifest["config_hash"]))
+        assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(data)]) == 0
+
     def test_edited_manifest_config_exits_4_until_reimported(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(workdir / "data", data)
@@ -277,6 +296,20 @@ class TestTrain:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert "plus_vpd:transformer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reference", ["const_velocity", "smoother"])
+    def test_a_reference_is_not_offered_for_training(self, workdir, tmp_path, capsys, reference):
+        assert main(["train", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # as one line, however argparse wraps it
+        offered = text.split("--method METHOD one of: ")[1].split(" (the references")[0]
+        assert "no_predictor" in offered and reference not in offered and "need no training" in text
+        code = main(["train", "--dataset", str(workdir / "data"), "--method", reference,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        listed = err.split("expected one of ")[1].split("]")[0]
+        assert "'no_predictor'" in listed and reference not in listed and "need no training" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:
@@ -372,6 +405,23 @@ class TestEval:
         rewrite_header(path, edit)
         assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("kind", "foo", "'kind' 'foo' names no trainable method"),
+         ("kind", ["full"], "'kind' ['full'] names no trainable method"),
+         ("kind", "smoother", "'kind' 'smoother' names no trainable method"),
+         ("config_hash", 123, "'config_hash' must be a string, got 123"),
+         ("config_hash", None, "'config_hash' must be a string, got None"),
+         ("config_hash", [], "'config_hash' must be a string, got []")],
+        ids=["kind_foo", "kind_a_list", "kind_a_reference", "hash_an_int", "hash_null", "hash_a_list"],
+    )
+    def test_checkpoint_header_kind_and_hash_are_checked_as_format(self, workdir, tmp_path, capsys, key, value, named):
+        path = tmp_path / "edited.ckpt"
+        shutil.copy(workdir / "run" / "checkpoint.ckpt", path)
+        rewrite_header(path, lambda header: header.update({key: value}))
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(workdir / "data")]) == 7
+        assert f"error: {path}: checkpoint header {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "header, named",

@@ -1,13 +1,16 @@
 """Run configs: JSON round trips, validation, and content hashing."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from blindtrack.config import ModelConfig, RunConfig, TrainConfig
 from blindtrack.errors import ConfigError
-from blindtrack.simulator import NoiseModel, SimulatorConfig
+from blindtrack.simulator import MOTION_KINDS, NoiseModel, SimulatorConfig
 
 
 class TestRoundTrip:
@@ -15,7 +18,7 @@ class TestRoundTrip:
         cfg = RunConfig(
             data_seed=3,
             n_train=10,
-            sim=SimulatorConfig(n_agents=4, noise=NoiseModel(kind="combined", gps_sigma=1.5)),
+            sim=SimulatorConfig(n_agents=4, noise=NoiseModel(gps_sigma=1.5, drift_step_sigma=0.1)),
         )
         again = RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
@@ -34,10 +37,9 @@ class TestRoundTrip:
             assert variant.config_hash() != base.config_hash()
 
     def test_default_hash_is_pinned(self):
-        # the digest of the defaults when RunConfig spelled out the model and
-        # training defaults as literals, before it took them from
-        # ModelConfig and TrainConfig
-        assert RunConfig().config_hash() == "ea25faa1d59c0be2984e1c25ad036b8a9a8af76bfa6ac568fe300f5fd8403a9a"
+        # the digest of the defaults since the noise model is its two sigmas
+        # alone; it was ea25faa1... while the noise also named a kind
+        assert RunConfig().config_hash() == "d1e67f9ca6fbe2f70d77afebb63e1d655fdff7cdac61b0926eb8f174ae73d34c"
 
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(n_train=5, n_val=1, n_test=2)
@@ -104,6 +106,23 @@ class TestValidation:
             cls(**changes).validate()
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "cls, changes, field",
+        [(RunConfig, {"lr": True}, "lr"), (TrainConfig, {"lr": "1e-3"}, "lr"),
+         (SimulatorConfig, {"focal": True}, "focal"), (ModelConfig, {"focal": None}, "focal"),
+         (NoiseModel, {"gps_sigma": True}, "noise.gps_sigma"), (NoiseModel, {"gps_sigma": "2"}, "noise.gps_sigma"),
+         (NoiseModel, {"drift_step_sigma": [0.1]}, "noise.drift_step_sigma"),
+         (RunConfig, {"sim": SimulatorConfig(noise=NoiseModel(gps_sigma=False))}, "noise.gps_sigma"),
+         (SimulatorConfig, {"image_size": [640, 480]}, "image_size"), (SimulatorConfig, {"image_size": 5}, "image_size"),
+         (SimulatorConfig, {"camera_motion": 1}, "camera_motion")],
+    )
+    def test_a_field_holds_what_its_json_holds(self, cls, changes, field):
+        # from_json's rule: a bool or a non-number is no float, and an
+        # image size is read as a tuple of ints
+        with pytest.raises(ConfigError) as err:
+            cls(**changes).validate()
+        assert err.value.field == field
+
     def test_split_sizes(self):
         with pytest.raises(ConfigError):
             RunConfig(n_train=0).validate()
@@ -146,3 +165,56 @@ class TestDerivedConfigs:
         tcfg = cfg.train_config()
         assert tcfg.seed == 5 and tcfg.epochs == 13 and tcfg.lr == 2e-3
         assert cfg.train_config(seed=9).seed == 9
+
+
+# values of any JSON or Python type, one of which now and then takes a field's place
+ANY = st.one_of(st.none(), st.booleans(), st.integers(-2, 2**70), st.floats(), st.text(max_size=2),
+                st.lists(st.integers(0, 9), max_size=3), st.integers(0, 9).map(np.int64),
+                st.floats(0, 9).map(np.float64))
+SIZES = st.integers(1, 2000)
+VALID_RUNS = st.builds(
+    RunConfig,
+    data_seed=st.integers(0, 2**70), train_seed=st.integers(0, 99), n_train=st.integers(1, 99),
+    n_val=st.integers(0, 9), n_test=st.integers(1, 99),
+    sim=st.builds(
+        SimulatorConfig,
+        n_agents=st.integers(2, 12), t_obs=st.integers(2, 100), t_pred=st.integers(1, 100),
+        camera_motion=st.sampled_from(MOTION_KINDS),
+        noise=st.builds(NoiseModel, gps_sigma=st.floats(0, 10) | st.integers(0, 10),
+                        drift_step_sigma=st.floats(0, 1) | st.just(0)),
+        image_size=st.tuples(SIZES, SIZES), focal=st.floats(1e-3, 1e4) | st.integers(1, 5000),
+    ),
+    width=st.sampled_from([8, 16, 64]), layers=st.integers(1, 4), heads=st.sampled_from([1, 2, 4]),
+    epochs=st.integers(1, 500), batch_size=st.integers(1, 64), lr=st.floats(1e-9, 10.0) | st.integers(1, 3),
+)
+# the dotted path of every field that holds a value, not a config
+PATHS = [*(f"sim.noise.{f.name}" for f in fields(NoiseModel)),
+         *(f"sim.{f.name}" for f in fields(SimulatorConfig) if f.name != "noise"),
+         *(f.name for f in fields(RunConfig) if f.name != "sim")]
+
+
+def with_value(cfg, path: str, value):
+    head, _, rest = path.partition(".")
+    return replace(cfg, **{head: with_value(getattr(cfg, head), rest, value) if rest else value})
+
+
+@st.composite
+def run_configs(draw):
+    """A run config of valid field values, or one with one field of any type."""
+    cfg, path = draw(VALID_RUNS), draw(st.none() | st.sampled_from(PATHS))
+    return cfg if path is None else with_value(cfg, path, draw(ANY))
+
+
+class TestEveryValidConfigRoundTrips:
+    @seed(29)
+    @settings(max_examples=400, deadline=None)
+    @given(run_configs())
+    def test_from_dict_of_to_dict_is_the_config(self, cfg):
+        # a config a library caller builds and validate() accepts is the
+        # one its dataset's manifest gives back to train and ablate
+        try:
+            cfg.validate()
+        except ConfigError:
+            return
+        again = RunConfig.from_dict(cfg.to_dict())
+        assert again == cfg and again.config_hash() == cfg.config_hash()

@@ -250,8 +250,9 @@ class TestNoise:
     def test_presets(self):
         clean = sim.NoiseModel.preset("clean")
         assert clean.gps_sigma == 0.0
+        assert sim.NoiseModel.preset("default") == sim.NoiseModel() == sim.NoiseModel(2.0, 0.0)
         hard = sim.NoiseModel.preset("hard")
-        assert hard.kind == "combined" and hard.drift_step_sigma == 0.05
+        assert (hard.gps_sigma, hard.drift_step_sigma) == (2.0, 0.05)
         with pytest.raises(ConfigError):
             sim.NoiseModel.preset("extreme")
 
@@ -259,23 +260,51 @@ class TestNoise:
         with pytest.raises(ConfigError):
             sim.NoiseModel(gps_sigma=11.0).validate()
         with pytest.raises(ConfigError):
-            sim.NoiseModel(kind="odometer", drift_step_sigma=1.5).validate()
+            sim.NoiseModel(gps_sigma=0.0, drift_step_sigma=1.5).validate()
         with pytest.raises(ConfigError):
-            sim.NoiseModel(kind="sonar").validate()
+            sim.NoiseModel(drift_step_sigma=-0.1).validate()
 
     def test_white_noise_variance(self):
-        model = sim.NoiseModel(kind="gps", gps_sigma=2.0)
+        model = sim.NoiseModel(gps_sigma=2.0)
         rng = np.random.default_rng(0)
         draws = np.stack([model.sample(rng, 10) for _ in range(3000)])
         assert np.var(draws) == pytest.approx(4.0, rel=0.1)
 
     def test_drift_variance_grows_linearly(self):
         # random walk: var at step k is k * sigma^2
-        model = sim.NoiseModel(kind="odometer", gps_sigma=0.0, drift_step_sigma=0.1)
+        model = sim.NoiseModel(gps_sigma=0.0, drift_step_sigma=0.1)
         rng = np.random.default_rng(1)
         draws = np.stack([model.sample(rng, 50) for _ in range(3000)])
         assert np.var(draws[:, 49, :]) == pytest.approx(50 * 0.01, rel=0.15)
         assert np.var(draws[:, 9, :]) == pytest.approx(10 * 0.01, rel=0.15)
+
+    @pytest.mark.parametrize(
+        "sigmas, kind",
+        [((1.5, 0.0), "gps"), ((0.0, 0.2), "odometer"), ((1.5, 0.2), "combined")],
+        ids=["white_only", "drift_only", "white_and_drift"],
+    )
+    def test_each_term_draws_what_its_old_kind_drew(self, sigmas, kind):
+        # the three-way switch the two sigmas replaced, as it drew
+        def old_sample(rng, steps, gps_sigma, drift_step_sigma):
+            if kind == "odometer":
+                return np.cumsum(rng.normal(0.0, drift_step_sigma, (steps, 3)), axis=0)
+            white = rng.normal(0.0, gps_sigma, (steps, 3))
+            if kind == "gps":
+                return white
+            return white + np.cumsum(rng.normal(0.0, drift_step_sigma, (steps, 3)), axis=0)
+
+        old_rng, new_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for steps in (1, 7, 40):
+            old = old_sample(old_rng, steps, *sigmas)
+            new = sim.NoiseModel(*sigmas).sample(new_rng, steps)
+            assert new.tobytes() == old.tobytes()
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_two_zero_sigmas_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert np.array_equal(sim.NoiseModel(0.0, 0.0).sample(rng, 12), np.zeros((12, 3)))
+        assert rng.bit_generator.state == before
 
     def test_clean_sensor_equals_world(self):
         scene = sim.make_scene(small_config(), seed=5)
@@ -486,7 +515,7 @@ GOLDEN = {
         }),
     "linear_odometer_5_agents": (
         sim.SimulatorConfig(n_agents=5, camera_motion="linear",
-                            noise=sim.NoiseModel(kind="odometer", drift_step_sigma=0.05)),
+                            noise=sim.NoiseModel(gps_sigma=0.0, drift_step_sigma=0.05)),
         20, (3, 1, 2), {
             "train": "ad37cfe1918a0e5a99481ff9d157e43202b7ec92fca050d180d243dd882ef3d3",
             "val": "1ba42624621b99a50779c9b86fe2070998e62a75ee6e536908b7b147e417c29f",
